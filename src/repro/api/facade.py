@@ -59,6 +59,16 @@ from repro.ir.frontends import get_frontend
 from repro.ir.graphir import GraphIR
 
 
+def _names_file(text):
+    """Whether ``text`` names an existing file.  A string that cannot be
+    a path at all (longer than the filesystem allows, say) is not one:
+    it is source text."""
+    try:
+        return Path(text).is_file()
+    except (OSError, ValueError):
+        return False
+
+
 def _resolve_suspect(suspect, label=None, allow_paths=True):
     """Normalize a suspect to ``(graph_or_None, text_or_None, label)``.
 
@@ -83,7 +93,7 @@ def _resolve_suspect(suspect, label=None, allow_paths=True):
         return None, path.read_text(), label if label is not None else str(path)
     if isinstance(suspect, str):
         if allow_paths and "\n" not in suspect \
-                and (suspect.endswith(".v") or Path(suspect).is_file()):
+                and (suspect.endswith(".v") or _names_file(suspect)):
             with open(suspect) as handle:
                 return None, handle.read(), (label if label is not None
                                              else suspect)

@@ -1,22 +1,32 @@
 """Batched sublinear query serving over the memory-mapped shard store.
 
-One :class:`QueryEngine` turns the stored corpus into a lookup service:
+One :class:`QueryEngine` turns the stored corpus into a lookup service
+with **one query path**: every query is scatter-gather.  The worker half
+(:meth:`~QueryEngine.partial_many` / :meth:`~QueryEngine.partial_groups`)
+scores a subset of the shard files and returns mergeable partials; the
+gather half (:meth:`~QueryEngine.merge_many` /
+:meth:`~QueryEngine.merge_groups`) reduces disjoint partials to ranked
+hits.  The in-process entry points are that pipeline over a single
+partition holding every shard — ``query_many(v)`` is
+``merge_many([partial_many(v)])`` and ``query_groups`` is
+``merge_groups([partial_groups(...)])`` — so single-process and
+multi-worker serving agree bit for bit by construction.
 
-- **Batched scoring** — ``query_many`` scores a whole batch of suspects
-  against every shard with one BLAS matmul per shard, instead of one
-  pass per suspect.  Single-row batches are padded to two rows before
-  the matmul so BLAS always takes the same gemm kernel: a lone
-  ``query_vector`` call is **bit-identical** to the same vector inside
-  any batch (OpenBLAS routes 1-row gemms to a differently-rounded
-  kernel otherwise).
-- **Partial top-k** — ranks come from ``argpartition`` (O(n)) plus a
-  sort of only ``k`` candidates, not a full ``argsort`` of the corpus;
-  large corpora first reduce each row to its best score blocks.  Ties
-  order toward the lower row id *including* at the top-k boundary: when
-  the k-th score is tied, the tied rows with the lowest ids enter
-  (partial selection pays one extra vectorized comparison pass to
-  resolve the boundary, so partitioned and single-process serving pick
-  identical survivors).
+- **Batched scoring** — a whole batch of suspects is scored against each
+  shard with one BLAS matmul per shard, instead of one pass per suspect.
+  Single-row batches are padded to two rows before the matmul so BLAS
+  always takes the same gemm kernel: a lone ``query_vector`` call is
+  **bit-identical** to the same vector inside any batch (OpenBLAS routes
+  1-row gemms to a differently-rounded kernel otherwise).  A row's score
+  never depends on which partition scored it.
+- **One top-k routine** — every ranking boundary (per-row hits,
+  partition partials, their merge, parent ranking, fused ranking)
+  selects through ``_top_sel``: ``argpartition`` (O(n)) plus a sort of
+  only ``k`` survivors, never a full ``argsort`` of the corpus; long
+  rows first keep their ``k`` best score blocks.  Ties order by a total
+  key (lower row / parent id) *including* at the top-k boundary, so a
+  partition's top-k always contains every row of the global top-k it
+  owns — the property merging relies on.
 - **IVF pre-filter** — with a fitted :class:`~repro.index.ann.IVFIndex`,
   only the rows in the ``nprobe`` best clusters are gathered and scored
   (exact dot products, so scores are never approximated — only the
@@ -33,6 +43,13 @@ One :class:`QueryEngine` turns the stored corpus into a lookup service:
   which suspect region matched it (``query_region``), and the coverage.
   An index without chunk rows never enters this path — ``query_many``
   on it is bit-identical to v3 serving.
+- **Two reductions, on purpose** — plain per-row top-k and per-parent
+  aggregation stay separate reductions even though a chunk-less row is
+  its own parent and aggregation would rank it identically: the parent
+  reduction pays ``np.unique`` plus scatter (``ufunc.at``) passes over
+  every candidate row and builds coverage evidence nobody reads.
+  Routed through it, a 32-vector IVF pass over a 50k-row, 4-shard
+  chunk-less index took about 80 ms instead of 18 ms (one Xeon core).
 - **Structural rank fusion** — when the caller also supplies per-group
   structural scores (:mod:`repro.index.wlsig` reverse-containment, one
   score per parent design), parents are ranked by the *better of their
@@ -45,26 +62,16 @@ One :class:`QueryEngine` turns the stored corpus into a lookup service:
   ``region`` / ``query_region`` / ``coverage`` keep describing the best
   raw (part, row) pairing as locality evidence.  Fused queries always
   score exactly: the structural channel visits every stored design
-  anyway, so the IVF shortcut buys nothing there.
-- **Partition-aware partial queries** — multi-worker serving splits the
-  corpus by whole shard files
-  (:func:`repro.index.shards.assign_partitions`) and has each worker
-  call :meth:`partial_many` / :meth:`partial_groups` over its own
-  subset.  Because exact scoring is one gemm *per shard* (and
-  IVF/grouped candidate scores are per-row dot products), a row's score
-  never depends on which partition scored it, and the partials are
-  mergeable: :meth:`merge_many` / :meth:`merge_groups` reduce them to
-  hit lists **bit-identical** to the single-process query on the full
-  engine.  The structural fusion channel is deliberately *not* computed
-  in partials — it ranks every stored design globally, so the caller
-  (the serving front) supplies ``struct`` to :meth:`merge_groups` and
-  fusion happens once, after the merge ("fuse at the front").
+  anyway, so the IVF shortcut buys nothing there.  The structural
+  channel ranks every stored design globally, so it is never computed
+  in partials: ``struct`` goes to :meth:`~QueryEngine.merge_groups`
+  and fusion happens once, after the merge ("fuse at the front").
 
-Every ranking boundary breaks score ties deterministically (lower row /
-parent id wins, after the documented secondary keys), so partitioned and
-single-process serving agree even on corpora with duplicate designs —
-exact ties are real there, because duplicate content keys reuse the
-stored vector bit-for-bit.
+Partitions are whole shard files
+(:func:`repro.index.shards.assign_partitions`).  Duplicate content keys
+reuse the stored vector bit-for-bit, so exact score ties are real on
+corpora with duplicate designs; the deterministic tie orders above keep
+every partition layout on the same answer.
 """
 
 from dataclasses import dataclass
@@ -73,11 +80,10 @@ import numpy as np
 
 from repro.errors import IndexStoreError
 
-#: Row-segment width for two-stage exact top-k: block maxima are reduced
-#: for the whole batch in one vectorized pass, then each row only
-#: partitions the ~k*_BLOCK candidates from its best blocks instead of
-#: the full corpus (the top-k elements of a row always live in its top-k
-#: blocks by max).
+#: Row-segment width for two-stage exact top-k: a long row first keeps
+#: its k best segments by maximum (the top-k elements of a row always
+#: live in its top-k blocks by max), then partitions only their
+#: ~k*_BLOCK members instead of the full row.
 _BLOCK = 1024
 
 
@@ -123,8 +129,8 @@ class PartialTopK:
     """One query's partition-local top-k (mergeable).
 
     Produced by :meth:`QueryEngine.partial_many`; disjoint partitions'
-    partials merge via :meth:`QueryEngine.merge_many` into hit lists
-    bit-identical to the single-process query.
+    partials merge via :meth:`QueryEngine.merge_many` into the same hit
+    lists as the single-process query (itself a one-partition merge).
 
     Attributes:
         rows: global row ids, ranked under ``(-score, row id)``.
@@ -187,6 +193,8 @@ class QueryEngine:
         self._offsets = np.concatenate(
             ([0], np.cumsum([len(b) for b in self._blocks]))
         ).astype(np.int64)
+        #: Global row ids, sliced per partition instead of rebuilt.
+        self._rows = np.arange(self._offsets[-1], dtype=np.int64)
         self.hidden = (int(self._blocks[0].shape[1]) if self._blocks
                        else 0)
         #: True when any stored row is a subgraph chunk; plain designs
@@ -228,18 +236,6 @@ class QueryEngine:
         unit = queries / np.maximum(norms, 1e-12)
         return np.ascontiguousarray(unit, dtype=np.float32)
 
-    def _exact_scores(self, queries):
-        """(n_queries, corpus) float32 scores, one gemm per shard."""
-        # Pad 1-row batches to 2: BLAS then uses the same gemm kernel for
-        # every batch size, keeping single and batched scores bit-equal.
-        padded = queries
-        if len(queries) == 1:
-            padded = np.concatenate([queries, np.zeros_like(queries)])
-        parts = [padded @ np.asarray(block).T for block in self._blocks]
-        scores = parts[0] if len(parts) == 1 else np.concatenate(parts,
-                                                                 axis=1)
-        return scores[:len(queries)]
-
     def gather(self, rows):
         """Stored rows by global id, crossing shard boundaries."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -254,88 +250,60 @@ class QueryEngine:
                                               - self._offsets[index]]
         return out
 
-    def _block_maxima(self, scores):
-        """Per-row maxima over _BLOCK-wide segments, one vectorized pass
-        for the whole batch (the remainder segment becomes a last,
-        shorter block)."""
-        q, n = scores.shape
-        whole = n // _BLOCK
-        maxima = scores[:, :whole * _BLOCK].reshape(q, whole,
-                                                    _BLOCK).max(axis=2)
-        if whole * _BLOCK < n:
-            tail = scores[:, whole * _BLOCK:].max(axis=1, keepdims=True)
-            maxima = np.concatenate([maxima, tail], axis=1)
-        return maxima
-
-    def _block_candidates(self, row, maxima, kk):
-        """Exact top-kk of one row via its kk best blocks.
-
-        A block holding a top-kk element has a maximum at least that
-        large, so the kk best blocks by maximum always cover the top-kk
-        set; only their ~kk*_BLOCK members get partitioned.
-        """
-        n = len(self)
-        nblk = maxima.shape[0]
-        t = min(kk, nblk)
-        blocks = np.argpartition(maxima, nblk - t)[nblk - t:]
-        cand = np.concatenate(
-            [np.arange(b * _BLOCK, min((b + 1) * _BLOCK, n),
-                       dtype=np.int64) for b in blocks])
-        vals = row[cand]
-        keep = np.argpartition(vals, len(vals) - kk)[len(vals) - kk:]
-        return cand[keep]
-
     @staticmethod
-    def _top_sel(scores, row_ids, k):
-        """Positions of the best-k scores, ties toward lower row id.
+    def _top_sel(scores, k, *ties):
+        """Positions of the best-k ``scores``, ranked.
 
-        ``argpartition`` is O(n); only the ``k`` survivors get sorted —
-        no full argsort of the corpus per query.  When the k-th score is
-        tied, the tied positions with the lowest row ids win (one extra
-        comparison pass, only paid when a tie spans the boundary), so
-        the selection is a true top-k under the total order
-        ``(-score, row_id)`` — the property partition merging relies on.
+        The ranking is the total order ``(-score, ties)``, where
+        ``ties`` are ``np.lexsort`` keys (least significant first) that
+        make it total — a row id, or a parent's coverage then id.  The
+        selection is a true top-k of that order *including* at the
+        boundary: a partition's top-k holds every member of the global
+        top-k it owns, which is what makes partials mergeable.
+
+        ``argpartition`` is O(n); only the ``k`` survivors get sorted.
+        A row that dwarfs the candidate pool first keeps its ``k`` best
+        ``_BLOCK``-wide segments by maximum (those segments always hold
+        ``k`` scores at least as large as the k-th best) and partitions
+        only their members.  Either way the k-th score is exact; when it
+        is tied beyond the boundary, one comparison pass over the row
+        lets the tied positions first under ``ties`` win.
         """
-        k = min(max(int(k), 0), len(row_ids))
+        n = len(scores)
+        k = min(max(int(k), 0), n)
         if k == 0:
             return np.empty(0, dtype=np.int64)
-        pos = np.arange(len(row_ids), dtype=np.int64)
-        if k < len(row_ids):
-            pos = np.argpartition(-scores, k - 1)[:k]
-            boundary = scores[pos].min()
-            strict = np.nonzero(scores > boundary)[0]
-            tied = np.nonzero(scores == boundary)[0]
-            if len(strict) + len(tied) > k:
-                tied = tied[np.argsort(row_ids[tied],
-                                       kind="stable")[:k - len(strict)]]
-                pos = np.concatenate([strict, tied])
-        order = np.lexsort((row_ids[pos], -scores[pos]))
+        if k == n:
+            return np.lexsort(ties + (-scores,))
+        if n >= 4 * _BLOCK and 2 * (k + 1) * _BLOCK <= n:
+            maxima = np.maximum.reduceat(scores, np.arange(0, n, _BLOCK))
+            top = np.argpartition(maxima, len(maxima) - k)[-k:]
+            span = (top[:, None] * _BLOCK
+                    + np.arange(_BLOCK, dtype=np.int64)).ravel()
+            span = span[span < n]
+            vals = scores[span]
+            pos = span[np.argpartition(vals, len(vals) - k)[-k:]]
+        else:
+            # Ascending argpartition + tail slice: top-k in O(n) without
+            # negating (copying) the score row.
+            pos = np.argpartition(scores, n - k)[n - k:]
+        boundary = scores[pos].min()
+        strict = np.nonzero(scores > boundary)[0]
+        tied = np.nonzero(scores == boundary)[0]
+        if len(strict) + len(tied) > k:
+            order = np.lexsort(tuple(key[tied] for key in ties))
+            pos = np.concatenate([strict, tied[order[:k - len(strict)]]])
+        order = np.lexsort(tuple(key[pos] for key in ties)
+                           + (-scores[pos],))
         return pos[order]
-
-    @staticmethod
-    def _resolve_boundary(row, cand, kk):
-        """Exact-path boundary ties toward lower row id.
-
-        ``cand`` holds a top-``kk`` multiset of positions into ``row``
-        (global row ids), so its minimum *is* the true kk-th largest
-        score.  When that value is tied beyond the boundary, the tied
-        rows with the lowest ids must win — the same total order
-        ``(-score, row_id)`` that :meth:`_top_sel` enforces, so exact
-        and partitioned selection agree on the survivors.
-        """
-        boundary = row[cand].min()
-        strict = np.nonzero(row > boundary)[0]
-        tied = np.nonzero(row == boundary)[0]
-        if len(strict) + len(tied) > kk:
-            # np.nonzero yields ascending positions: the slice keeps
-            # the lowest tied row ids.
-            cand = np.concatenate([strict, tied[:kk - len(strict)]])
-        return cand
 
     # -- queries -------------------------------------------------------------
     def query_many(self, vectors, k=5, delta=0.0, nprobe=None,
                    exact=False):
         """Top-k hit lists for a batch of query vectors, in input order.
+
+        The merge of one partition holding every shard: identical to
+        any scatter-gather serving of the same batch by construction.
 
         Args:
             vectors: ``(n, hidden)`` array-like (or one 1-D vector).
@@ -345,59 +313,16 @@ class QueryEngine:
                 quantizer's default (:data:`repro.index.ann.DEFAULT_NPROBE`).
             exact: bypass the IVF pre-filter and score every stored row.
         """
-        if not len(self):
-            raise IndexStoreError("the fingerprint index is empty")
-        queries = self._as_queries(vectors)
-        if not len(queries):
-            return []
-        if self.chunked:
-            # Each vector is a single-part group; aggregation reduces
-            # the chunk rows back to one ranked list of parent designs.
-            offsets = np.arange(len(queries) + 1, dtype=np.int64)
-            return self._grouped(queries, offsets, [None] * len(queries),
-                                 k, delta, nprobe, exact)
-        if exact or self.ivf is None:
-            scores = self._exact_scores(queries)
-            n = len(self)
-            kk = min(max(int(k), 0), n)
-            if kk == 0:
-                return [[] for _ in range(len(queries))]
-            # Two-stage selection pays off once the corpus dwarfs the
-            # candidate pool; tiny corpora partition directly.
-            blocked = n >= 4 * _BLOCK and 2 * (kk + 1) * _BLOCK <= n
-            blockmax = self._block_maxima(scores) if blocked else None
-            results = []
-            for i in range(len(queries)):
-                row = scores[i]
-                if blocked:
-                    cand = self._block_candidates(row, blockmax[i], kk)
-                elif kk < n:
-                    # Ascending argpartition + tail slice: top-k in O(n)
-                    # without negating (copying) the score row.
-                    cand = np.argpartition(row, n - kk)[n - kk:]
-                else:
-                    cand = np.arange(n, dtype=np.int64)
-                if kk < n:
-                    cand = self._resolve_boundary(row, cand, kk)
-                order = np.lexsort((cand, -row[cand]))
-                sel = cand[order]
-                results.append(self._hits(sel, row[sel], delta))
-            return results
-        cand_rows, offsets = self.ivf.probe(queries, nprobe)
-        gathered = self.gather(cand_rows)
-        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
-        cand_scores = np.einsum("ij,ij->i", gathered, queries[owner])
-        results = []
-        for i in range(len(queries)):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            rows, scores = cand_rows[lo:hi], cand_scores[lo:hi]
-            sel = self._top_sel(scores, rows, k)
-            results.append(self._hits(rows[sel], scores[sel], delta))
-        return results
+        partial = self.partial_many(vectors, k=k, delta=delta,
+                                    nprobe=nprobe, exact=exact)
+        return self.merge_many([partial], k=k, delta=delta)
 
     def query_groups(self, parts, offsets, regions=None, k=5, delta=0.0,
                      nprobe=None, exact=False, struct=None):
         """Ranked parent designs for groups of query parts.
+
+        The merge of one partition holding every shard, with the
+        structural channel fused at the merge.
 
         Args:
             parts: ``(P, hidden)`` array-like of part vectors for all
@@ -420,28 +345,14 @@ class QueryEngine:
             designs; without fusion, ranked by best part-vs-row score,
             ties broken by higher coverage, then lower parent id.
         """
-        if not len(self):
-            raise IndexStoreError("the fingerprint index is empty")
-        queries = self._as_queries(parts)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if (len(offsets) < 1 or offsets[0] != 0
-                or offsets[-1] != len(queries)
-                or np.any(np.diff(offsets) < 0)):
-            raise IndexStoreError(
-                f"part offsets {offsets.tolist()} do not partition "
-                f"{len(queries)} query parts")
-        if regions is None:
-            regions = [None] * len(queries)
-        if struct is not None and len(struct) != len(offsets) - 1:
-            raise IndexStoreError(
-                f"{len(struct)} structural score vectors for "
-                f"{len(offsets) - 1} query groups")
-        if len(offsets) == 1:
-            return []
-        return self._grouped(queries, offsets, regions, k, delta, nprobe,
-                             exact, struct=struct)
+        fused = None if struct is None else [s is not None for s in struct]
+        partial = self.partial_groups(parts, offsets, regions, k=k,
+                                      delta=delta, nprobe=nprobe,
+                                      exact=exact, fused=fused)
+        return self.merge_groups([partial], offsets, regions, k=k,
+                                 delta=delta, struct=struct)
 
-    # -- partitioned queries -------------------------------------------------
+    # -- partials ------------------------------------------------------------
     def _shard_subset(self, shards):
         """Validated ascending shard ordinals (``None`` = every shard)."""
         if shards is None:
@@ -457,9 +368,10 @@ class QueryEngine:
     def _partition_scores(self, queries, shards):
         """Exact scores over a shard subset + their global row ids.
 
-        The same one-gemm-per-shard loop as :meth:`_exact_scores` (with
-        the same 1-row padding), so a row's score is bit-identical
-        whichever partition computes it.
+        One gemm per shard, so a row's score is bit-identical whichever
+        partition computes it.  1-row batches are padded to 2: BLAS then
+        uses the same gemm kernel for every batch size, keeping single
+        and batched scores bit-equal.
         """
         padded = queries
         if len(queries) == 1:
@@ -467,22 +379,32 @@ class QueryEngine:
         parts = [padded @ np.asarray(self._blocks[s]).T for s in shards]
         scores = (parts[0] if len(parts) == 1
                   else np.concatenate(parts, axis=1))
-        rows = np.concatenate(
-            [np.arange(self._offsets[s], self._offsets[s + 1],
-                       dtype=np.int64) for s in shards])
+        rows = self._rows
+        if len(shards) < len(self._blocks):
+            rows = np.concatenate([rows[self._offsets[s]:
+                                        self._offsets[s + 1]]
+                                   for s in shards])
         return scores[:len(queries)], rows
+
+    def _owned(self, rows, shards):
+        """Mask of the ``rows`` stored in ``shards``, or ``None`` when
+        the subset is every shard (nothing to filter)."""
+        if len(shards) == len(self._blocks):
+            return None
+        shard_of = np.searchsorted(self._offsets, rows, side="right") - 1
+        return np.isin(shard_of, np.asarray(shards, dtype=np.int64))
 
     def partial_many(self, vectors, k=5, delta=0.0, nprobe=None,
                      exact=False, shards=None):
         """Partition-local partials for a batch of query vectors.
 
         The worker half of scatter-gather serving: scores only the rows
-        in ``shards`` (ordinals into the engine's block list) and
-        returns mergeable partials — one :class:`PartialTopK` per
-        query, or one :class:`PartialGroups` per query on a chunked
-        index (mirroring ``query_many``'s aggregation routing).  Feed
-        every partition's partials to :meth:`merge_many` for hit lists
-        bit-identical to ``query_many`` on the full engine.
+        in ``shards`` (ordinals into the engine's block list; ``None``
+        is every shard) and returns mergeable partials — one
+        :class:`PartialTopK` per query, or one :class:`PartialGroups`
+        per query on a chunked index (each vector is a single-part
+        group, aggregated back to parent designs).  Feed every
+        partition's partials to :meth:`merge_many`.
         """
         if not len(self):
             raise IndexStoreError("the fingerprint index is empty")
@@ -503,28 +425,25 @@ class QueryEngine:
             scores, rows = self._partition_scores(queries, shards)
             out = []
             for i in range(len(queries)):
-                sel = self._top_sel(scores[i], rows, k)
+                sel = self._top_sel(scores[i], k, rows)
                 out.append(PartialTopK(rows=rows[sel],
                                        scores=scores[i][sel]))
             return out
         cand_rows, offsets = self.ivf.probe(queries, nprobe)
-        shard_of = np.searchsorted(self._offsets, cand_rows,
-                                   side="right") - 1
-        keep = np.isin(shard_of, np.asarray(shards, dtype=np.int64))
         owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
-        kept_rows = cand_rows[keep]
-        kept_owner = owner[keep]
-        gathered = self.gather(kept_rows)
-        kept_scores = np.einsum("ij,ij->i", gathered, queries[kept_owner])
-        counts = np.bincount(kept_owner, minlength=len(queries))
-        bounds = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        keep = self._owned(cand_rows, shards)
+        if keep is not None:
+            cand_rows, owner = cand_rows[keep], owner[keep]
+            counts = np.bincount(owner, minlength=len(queries))
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+        cand_scores = np.einsum("ij,ij->i", self.gather(cand_rows),
+                                queries[owner])
         out = []
         for i in range(len(queries)):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            rows_i, scores_i = kept_rows[lo:hi], kept_scores[lo:hi]
-            sel = self._top_sel(scores_i, rows_i, k)
-            out.append(PartialTopK(rows=rows_i[sel],
-                                   scores=scores_i[sel]))
+            lo, hi = int(offsets[i]), int(offsets[i + 1])
+            rows, scores = cand_rows[lo:hi], cand_scores[lo:hi]
+            sel = self._top_sel(scores, k, rows)
+            out.append(PartialTopK(rows=rows[sel], scores=scores[sel]))
         return out
 
     def partial_groups(self, parts, offsets, regions=None, k=5,
@@ -552,9 +471,10 @@ class QueryEngine:
         if regions is None:
             regions = [None] * len(queries)
         if fused is not None and len(fused) != len(offsets) - 1:
+            # The flags stand for the front's structural score vectors.
             raise IndexStoreError(
-                f"{len(fused)} fused flags for {len(offsets) - 1} "
-                f"query groups")
+                f"{len(fused)} structural score vectors (fused flags) "
+                f"for {len(offsets) - 1} query groups")
         if len(offsets) == 1:
             return []
         return self._partial_grouped(queries, offsets, regions, k, delta,
@@ -579,8 +499,11 @@ class QueryEngine:
         if not shards:
             return [empty_partial(bool(f)) for f in fused]
         if any(fused) or exact or self.ivf is None:
-            # Mirrors _grouped: one fused group forces the whole batch
-            # onto exact scoring.
+            # Fused queries score exactly (see the module docstring):
+            # the structural channel ranks every parent, so pruning the
+            # embedding channel's candidates would only desynchronize
+            # the two rank lists.  One fused group forces the whole
+            # batch onto exact scoring.
             scores, rows = self._partition_scores(queries, shards)
             out = []
             for g in range(groups):
@@ -601,16 +524,14 @@ class QueryEngine:
                     best_part=best_part, above=above))
             return out
         cand_rows, part_offsets = self.ivf.probe(queries, nprobe)
-        shard_set = np.asarray(shards, dtype=np.int64)
         out = []
         for g in range(groups):
             lo, hi = int(offsets[g]), int(offsets[g + 1])
             rows = np.unique(
                 cand_rows[int(part_offsets[lo]):int(part_offsets[hi])])
-            if len(rows):
-                shard_of = np.searchsorted(self._offsets, rows,
-                                           side="right") - 1
-                rows = rows[np.isin(shard_of, shard_set)]
+            keep = self._owned(rows, shards)
+            if keep is not None:
+                rows = rows[keep]
             if not len(rows):
                 out.append(empty_partial(False))
                 continue
@@ -622,159 +543,6 @@ class QueryEngine:
                                      best_row=best_row,
                                      best_part=best_part, above=above))
         return out
-
-    def merge_many(self, partials, k=5, delta=0.0):
-        """Hit lists from per-partition ``partial_many`` results.
-
-        Args:
-            partials: one ``partial_many`` result per partition, all
-                for the same query batch over disjoint shard subsets.
-        """
-        if not partials:
-            return []
-        if self.chunked:
-            n = len(partials[0])
-            offsets = np.arange(n + 1, dtype=np.int64)
-            return self.merge_groups(partials, offsets, [None] * n,
-                                     k=k, delta=delta)
-        results = []
-        for per_query in zip(*partials):
-            rows = np.concatenate([p.rows for p in per_query])
-            scores = np.concatenate([p.scores for p in per_query])
-            sel = self._top_sel(scores, rows, k)
-            results.append(self._hits(rows[sel], scores[sel], delta))
-        return results
-
-    def merge_groups(self, partials, offsets, regions=None, k=5,
-                     delta=0.0, struct=None):
-        """Hit lists from per-partition ``partial_groups`` results.
-
-        The gather half: merges each group's per-parent partials across
-        disjoint partitions, then ranks exactly like the single-process
-        path.  Structural fusion happens *here* — the structural
-        channel ranks every stored design globally, so it cannot be
-        computed per partition; ``struct`` follows the
-        :meth:`query_groups` contract (fuse at the front).
-
-        Args:
-            partials: one ``partial_groups`` result per partition, all
-                for the same groups over disjoint shard subsets.
-        """
-        if not partials:
-            return []
-        groups = len(partials[0])
-        if any(len(p) != groups for p in partials):
-            raise IndexStoreError(
-                "partition partials disagree on the query group count")
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if regions is None:
-            regions = [None] * int(offsets[-1])
-        if struct is not None and len(struct) != groups:
-            raise IndexStoreError(
-                f"{len(struct)} structural score vectors for "
-                f"{groups} query groups")
-        results = []
-        for g in range(groups):
-            per_part = [p[g] for p in partials]
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            group_regions = regions[lo:hi]
-            if struct is not None and struct[g] is not None:
-                if not any(len(p.parents) for p in per_part):
-                    results.append([])
-                    continue
-                results.append(self._rank_fused(
-                    self._merge_fused(per_part), group_regions,
-                    struct[g], k, delta))
-                continue
-            uniq, best, best_row, best_part, above = \
-                self._merge_parent_partials(per_part)
-            results.append(self._rank_parents(
-                uniq, best, best_row, best_part, above, group_regions,
-                k, delta))
-        return results
-
-    def _merge_parent_partials(self, partials):
-        """Sparse merged per-parent arrays from disjoint-row partials."""
-        allp = np.concatenate([p.parents for p in partials])
-        allbest = np.concatenate([p.best for p in partials])
-        allrow = np.concatenate([p.best_row for p in partials])
-        allpart = np.concatenate([p.best_part for p in partials])
-        allabove = np.concatenate([p.above for p in partials])
-        # Best evidence per parent under (-score, row id): order the
-        # concatenated candidates and keep each parent's first.
-        order = np.lexsort((allrow, -allbest, allp))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = allp[order][1:] != allp[order][:-1]
-        pick = order[first]
-        uniq = allp[pick]
-        above = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(above, np.searchsorted(uniq, allp), allabove)
-        return uniq, allbest[pick], allrow[pick], allpart[pick], above
-
-    def _parent_arrays(self):
-        """(parent_of, parent_row, parent_counts) — on a chunk-less
-        engine every row is its own parent, so grouped queries degrade
-        to plain per-row ranking."""
-        if self.chunked:
-            return self._parent_of, self._parent_row, self._parent_counts
-        rows = np.arange(len(self), dtype=np.int64)
-        return rows, rows, np.ones(len(self), dtype=np.int64)
-
-    def _grouped(self, queries, offsets, regions, k, delta, nprobe,
-                 exact, struct=None):
-        """Aggregated scoring shared by query_groups and chunked
-        query_many (queries are already validated unit float32)."""
-        groups = len(offsets) - 1
-        if struct is not None and any(s is not None for s in struct):
-            # Fused queries score exactly (see the module docstring):
-            # the structural channel ranks every parent, so pruning the
-            # embedding channel's candidates would only desynchronize
-            # the two rank lists.
-            scores = self._exact_scores(queries)
-            all_rows = np.arange(len(self), dtype=np.int64)
-            results = []
-            for g in range(groups):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                if hi == lo:
-                    results.append([])
-                    continue
-                block = scores[lo:hi]
-                if struct[g] is None:
-                    results.append(self._aggregate(
-                        all_rows, block.max(axis=0),
-                        block.argmax(axis=0), regions[lo:hi], k, delta))
-                else:
-                    results.append(self._aggregate_fused(
-                        block, regions[lo:hi], struct[g], k, delta))
-            return results
-        if exact or self.ivf is None:
-            scores = self._exact_scores(queries)
-            all_rows = np.arange(len(self), dtype=np.int64)
-            results = []
-            for g in range(groups):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                if hi == lo:
-                    results.append([])
-                    continue
-                block = scores[lo:hi]
-                results.append(self._aggregate(
-                    all_rows, block.max(axis=0), block.argmax(axis=0),
-                    regions[lo:hi], k, delta))
-            return results
-        cand_rows, part_offsets = self.ivf.probe(queries, nprobe)
-        results = []
-        for g in range(groups):
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            rows = np.unique(
-                cand_rows[int(part_offsets[lo]):int(part_offsets[hi])])
-            if not len(rows):
-                results.append([])
-                continue
-            block = self._gathered_block(rows, queries[lo:hi])
-            results.append(self._aggregate(
-                rows, block.max(axis=1), block.argmax(axis=1),
-                regions[lo:hi], k, delta))
-        return results
 
     def _gathered_block(self, rows, group_queries):
         """(rows, parts) exact scores for gathered candidate rows.
@@ -789,30 +557,26 @@ class QueryEngine:
         """
         return np.einsum("ij,kj->ik", self.gather(rows), group_queries)
 
-    def _aggregate(self, rows, row_best, row_part, group_regions, k,
-                   delta):
-        """One group's hits: reduce per-row best scores to per-parent
-        block maxima, rank parents score desc / coverage desc / id asc.
-
-        Args:
-            rows: candidate global row ids (ascending).
-            row_best: best score over the group's parts, per candidate.
-            row_part: which part produced it, per candidate.
-            group_regions: the group's part region descriptors.
-        """
-        uniq, _, best, best_row, best_part, above = \
-            self._parent_partials(rows, row_best, row_part, delta)
-        return self._rank_parents(uniq, best, best_row, best_part, above,
-                                  group_regions, k, delta)
+    def _parent_arrays(self):
+        """(parent_of, parent_row, parent_counts) — on a chunk-less
+        engine every row is its own parent, so grouped queries degrade
+        to plain per-row ranking."""
+        if self.chunked:
+            return self._parent_of, self._parent_row, self._parent_counts
+        return self._rows, self._rows, np.ones(len(self), dtype=np.int64)
 
     def _parent_partials(self, rows, row_best, row_part, delta):
         """Per-parent reduction of per-row best scores (sparse).
 
-        The same reduction feeds single-process ranking and partition
-        partials: each quantity merges across disjoint row sets without
-        changing value (max for ``best``, lowest-row argmax for
+        Each quantity merges across disjoint row sets without changing
+        value (max for ``best``, lowest-row argmax for
         ``best_row``/``best_part``, sum for ``above``), which is what
         makes scatter-gather serving bit-identical.
+
+        Args:
+            rows: scored global row ids (ascending).
+            row_best: best score over the group's parts, per row.
+            row_part: which part produced it, per row.
 
         Returns:
             ``(uniq, inverse, best, best_row, best_part, above)`` —
@@ -834,88 +598,6 @@ class QueryEngine:
         return (uniq, inverse, best, rows[pos_best],
                 np.asarray(row_part)[pos_best].astype(np.int64), above)
 
-    def _rank_parents(self, uniq, best, best_row, best_part, above,
-                      group_regions, k, delta):
-        """Rank reduced parents and build hits (non-fused grouped path).
-
-        Selection is a true top-k under the total order
-        ``(-best, -coverage, parent id)``: boundary score ties are
-        resolved with one extra pass, so merged partitions and the
-        single-process path pick identical survivors.
-        """
-        parent_row, parent_counts = self._parent_arrays()[1:]
-        coverage = above / np.maximum(parent_counts[uniq], 1)
-        kk = min(max(int(k), 0), len(uniq))
-        if kk == 0:
-            return []
-        sel = np.arange(len(uniq), dtype=np.int64)
-        if kk < len(uniq):
-            sel = np.argpartition(-best, kk - 1)[:kk]
-            boundary = best[sel].min()
-            strict = np.nonzero(best > boundary)[0]
-            tied = np.nonzero(best == boundary)[0]
-            if len(strict) + len(tied) > kk:
-                tied = tied[np.lexsort((uniq[tied], -coverage[tied]))
-                            [:kk - len(strict)]]
-                sel = np.concatenate([strict, tied])
-        order = np.lexsort((uniq[sel], -coverage[sel], -best[sel]))
-        sel = sel[order]
-        hits = []
-        for u in sel.tolist():
-            row_entry = self._entries[int(best_row[u])]
-            parent_entry = self._entries[int(parent_row[uniq[u]])]
-            score = float(best[u])
-            hits.append(QueryHit(
-                name=parent_entry["name"], path=parent_entry["path"],
-                design=parent_entry["design"], score=score,
-                is_piracy=bool(score > delta),
-                via=("chunk" if row_entry.get("kind") == "chunk"
-                     else "design"),
-                region=row_entry.get("region"),
-                query_region=group_regions[int(best_part[u])],
-                coverage=float(coverage[u])))
-        return hits
-
-    @staticmethod
-    def _channel_ranks(channel):
-        """0-based descending rank per parent, stable toward lower id."""
-        order = np.argsort(-channel, kind="stable")
-        ranks = np.empty(len(channel), dtype=np.int64)
-        ranks[order] = np.arange(len(channel), dtype=np.int64)
-        return ranks
-
-    def _aggregate_fused(self, block, group_regions, struct, k, delta):
-        """One group's hits under structural rank fusion.
-
-        Two independent channels rank every parent design, and a parent
-        keeps the *better* of its two ranks:
-
-        - **embedding** — best cosine between the suspect's chunk parts
-          and stored chunk rows (falling back to the whole suspect on a
-          suspect too small to chunk, and to whole-design rows on a
-          chunk-less index);
-        - **structural** — the caller-supplied reverse-containment
-          scores (:mod:`repro.index.wlsig`).
-
-        The minimum-rank fusion lets either channel carry a scenario
-        the other is blind to: chunk cosines rescue grafts whose WL
-        colors were destroyed at the graft boundary, containment
-        rescues grafts the saturated chunk-embedding space cannot
-        separate.  Reported scores are whole-vs-whole cosines (the
-        delta-comparable pairing); evidence fields keep describing the
-        best raw (part, row) pair.
-
-        Args:
-            block: ``(parts, all rows)`` score matrix for this group,
-                whole-suspect part first.
-            group_regions: the group's part region descriptors.
-            struct: structural score per parent design.
-        """
-        rows = np.arange(len(self), dtype=np.int64)
-        partial = self._fused_partial(block, group_regions, rows, delta)
-        return self._rank_fused(self._merge_fused([partial]),
-                                group_regions, struct, k, delta)
-
     def _fused_partial(self, block, group_regions, rows, delta):
         """Per-parent fusion inputs over the scored rows (sparse).
 
@@ -926,10 +608,16 @@ class QueryEngine:
         row lives in exactly one partition, so ``design`` is NaN for
         every non-owner partial and merging keeps the one real value.
 
+        The embedding channel is the best cosine between the suspect's
+        chunk parts and stored chunk rows, falling back to the whole
+        suspect on a suspect too small to chunk, and to whole-design
+        rows on a chunk-less index.
+
         Args:
-            block: ``(parts, len(rows))`` score matrix for this group.
-            rows: scored global row ids (ascending; the full corpus in
-                single-process serving, a partition's rows in partials).
+            block: ``(parts, len(rows))`` score matrix for this group,
+                whole-suspect part first.
+            rows: scored global row ids (ascending; a partition's rows,
+                every row for a single-partition query).
         """
         row_best = block.max(axis=0)
         row_part = block.argmax(axis=0)
@@ -955,32 +643,149 @@ class QueryEngine:
                              best_part=best_part, above=above,
                              embed=embed, design=design)
 
-    def _merge_fused(self, partials):
-        """Dense per-parent fusion inputs from disjoint-row partials.
+    # -- merges --------------------------------------------------------------
+    def merge_many(self, partials, k=5, delta=0.0):
+        """Hit lists from per-partition ``partial_many`` results.
 
-        Returns ``(embed, design, best, best_row, best_part, above)``
-        arrays indexed by parent id.  Fused queries score every row, so
-        the union of partials covers every parent.
+        Args:
+            partials: one ``partial_many`` result per partition, all
+                for the same query batch over disjoint shard subsets.
         """
-        n_parents = len(self._parent_arrays()[1])
+        if not partials:
+            return []
+        if self.chunked:
+            n = len(partials[0])
+            offsets = np.arange(n + 1, dtype=np.int64)
+            return self.merge_groups(partials, offsets, [None] * n,
+                                     k=k, delta=delta)
+        results = []
+        for per_query in zip(*partials):
+            rows = np.concatenate([p.rows for p in per_query])
+            scores = np.concatenate([p.scores for p in per_query])
+            sel = self._top_sel(scores, k, rows)
+            results.append(self._hits(rows[sel], scores[sel], delta))
+        return results
+
+    def merge_groups(self, partials, offsets, regions=None, k=5,
+                     delta=0.0, struct=None):
+        """Hit lists from per-partition ``partial_groups`` results.
+
+        The gather half: merges each group's per-parent partials across
+        disjoint partitions, then ranks them.  Structural fusion happens
+        *here* — the structural channel ranks every stored design
+        globally, so it cannot be computed per partition; ``struct``
+        follows the :meth:`query_groups` contract (fuse at the front).
+
+        Args:
+            partials: one ``partial_groups`` result per partition, all
+                for the same groups over disjoint shard subsets.
+        """
+        if not partials:
+            return []
+        groups = len(partials[0])
+        if any(len(p) != groups for p in partials):
+            raise IndexStoreError(
+                "partition partials disagree on the query group count")
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if regions is None:
+            regions = [None] * int(offsets[-1])
+        if struct is not None and len(struct) != groups:
+            raise IndexStoreError(
+                f"{len(struct)} structural score vectors for "
+                f"{groups} query groups")
+        results = []
+        for g in range(groups):
+            per_part = [p[g] for p in partials]
+            group_regions = regions[int(offsets[g]):int(offsets[g + 1])]
+            if struct is not None and struct[g] is not None:
+                results.append(self._rank_fused(per_part, group_regions,
+                                                struct[g], k, delta))
+            else:
+                results.append(self._rank_parents(per_part, group_regions,
+                                                  k, delta))
+        return results
+
+    @staticmethod
+    def _merge_parent_partials(partials):
+        """Sparse merged per-parent evidence from disjoint-row partials.
+
+        Returns ``(parents, best, best_row, best_part, above)`` aligned
+        with the ascending candidate parent ids.
+        """
         allp = np.concatenate([p.parents for p in partials])
         allbest = np.concatenate([p.best for p in partials])
         allrow = np.concatenate([p.best_row for p in partials])
         allpart = np.concatenate([p.best_part for p in partials])
+        allabove = np.concatenate([p.above for p in partials])
         # Best evidence per parent under (-score, row id): order the
         # concatenated candidates and keep each parent's first.
         order = np.lexsort((allrow, -allbest, allp))
         first = np.ones(len(order), dtype=bool)
         first[1:] = allp[order][1:] != allp[order][:-1]
         pick = order[first]
-        best = np.full(n_parents, -np.inf)
-        best[allp[pick]] = allbest[pick]
-        best_row = np.zeros(n_parents, dtype=np.int64)
-        best_row[allp[pick]] = allrow[pick]
-        best_part = np.zeros(n_parents, dtype=np.int64)
-        best_part[allp[pick]] = allpart[pick]
-        above = np.zeros(n_parents, dtype=np.int64)
-        np.add.at(above, allp, np.concatenate([p.above for p in partials]))
+        uniq = allp[pick]
+        above = np.zeros(len(uniq), dtype=np.int64)
+        np.add.at(above, np.searchsorted(uniq, allp), allabove)
+        return uniq, allbest[pick], allrow[pick], allpart[pick], above
+
+    def _rank_parents(self, partials, group_regions, k, delta):
+        """One group's hits without fusion: parents ranked under the
+        total order ``(-best, -coverage, parent id)``."""
+        uniq, best, best_row, best_part, above = \
+            self._merge_parent_partials(partials)
+        coverage = above / np.maximum(self._parent_arrays()[2][uniq], 1)
+        sel = self._top_sel(best, k, uniq, -coverage)
+        return self._parent_hits(uniq[sel], best_row[sel], best_part[sel],
+                                 best[sel], coverage[sel], group_regions,
+                                 delta)
+
+    @staticmethod
+    def _channel_ranks(channel):
+        """0-based descending rank per parent, stable toward lower id."""
+        order = np.argsort(-channel, kind="stable")
+        ranks = np.empty(len(channel), dtype=np.int64)
+        ranks[order] = np.arange(len(channel), dtype=np.int64)
+        return ranks
+
+    def _rank_fused(self, partials, group_regions, struct, k, delta):
+        """One group's hits under structural rank fusion.
+
+        Two independent channels rank every parent design, and a parent
+        keeps the *better* of its two ranks: the embedding channel
+        (:meth:`_fused_partial`) and the caller-supplied structural
+        reverse-containment scores (:mod:`repro.index.wlsig`).  The
+        minimum-rank fusion lets either channel carry a scenario the
+        other is blind to: chunk cosines rescue grafts whose WL colors
+        were destroyed at the graft boundary, containment rescues
+        grafts the saturated chunk-embedding space cannot separate.
+        Reported scores are whole-vs-whole cosines (the delta-comparable
+        pairing); evidence fields keep describing the best raw
+        (part, row) pair.
+
+        Args:
+            partials: the group's fused partials, one per partition.
+            struct: structural score per parent design.
+        """
+        if not any(len(p.parents) for p in partials):
+            return []
+        parent_counts = self._parent_arrays()[2]
+        n_parents = len(parent_counts)
+        struct = np.asarray(struct, dtype=np.float64)
+        if struct.shape != (n_parents,):
+            raise IndexStoreError(
+                f"structural scores have shape {struct.shape}, expected "
+                f"({n_parents},)")
+        uniq, _, best_row, best_part, above = \
+            self._merge_parent_partials(partials)
+
+        def dense(values, fill):
+            out = np.full(n_parents, fill, dtype=values.dtype)
+            out[uniq] = values
+            return out
+
+        best_row, best_part = dense(best_row, 0), dense(best_part, 0)
+        coverage = dense(above, 0) / np.maximum(parent_counts, 1)
+        allp = np.concatenate([p.parents for p in partials])
         embed = np.full(n_parents, -np.inf)
         np.maximum.at(embed, allp,
                       np.concatenate([p.embed for p in partials]))
@@ -988,48 +793,14 @@ class QueryEngine:
         have = ~np.isnan(alldesign)
         design = np.full(n_parents, np.nan)
         design[allp[have]] = alldesign[have]
-        return embed, design, best, best_row, best_part, above
-
-    def _rank_fused(self, merged, group_regions, struct, k, delta):
-        """Rank parents by fused channel rank and build hits.
-
-        Args:
-            merged: dense ``(embed, design, best, best_row, best_part,
-                above)`` arrays from :meth:`_merge_fused`.
-        """
-        embed, design, best, best_row, best_part, above = merged
-        parent_row, parent_counts = self._parent_arrays()[1:]
-        n_parents = len(parent_row)
-        struct = np.asarray(struct, dtype=np.float64)
-        if struct.shape != (n_parents,):
-            raise IndexStoreError(
-                f"structural scores have shape {struct.shape}, expected "
-                f"({n_parents},)")
         fused = np.minimum(self._channel_ranks(embed),
                            self._channel_ranks(struct))
-        kk = min(max(int(k), 0), n_parents)
-        if kk == 0:
-            return []
-        sel = np.lexsort((np.arange(n_parents, dtype=np.int64),
-                          fused))[:kk]
-        coverage = above / np.maximum(parent_counts, 1)
-        hits = []
-        for u in sel.tolist():
-            score = float(design[u])
-            row_entry = self._entries[int(best_row[u])]
-            parent_entry = self._entries[int(parent_row[u])]
-            hits.append(QueryHit(
-                name=parent_entry["name"], path=parent_entry["path"],
-                design=parent_entry["design"], score=score,
-                is_piracy=bool(score > delta),
-                via=("chunk" if row_entry.get("kind") == "chunk"
-                     else "design"),
-                region=row_entry.get("region"),
-                query_region=group_regions[int(best_part[u])],
-                coverage=float(coverage[u]),
-                struct=float(struct[u])))
-        return hits
+        sel = self._top_sel(-fused, k, np.arange(n_parents, dtype=np.int64))
+        return self._parent_hits(sel, best_row[sel], best_part[sel],
+                                 design[sel], coverage[sel], group_regions,
+                                 delta, struct=struct[sel])
 
+    # -- hits ----------------------------------------------------------------
     def _hits(self, rows, scores, delta):
         """Hit objects for ranked rows with their (rank-aligned) scores."""
         hits = []
@@ -1039,4 +810,27 @@ class QueryEngine:
             hits.append(QueryHit(name=entry["name"], path=entry["path"],
                                  design=entry["design"], score=score,
                                  is_piracy=bool(score > delta)))
+        return hits
+
+    def _parent_hits(self, parents, rows, parts, scores, coverage,
+                     group_regions, delta, struct=None):
+        """Hit objects for ranked parents; every other array is
+        rank-aligned evidence (best row, best query part, score,
+        coverage, and the structural score under fusion)."""
+        parent_row = self._parent_arrays()[1]
+        hits = []
+        for rank, parent in enumerate(parents.tolist()):
+            row_entry = self._entries[int(rows[rank])]
+            parent_entry = self._entries[int(parent_row[parent])]
+            score = float(scores[rank])
+            hits.append(QueryHit(
+                name=parent_entry["name"], path=parent_entry["path"],
+                design=parent_entry["design"], score=score,
+                is_piracy=bool(score > delta),
+                via=("chunk" if row_entry.get("kind") == "chunk"
+                     else "design"),
+                region=row_entry.get("region"),
+                query_region=group_regions[int(parts[rank])],
+                coverage=float(coverage[rank]),
+                struct=None if struct is None else float(struct[rank])))
         return hits

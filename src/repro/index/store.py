@@ -391,6 +391,19 @@ class FingerprintIndex:
         return [scorer.scores(wl_colors(graph, scorer.radius))
                 for graph in graphs]
 
+    def _per_row(self, offsets, fusion):
+        """Whether a request takes the plain per-row top-k path.
+
+        True for single-part groups on a chunk-less index without the
+        structural channel (``fusion`` is the request's ``struct`` or
+        ``fused``); everything else aggregates per parent design.  The
+        query, partial and merge halves share this one predicate, so a
+        worker and a single process route any request the same way.
+        """
+        return (fusion is None and not self.engine.chunked
+                and len(offsets) > 0
+                and int(offsets[-1]) == len(offsets) - 1)
+
     def query_parts(self, vectors, offsets, regions=None, k=5, delta=0.0,
                     nprobe=None, exact=False, struct=None):
         """Ranked parent designs for part-vector groups (one group per
@@ -398,8 +411,7 @@ class FingerprintIndex:
         optional per-suspect structural scores (:meth:`suspect_struct`)
         for rank fusion.  Single-part groups on a chunk-less index with
         no structural scores take the legacy (bit-identical) path."""
-        if (struct is None and not self.engine.chunked
-                and len(vectors) == len(offsets) - 1):
+        if self._per_row(offsets, struct):
             return self.engine.query_many(vectors, k=k, delta=delta,
                                           nprobe=nprobe, exact=exact)
         return self.engine.query_groups(vectors, offsets, regions, k=k,
@@ -415,13 +427,10 @@ class FingerprintIndex:
         partials (:meth:`~repro.index.engine.QueryEngine.partial_many` /
         ``partial_groups``).  ``fused`` flags which groups the front
         will fuse — the structural scores themselves never reach the
-        workers (fuse at the front).  The plain/grouped dispatch mirrors
-        :meth:`query_parts` exactly, with ``fused is None`` standing in
-        for ``struct is None``, so a worker and a single process route
-        any given request the same way.
+        workers (fuse at the front).  ``fused is None`` stands in for
+        ``struct is None`` in the shared routing predicate.
         """
-        if (fused is None and not self.engine.chunked
-                and len(vectors) == len(offsets) - 1):
+        if self._per_row(offsets, fused):
             return self.engine.partial_many(vectors, k=k, delta=delta,
                                             nprobe=nprobe, exact=exact,
                                             shards=shards)
@@ -439,8 +448,7 @@ class FingerprintIndex:
         lists bit-identical to :meth:`query_parts` on the full index;
         ``struct`` is applied here, after the merge.
         """
-        if (struct is None and not self.engine.chunked
-                and int(offsets[-1]) == len(offsets) - 1):
+        if self._per_row(offsets, struct):
             return self.engine.merge_many(partials, k=k, delta=delta)
         return self.engine.merge_groups(partials, offsets, regions, k=k,
                                         delta=delta, struct=struct)
@@ -516,10 +524,6 @@ class FingerprintIndex:
         """
         service = self.service_for(model)
         struct = self.suspect_struct(graphs)
-        if not self.has_chunks and struct is None:
-            vectors = service.embed_graphs(graphs)
-            return self.query_many(vectors, k=k, delta=model.delta,
-                                   nprobe=nprobe, exact=exact)
         parts, offsets, regions = self.suspect_parts(graphs)
         vectors = service.embed_graphs(parts)
         return self.query_parts(vectors, offsets, regions, k=k,

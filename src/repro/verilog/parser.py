@@ -609,8 +609,40 @@ def _merge_port_declarations(module):
 
 
 def parse(text):
-    """Parse preprocessed Verilog source text into a SourceFile."""
-    return Parser(tokenize(text)).parse()
+    """Parse preprocessed Verilog source text into a SourceFile.
+
+    Raises:
+        ParseError: for malformed source, including nesting too deep
+            for the recursive-descent parser (past Python's recursion
+            limit), which is reported with its bracket depth instead of
+            escaping as an untyped ``RecursionError``.
+    """
+    tokens = tokenize(text)
+    try:
+        return Parser(tokens).parse()
+    except RecursionError:
+        depth, line = _deepest_nesting(tokens)
+        message = "nesting too deep to parse"
+        if depth:
+            message += f" (brackets nest {depth} deep)"
+        raise ParseError(message, line=line) from None
+
+
+def _deepest_nesting(tokens):
+    """``(depth, line)`` of the deepest bracket nesting in a token
+    stream (``(0, None)`` when nothing is bracketed)."""
+    depth = deepest = 0
+    line = None
+    for token in tokens:
+        if token.kind != PUNCT:
+            continue
+        if token.value in ("(", "[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, line = depth, token.line
+        elif token.value in (")", "]", "}"):
+            depth -= 1
+    return deepest, line
 
 
 def parse_module(text):

@@ -206,6 +206,18 @@ class TestSession:
         with pytest.raises(TypeError):
             session.fingerprint(corpus_dir / "adder.v", allow_paths=False)
 
+    def test_long_one_line_source_is_not_a_path(self, built, detector):
+        # Longer than any filename the filesystem allows: probing it as
+        # a path raises ENAMETOOLONG, so it must be taken as source.
+        ports = ", ".join(f"input a{i}" for i in range(40))
+        source = (f"module wide({ports}, output y); "
+                  f"assign y = a0 & a39; endmodule")
+        assert len(source) > 300 and "\n" not in source
+        assert detector.fingerprint(source).design == "wide"
+        session = Session(detector=detector, corpus=built)
+        (result,) = session.query([source], k=1)
+        assert len(result) == 1
+
     def test_vector_delta_is_call_order_independent(self, tmp_path,
                                                     corpus_dir):
         detector = Detector.from_model(GNN4IP(seed=0, delta=2.0))

@@ -316,3 +316,12 @@ class TestErrors:
     def test_parse_module_rejects_two_modules(self):
         with pytest.raises(ParseError):
             parse_module("module a(); endmodule module b(); endmodule")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        # Past the recursion limit of the recursive-descent parser: a
+        # typed error naming the depth, not a bare RecursionError.
+        nested = "(" * 3000 + "a" + ")" * 3000
+        with pytest.raises(ParseError, match="3000 deep") as excinfo:
+            parse(f"module m(input a, output y);\n"
+                  f"assign y = {nested};\nendmodule")
+        assert excinfo.value.line == 2

@@ -251,6 +251,70 @@ class TestEnginePartials:
             engine.partial_many(queries, shards=[7])
 
 
+class TestBlockedTopK:
+    """Rows long enough for the block prefilter of the top-k routine.
+
+    At 6144 rows a full-corpus selection prefilters by block maxima for
+    k <= 2 (``2 * (k + 1) * 1024 <= n``) and partitions directly above
+    that, while single-shard partitions (2048 rows) never prefilter —
+    so merges compare the two branches against each other, with exact
+    ties spread across blocks and shards.
+    """
+
+    ROWS = 6144
+    TRIPLE = (5, 1030, 4100)  # blocks 0/1/4, shards 0/0/2
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        rng = np.random.default_rng(SEED + 7)
+        rows = unit_rows_f32(rng.standard_normal((self.ROWS, HIDDEN)))
+        for dup in self.TRIPLE[1:]:
+            rows[dup] = rows[self.TRIPLE[0]]
+        rows[3000] = rows[2047]  # adjacent shards, different blocks
+        return QueryEngine(_blocks(rows), _plain_entries(self.ROWS))
+
+    @pytest.fixture(scope="class")
+    def block_queries(self, engine):
+        flat = np.concatenate([np.asarray(b) for b in engine._blocks])
+        rng = np.random.default_rng(SEED + 8)
+        out = unit_rows_f32(flat[rng.choice(self.ROWS, size=6)]
+                            + 0.05 * rng.standard_normal((6, HIDDEN)))
+        out[0] = flat[self.TRIPLE[0]]  # three-way tie at rank 1
+        out[1] = flat[2047]
+        return out
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    @pytest.mark.parametrize("shard_sets", PARTITIONS)
+    def test_merge_bitident_across_prefilter_switch(
+            self, engine, block_queries, k, shard_sets):
+        direct = engine.query_many(block_queries, k=k, exact=True)
+        partials = [engine.partial_many(block_queries, k=k, exact=True,
+                                        shards=s) for s in shard_sets]
+        assert all(len(p.rows) == min(k, sum(len(engine._blocks[o])
+                                             for o in s))
+                   for s, part in zip(shard_sets, partials) for p in part)
+        assert engine.merge_many(partials, k=k) == direct
+        singles = [engine.query_many(q, k=k, exact=True)[0]
+                   for q in block_queries]
+        assert singles == direct
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_matches_full_sort(self, engine, block_queries, k):
+        """Against a full ``(-score, row id)`` sort of the same scores."""
+        scores = np.concatenate([block_queries @ np.asarray(b).T
+                                 for b in engine._blocks], axis=1)
+        ids = np.arange(self.ROWS)
+        direct = engine.query_many(block_queries, k=k, exact=True)
+        for row, hits in zip(scores, direct):
+            expected = np.lexsort((ids, -row))[:k]
+            assert [h.name for h in hits] == \
+                [f"d{i:05d}" for i in expected]
+            assert [h.score for h in hits] == \
+                [float(row[i]) for i in expected]
+        assert [h.name for h in direct[0][:3]] == \
+            [f"d{i:05d}" for i in self.TRIPLE][:k]
+
+
 class TestChunkedEnginePartials:
     """Chunk rows aggregate to parents inside each partition; the merge
     must reduce per-partition parent partials to the global answer."""

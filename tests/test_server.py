@@ -241,6 +241,25 @@ class TestMicroBatching:
 
         serve(session, scenario, batch_window_s=0.05)
 
+    def test_deeply_nested_suspect_fails_only_its_request(self, session):
+        nested = "(" * 3000 + "a" + ")" * 3000
+        deep = (f"module deep(input a, output y);\n"
+                f"assign y = {nested};\nendmodule")
+
+        async def scenario(server, client):
+            first, bad, second = await asyncio.gather(
+                client.query(sources=[ADDER], k=1),
+                expect_error(client.query(sources=[deep]), 400),
+                client.query(sources=[MUX], k=1))
+            assert first["results"][0]["matches"][0]["design"] == "adder"
+            assert second["results"][0]["matches"][0]["design"] == "mux"
+            assert bad.error_type == "ParseError"
+            assert "nesting" in str(bad)
+            # All three rode one micro-batch gulp.
+            assert server.batcher.batches == 1
+
+        serve(session, scenario, batch_window_s=0.05)
+
 
 class TestErrorEnvelopes:
     def test_unknown_route_404(self, session):
