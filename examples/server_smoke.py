@@ -1,7 +1,8 @@
 """End-to-end smoke check for the HTTP detection service.
 
 Builds a tiny index with the CLI, starts ``gnn4ip serve`` (via
-``python -m repro``) as a real subprocess on an ephemeral port, runs one
+``python -m repro``) as a real subprocess on an ephemeral port, checks
+that an empty design is refused with a 400 envelope, runs one
 multi-suspect ``/v1/query`` round trip plus a health check through
 :mod:`repro.client`, and shuts the server down cleanly.  CI runs this as
 the server smoke job; it also works standalone::
@@ -17,7 +18,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.client import Client
+from repro.client import Client, ServerError
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -30,6 +31,9 @@ module mux(input [7:0] d, input [2:0] sel, output q);
   assign q = d[sel];
 endmodule
 """
+
+#: Lowers to a graph with no nodes: a per-request error, never a 500.
+EMPTY = "module m(); endmodule"
 
 
 def main():
@@ -68,6 +72,15 @@ def main():
             health = client.healthz()
             assert health["status"] == "ok", health
             assert health["designs"] == 2, health
+
+            try:
+                client.query(sources=[EMPTY], k=2)
+            except ServerError as exc:
+                assert exc.status == 400, (exc.status, exc.error_type)
+                assert exc.error_type == "GraphIRError", exc.error_type
+                print(f"empty design refused: {exc.status} {exc}")
+            else:
+                raise AssertionError("empty design was not refused")
 
             out = client.query(sources=[ADDER, MUX],
                                labels=["adder.v", "mux.v"], k=2)

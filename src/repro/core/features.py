@@ -111,9 +111,12 @@ class OneHotFeaturizer:
                 which would indicate a frontend/vocabulary mismatch.
         """
         self.check(graph)
-        features = np.zeros((len(graph), self.dim))
-        for node in graph.nodes:
-            features[node.node_id, self.label_index[node.label]] = 1.0
+        count = len(graph)
+        columns = np.fromiter(map(self.label_index.__getitem__,
+                                  graph.labels()),
+                              dtype=np.intp, count=count)
+        features = np.zeros((count, self.dim))
+        features[np.arange(count), columns] = 1.0
         return features
 
     def __repr__(self):

@@ -14,24 +14,33 @@ fingerprint index can refuse graphs from the wrong frontend.
 """
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.features import get_featurizer
+from repro.errors import GraphIRError
 from repro.ir import to_graphir
-from repro.nn.layers import Dropout, GCNConv, Module, normalize_adjacency
+from repro.nn.layers import Dropout, GCNConv, Module
 from repro.nn.pooling import Readout, SAGPool
 from repro.nn.tensor import Tensor
 
 
 class PreparedGraph:
-    """A GraphIR converted to model inputs (features + adjacencies).
+    """A GraphIR converted to model inputs: one-hot features plus edges.
 
-    Conversion is deterministic, so prepared graphs can be cached and reused
-    across epochs.  Accepts anything :func:`repro.ir.to_graphir` can adapt
-    (GraphIR, DFG, gate-level Netlist).
+    ``rows``/``cols`` are the graph's symmetrized, deduplicated edges as
+    local int64 coordinates, sorted row-major (a self-loop appears once).
+    Normalization is left to :func:`repro.nn.batch.pack_prepared`, which
+    normalizes a whole batch at once.  Conversion is deterministic, so
+    prepared graphs can be cached and reused across epochs.  Accepts
+    anything :func:`repro.ir.to_graphir` can adapt (GraphIR, DFG,
+    gate-level Netlist).
+
+    Raises:
+        GraphIRError: when the graph has no nodes (there is nothing to
+            embed).
     """
 
-    __slots__ = ("name", "level", "features", "adjacency", "a_norm",
-                 "num_nodes")
+    __slots__ = ("name", "level", "features", "rows", "cols", "num_nodes")
 
     def __init__(self, graph, featurizer="rtl"):
         ir = to_graphir(graph)
@@ -39,9 +48,18 @@ class PreparedGraph:
         self.name = ir.name
         self.level = getattr(ir, "level", featurizer.level)
         self.features = featurizer.features(ir)
-        self.adjacency = ir.adjacency(symmetric=True)
-        self.a_norm = normalize_adjacency(self.adjacency)
-        self.num_nodes = len(ir)
+        self.num_nodes = n = len(ir)
+        if n == 0:
+            raise GraphIRError(f"graph {ir.name!r} has no nodes to embed")
+        src, dst = ir.edge_arrays()
+        keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        self.rows, self.cols = np.divmod(keys, n)
+
+    def adjacency(self):
+        """Binary symmetric adjacency (CSR) of the prepared edges."""
+        n = self.num_nodes
+        return sparse.csr_matrix((np.ones(len(self.rows)),
+                                  (self.rows, self.cols)), shape=(n, n))
 
 
 class HW2VEC(Module):
@@ -100,16 +118,24 @@ class HW2VEC(Module):
             ModelError: when the graph's level does not match the
                 encoder's featurizer (e.g. a netlist graph fed to an
                 RTL-trained model).
+            GraphIRError: when the graph has no nodes.
         """
         return PreparedGraph(graph, self.featurizer)
 
     def forward(self, prepared):
-        """Embed one prepared graph; returns a 1-D Tensor of size hidden."""
+        """Embed one prepared graph; returns a 1-D Tensor of size hidden.
+
+        The graph is packed as a batch of one, so it is normalized by the
+        same routine as every batched path.
+        """
+        from repro.nn.batch import pack_prepared
+
+        a_norm = pack_prepared([prepared]).a_norm
         x = Tensor(prepared.features)
         for conv in self.convs:
-            x = conv(x, prepared.a_norm).relu()
+            x = conv(x, a_norm).relu()
             x = self.dropout(x)
-        x_pool, _, _, _ = self.pool(x, prepared.a_norm, prepared.adjacency)
+        x_pool, _, _, _ = self.pool(x, a_norm, prepared.adjacency())
         return self.readout(x_pool)
 
     def embed(self, graph):

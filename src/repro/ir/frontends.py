@@ -18,6 +18,7 @@ unchanged because gate instances lower to themselves.
 """
 
 from repro.core.features import get_featurizer
+from repro.errors import GraphIRError
 from repro.ir import serialize as ir_serialize
 from repro.ir.graphir import LEVEL_NETLIST, LEVEL_RTL
 
@@ -37,8 +38,24 @@ class _Frontend:
     def preprocess_text(self, text):
         raise NotImplementedError
 
-    def extract_preprocessed(self, cleaned, top=None):
+    def _lower(self, cleaned, top=None):
+        """Level-specific lowering of preprocessed text to a GraphIR."""
         raise NotImplementedError
+
+    def extract_preprocessed(self, cleaned, top=None):
+        """Lower preprocessed text; returns a non-empty GraphIR.
+
+        Raises:
+            GraphIRError: when the design lowers to a graph with no
+                nodes (e.g. ``module m(); endmodule``), which has nothing
+                to embed.
+        """
+        graph = self._lower(cleaned, top=top)
+        if len(graph) == 0:
+            raise GraphIRError(
+                f"design {graph.name!r} lowers to an empty {self.level} "
+                f"graph; there is nothing to fingerprint")
+        return graph
 
     def extract(self, text, top=None):
         """Preprocess + extract in one call; returns a GraphIR."""
@@ -96,7 +113,7 @@ class RTLFrontend(_Frontend):
     def preprocess_text(self, text):
         return self.pipeline.preprocess_text(text)
 
-    def extract_preprocessed(self, cleaned, top=None):
+    def _lower(self, cleaned, top=None):
         from repro.dataflow.to_ir import dfg_to_ir
 
         return dfg_to_ir(self.pipeline.extract_preprocessed(cleaned, top=top))
@@ -118,7 +135,7 @@ class NetlistFrontend(_Frontend):
 
         return preprocess(text)
 
-    def extract_preprocessed(self, cleaned, top=None):
+    def _lower(self, cleaned, top=None):
         from repro.dataflow.elaborate import elaborate
         from repro.netlist.to_ir import netlist_to_ir
         from repro.synth.synthesize import synthesize

@@ -13,6 +13,8 @@ the paper's rooted DFG orientation; the GCN consumes the symmetrized
 adjacency, so orientation only matters to structural queries.
 """
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 
@@ -152,19 +154,27 @@ class GraphIR:
                 graph.add_edge(src, dst)
         return graph
 
+    def edge_arrays(self):
+        """``(src, dst)`` int64 arrays of every dependency edge.
+
+        Edges come in node order (then insertion order), exported in one
+        pass without a per-edge Python loop.
+        """
+        counts = [len(deps) for deps in self._succ]
+        src = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        dst = np.fromiter(itertools.chain.from_iterable(self._succ),
+                          dtype=np.int64, count=len(src))
+        return src, dst
+
     def adjacency(self, symmetric=True, dtype=np.float64):
-        """Sparse adjacency matrix (CSR).
+        """Sparse adjacency matrix (CSR), built from :meth:`edge_arrays`.
 
         Args:
             symmetric: union with the transpose, which is what the GCN
                 propagation (Eq. 5) expects for undirected message passing.
         """
         n = len(self.nodes)
-        rows, cols = [], []
-        for src, deps in enumerate(self._succ):
-            for dst in deps:
-                rows.append(src)
-                cols.append(dst)
+        rows, cols = self.edge_arrays()
         data = np.ones(len(rows), dtype=dtype)
         matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
         if symmetric:

@@ -18,6 +18,7 @@ from repro.nn.layers import (
     Module,
     glorot,
     normalize_adjacency,
+    normalize_edges,
 )
 from repro.nn.loss import cosine_embedding_loss, pairwise_cosine_loss
 from repro.nn.optim import SGD, Adam, Optimizer
@@ -34,6 +35,7 @@ from repro.nn.tensor import (
 __all__ = [
     "Tensor", "concat", "cosine_similarity", "dot", "l2_norm", "spmm",
     "Module", "Linear", "GCNConv", "Dropout", "glorot", "normalize_adjacency",
+    "normalize_edges",
     "SAGPool", "Readout", "readout",
     "GraphBatch", "batched_embed", "batched_forward", "pack_prepared",
     "cosine_embedding_loss", "pairwise_cosine_loss",

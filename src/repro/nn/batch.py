@@ -5,13 +5,17 @@ time on per-graph Python and small-matrix overhead when embedding a corpus.
 Batching packs the graphs into one block-diagonal system:
 
 - node features are stacked into a single ``(sum(N_i), F)`` matrix, and
-- the pre-normalized adjacencies become one block-diagonal CSR matrix,
+- every graph's edge arrays are offset into one edge list, normalized
+  once by :func:`~repro.nn.layers.normalize_edges` into a block-diagonal
+  CSR matrix,
 
 so every GCN layer runs as a single sparse @ dense @ dense product over the
-whole batch.  The normalized adjacency has no cross-block entries, so the
-batched math is exactly the per-graph math; the only numerical difference
-is BLAS summation order on the larger matrices, which the tests bound at
-1e-9 relative against :meth:`HW2VEC.embed` in eval mode.
+whole batch.  The normalized adjacency has no cross-block entries, and each
+entry is computed exactly as a per-graph normalization would compute it
+(degrees never cross blocks), so the batched math is exactly the per-graph
+math; the only numerical difference is BLAS summation order on the larger
+matrices, which the tests bound at 1e-9 relative against
+:meth:`HW2VEC.embed` in eval mode.
 
 The pooling / readout tail (top-k selection, tanh gating, reduction) is
 inherently per-graph, so it runs as a vectorized numpy loop over the node
@@ -28,8 +32,8 @@ Two entry points share the packing:
 """
 
 import numpy as np
-from scipy import sparse
 
+from repro.nn.layers import normalize_edges
 from repro.nn.pooling import topk_nodes
 from repro.nn.tensor import Tensor, concat
 
@@ -63,15 +67,21 @@ class GraphBatch:
 def pack_prepared(prepared_graphs):
     """Pack :class:`~repro.core.hw2vec.PreparedGraph` objects into a batch.
 
-    Reuses each graph's cached ``a_norm``, so normalization is never
-    recomputed; packing is a pure stack/block-diag operation.
+    Stacks the features, offsets each graph's edge arrays by its first
+    node row, and normalizes the whole block-diagonal adjacency in one
+    :func:`~repro.nn.layers.normalize_edges` pass.
     """
     prepared = list(prepared_graphs)
     if not prepared:
         raise ValueError("cannot pack an empty graph batch")
+    sizes = [p.num_nodes for p in prepared]
+    starts = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(starts, [len(p.rows) for p in prepared])
+    rows = np.concatenate([p.rows for p in prepared]) + shift
+    cols = np.concatenate([p.cols for p in prepared]) + shift
     features = np.vstack([p.features for p in prepared])
-    a_norm = sparse.block_diag([p.a_norm for p in prepared], format="csr")
-    return GraphBatch(features, a_norm, [p.num_nodes for p in prepared])
+    a_norm = normalize_edges(rows, cols, features.shape[0])
+    return GraphBatch(features, a_norm, sizes)
 
 
 def _readout(x, mode):

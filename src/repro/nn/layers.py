@@ -4,8 +4,9 @@ The GCN layer implements Eq. 5 of the paper:
 
     X' = sigma( D^-1/2 (A + I) D^-1/2 X W )
 
-The normalized adjacency is precomputed per graph (it is constant) with
-:func:`normalize_adjacency`; the layer then only does sparse @ dense @ W.
+The normalized adjacency is computed once per packed batch (it is
+constant) with :func:`normalize_edges`; the layer then only does
+sparse @ dense @ W.
 """
 
 import numpy as np
@@ -113,22 +114,57 @@ class Linear(Module):
         return out
 
 
-def normalize_adjacency(adjacency, add_self_loops=True):
+def normalize_edges(rows, cols, num_nodes, weights=None,
+                    add_self_loops=True):
     """Symmetric GCN normalization ``D^-1/2 (A + I) D^-1/2`` (CSR).
 
+    The one normalization routine: it builds the whole matrix in a few
+    array passes, so a batch's block-diagonal system is normalized as one
+    graph.  ``A`` is given as COO edge arrays; duplicate entries sum, as
+    they do in scipy, so an existing self-loop counts twice once ``I`` is
+    added.  Each entry is ``(inv[r] * a) * inv[c]`` with
+    ``inv = degree ** -1/2`` (0 where the degree is 0), and the result
+    has sorted column indices.
+
     Args:
-        adjacency: scipy sparse adjacency matrix (N x N).
+        rows, cols: int arrays of the ``A`` entries' coordinates.
+        num_nodes: matrix size N.
+        weights: entry values (default: 1 per entry).
         add_self_loops: add the identity (the paper's ``A + I``).
     """
-    matrix = adjacency.tocsr().astype(np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
     if add_self_loops:
-        matrix = matrix + sparse.identity(matrix.shape[0], format="csr")
-    degree = np.asarray(matrix.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(degree)
+        loops = np.arange(num_nodes, dtype=np.int64)
+        rows = np.concatenate([rows, loops])
+        cols = np.concatenate([cols, loops])
+        if weights is not None:
+            weights = np.concatenate([weights, np.ones(num_nodes)])
+    keys = rows * num_nodes + cols
+    if weights is None:
+        # Unit entries: each value is how often its coordinate occurs.
+        keys, counts = np.unique(keys, return_counts=True)
+        values = counts.astype(np.float64)
+    else:
+        keys, inverse = np.unique(keys, return_inverse=True)
+        values = np.bincount(inverse, weights=weights, minlength=len(keys))
+    rows, cols = np.divmod(keys, num_nodes)
+    degree = np.bincount(rows, weights=values, minlength=num_nodes)
+    inv_sqrt = np.zeros(num_nodes)
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-    scaling = sparse.diags(inv_sqrt)
-    return (scaling @ matrix @ scaling).tocsr()
+    data = inv_sqrt[rows] * values * inv_sqrt[cols]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return sparse.csr_matrix((data, cols, indptr),
+                             shape=(num_nodes, num_nodes))
+
+
+def normalize_adjacency(adjacency, add_self_loops=True):
+    """:func:`normalize_edges` of a scipy sparse adjacency (N x N)."""
+    coo = adjacency.tocoo()
+    return normalize_edges(coo.row, coo.col, coo.shape[0], weights=coo.data,
+                           add_self_loops=add_self_loops)
 
 
 class GCNConv(Module):

@@ -22,7 +22,7 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.core import GNN4IP, save_model
-from repro.errors import IndexStoreError, ModelError
+from repro.errors import GraphIRError, IndexStoreError, ModelError
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -35,6 +35,8 @@ module mux(input [7:0] d, input [2:0] sel, output q);
   assign q = d[sel];
 endmodule
 """
+
+EMPTY = "module m(); endmodule"
 
 XOR_CHAIN = """
 module xchain(input [3:0] a, input [3:0] b, output x);
@@ -231,6 +233,30 @@ class TestSession:
         # Judged against the stored model's delta (2.0), not 0.0.
         assert result[0].score == pytest.approx(1.0, abs=1e-6)
         assert not result[0].is_piracy
+
+    def test_empty_design_is_a_graph_error(self, built, detector):
+        session = Session(detector=detector, corpus=built)
+        with pytest.raises(GraphIRError, match="empty"):
+            session.query([EMPTY], k=1)
+        with pytest.raises(GraphIRError, match="empty"):
+            session.fingerprint(EMPTY)
+        # The session still answers well-formed suspects afterwards.
+        (result,) = session.query([ADDER], k=1)
+        assert result[0].design == "adder"
+
+    def test_ingest_records_empty_design_as_failure(self, tmp_path,
+                                                   corpus_dir, detector):
+        from repro.index.ingest import IngestConfig
+
+        (corpus_dir / "hollow.v").write_text(EMPTY)
+        corpus, report = Corpus.ingest(tmp_path / "ingested",
+                                       sorted(corpus_dir.glob("*.v")),
+                                       detector=detector,
+                                       config=IngestConfig(jobs=1))
+        assert report["failures"] == 1
+        assert len(corpus) == 2
+        (failed,) = [e for e in corpus.entries if e["status"] == "error"]
+        assert failed["error"].startswith("GraphIRError")
 
     def test_open_uses_corpus_model(self, built):
         session = Session.open(built.root)

@@ -261,6 +261,24 @@ class TestMicroBatching:
         serve(session, scenario, batch_window_s=0.05)
 
 
+    @pytest.mark.parametrize("fixture", ["session", "netlist_session"])
+    def test_empty_design_fails_only_its_request(self, request, fixture):
+        async def scenario(server, client):
+            first, bad, second = await asyncio.gather(
+                client.query(sources=[ADDER], k=1),
+                expect_error(client.query(sources=["module m(); endmodule"]),
+                             400, "GraphIRError"),
+                client.query(sources=[MUX], k=1))
+            assert first["results"][0]["matches"][0]["design"] == "adder"
+            assert second["results"][0]["matches"][0]["design"] == "mux"
+            assert "empty" in str(bad)
+            # All three rode one micro-batch gulp.
+            assert server.batcher.batches == 1
+
+        serve(request.getfixturevalue(fixture), scenario,
+              batch_window_s=0.05)
+
+
 class TestErrorEnvelopes:
     def test_unknown_route_404(self, session):
         async def scenario(server, client):
