@@ -5,10 +5,9 @@ enforced (see ``repro.index.ingest``):
 
 - **Flat peak memory** — streaming ingest flushes embedding rows to
   shards in bounded batches instead of holding every graph until the
-  end, so its peak RSS must stay under half of the one-shot
-  ``build_index`` peak *or* under an absolute cap (at reduced corpus
-  sizes the interpreter baseline dominates both numbers and the ratio
-  is meaningless; at ``REPRO_BENCH_FULL=1`` scale the ratio bites).
+  end, so its peak RSS over the full corpus must stay within 1.25x of
+  its peak over every 4th file (4x the designs, flat memory) *and*
+  under an absolute cap.
 - **Worker scaling** — with >= 4 usable cores, multi-worker ingest must
   embed at >= 2x the single-worker rows/sec.  On smaller machines the
   multiprocess path still runs and the ratio is only reported.
@@ -43,41 +42,35 @@ from repro.index.ingest import CHECKPOINT_NAME
 
 N_DESIGNS = int(os.environ.get("REPRO_BENCH_INGEST_N",
                                20_000 if FULL else 1200))
-#: Streaming peak RSS must stay under this even when the ratio test is
-#: moot (reduced corpora, where the interpreter baseline dominates).
+#: Streaming peak RSS must stay under this whatever the corpus size.
 ABS_RSS_CAP_MB = 512
+#: Full-corpus peak RSS over the peak of an ingest of every 4th file.
+RSS_GROWTH_CAP = 1.25
 #: Single-module families: replicas are stamped out by renaming the one
 #: top module, which multi-module designs would break.
 FAMILIES = ("adder8", "addsub8", "cmp8", "mux8", "barrel8", "counter8",
             "lfsr8", "crc8")
 SEED = 2
 
-#: Subprocess runner: performs one build or ingest and reports its own
-#: peak RSS + throughput as JSON on stdout.  RSS must be measured in a
-#: separate process per run — ru_maxrss is a process-lifetime high-water
-#: mark and never goes back down.
+#: Subprocess runner: performs one ingest and reports its own peak RSS +
+#: throughput as JSON on stdout.  RSS must be measured in a separate
+#: process per run — ru_maxrss is a process-lifetime high-water mark and
+#: never goes back down.
 RUNNER = """
 import json, resource, sys
 from pathlib import Path
 
-mode, root, listfile = sys.argv[1], sys.argv[2], sys.argv[3]
-jobs, flush_rows, seed = (int(a) for a in sys.argv[4:7])
+root, listfile = sys.argv[1], sys.argv[2]
+jobs, flush_rows, seed = (int(a) for a in sys.argv[3:6])
 paths = json.loads(Path(listfile).read_text())
 
 from repro.core import GNN4IP
-if mode == "build":
-    from repro.index import build_index
-    index, rep = build_index(root, paths, GNN4IP(seed=seed), jobs=jobs,
-                             use_cache=False)
-    wall = rep["extract_seconds"] + rep["embed_seconds"]
-    rows = rep["embedded"] + rep["chunk_rows"]
-else:
-    from repro.index import IngestConfig, ingest_corpus
-    index, rep = ingest_corpus(
-        root, paths, GNN4IP(seed=seed),
-        IngestConfig(jobs=jobs, flush_rows=flush_rows, use_cache=False))
-    wall = rep["ingest"]["wall_seconds"]
-    rows = rep["ingest"]["session_rows"]
+from repro.index import IngestConfig, ingest_corpus
+index, rep = ingest_corpus(
+    root, paths, GNN4IP(seed=seed),
+    IngestConfig(jobs=jobs, flush_rows=flush_rows, use_cache=False))
+wall = rep["ingest"]["wall_seconds"]
+rows = rep["ingest"]["session_rows"]
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"peak_rss_mb": peak_kb / 1024.0,
                   "wall_seconds": wall, "rows": rows,
@@ -165,33 +158,37 @@ def _merge_out(payload):
 
 
 def bench_ingest_peak_rss(corpus, listfile, tmp_path_factory):
-    """Streaming peak RSS: <= 0.5x one-shot, or under the absolute cap."""
+    """Streaming peak RSS is flat in corpus size and under the cap."""
     roots = tmp_path_factory.mktemp("rss_roots")
-    one_shot = _run_script(RUNNER, ["build", str(roots / "oneshot"),
-                                    listfile, "1", "0", str(SEED)])
-    streaming = _run_script(RUNNER, ["ingest", str(roots / "stream"),
-                                     listfile, "1", "2048", str(SEED)])
-    ratio = streaming["peak_rss_mb"] / max(one_shot["peak_rss_mb"], 1e-9)
+    quarter_list = roots / "quarter.json"
+    quarter_list.write_text(json.dumps(corpus[::4]))
+    quarter = _run_script(RUNNER, [str(roots / "quarter"),
+                                   str(quarter_list), "1", "2048",
+                                   str(SEED)])
+    full = _run_script(RUNNER, [str(roots / "full"), listfile, "1",
+                                "2048", str(SEED)])
+    ratio = full["peak_rss_mb"] / max(quarter["peak_rss_mb"], 1e-9)
     lines = [f"designs: {len(corpus)} (REPRO_BENCH_INGEST_N)",
-             f"one-shot build peak RSS: {one_shot['peak_rss_mb']:8.1f} MB "
-             f"({one_shot['wall_seconds']:.1f}s)",
-             f"streaming ingest peak:   "
-             f"{streaming['peak_rss_mb']:8.1f} MB "
-             f"({streaming['wall_seconds']:.1f}s)",
-             f"ratio: {ratio:.2f}x "
-             f"(required: <= 0.5x or <= {ABS_RSS_CAP_MB} MB absolute)"]
+             f"every 4th file ({len(corpus[::4])}) peak RSS: "
+             f"{quarter['peak_rss_mb']:8.1f} MB "
+             f"({quarter['wall_seconds']:.1f}s)",
+             f"full corpus peak RSS:   {full['peak_rss_mb']:8.1f} MB "
+             f"({full['wall_seconds']:.1f}s)",
+             f"ratio: {ratio:.2f}x (required: <= {RSS_GROWTH_CAP}x and "
+             f"<= {ABS_RSS_CAP_MB} MB absolute)"]
     report("ingest_peak_rss", "\n".join(lines))
     _merge_out({"designs": len(corpus),
-                "one_shot_peak_rss_mb": one_shot["peak_rss_mb"],
-                "streaming_peak_rss_mb": streaming["peak_rss_mb"],
-                "one_shot_wall_seconds": one_shot["wall_seconds"],
-                "streaming_wall_seconds": streaming["wall_seconds"],
-                "streaming_rows_per_sec": streaming["rows_per_sec"],
+                "quarter_peak_rss_mb": quarter["peak_rss_mb"],
+                "streaming_peak_rss_mb": full["peak_rss_mb"],
+                "quarter_wall_seconds": quarter["wall_seconds"],
+                "streaming_wall_seconds": full["wall_seconds"],
+                "streaming_rows_per_sec": full["rows_per_sec"],
                 "rss_ratio": ratio})
-    assert (ratio <= 0.5
-            or streaming["peak_rss_mb"] <= ABS_RSS_CAP_MB), \
-        (f"streaming ingest peaked at {streaming['peak_rss_mb']:.0f} MB "
-         f"({ratio:.2f}x one-shot) — neither bound holds")
+    assert ratio <= RSS_GROWTH_CAP, \
+        (f"ingest peak RSS grew {ratio:.2f}x from {len(corpus[::4])} to "
+         f"{len(corpus)} designs")
+    assert full["peak_rss_mb"] <= ABS_RSS_CAP_MB, \
+        f"ingest peaked at {full['peak_rss_mb']:.0f} MB"
 
 
 def bench_ingest_worker_scaling(corpus, listfile, tmp_path_factory):
@@ -200,10 +197,10 @@ def bench_ingest_worker_scaling(corpus, listfile, tmp_path_factory):
     cores = _usable_cores()
     workers = max(2, min(4, cores))
     roots = tmp_path_factory.mktemp("scaling_roots")
-    single = _run_script(RUNNER, ["ingest", str(roots / "w1"), listfile,
-                                  "1", "2048", str(SEED)])
-    multi = _run_script(RUNNER, ["ingest", str(roots / "wN"), listfile,
-                                 str(workers), "2048", str(SEED)])
+    single = _run_script(RUNNER, [str(roots / "w1"), listfile, "1", "2048",
+                                  str(SEED)])
+    multi = _run_script(RUNNER, [str(roots / "wN"), listfile, str(workers),
+                                 "2048", str(SEED)])
     speedup = multi["rows_per_sec"] / max(single["rows_per_sec"], 1e-9)
     enforced = cores >= 4
     lines = [f"designs: {len(corpus)}, usable cores: {cores}",

@@ -16,7 +16,7 @@ Three facade objects cover the paper's deployment workflow:
 ...         print(match.rank, match.design, match.score, match.is_piracy)
 """
 
-from repro.api.config import DetectorConfig, IndexConfig
+from repro.api.config import DetectorConfig
 from repro.api.facade import Corpus, Detector, Session
 from repro.index.ingest import IngestConfig, walk_sources
 from repro.api.types import (
@@ -31,7 +31,7 @@ from repro.api.types import (
 )
 
 __all__ = [
-    "DetectorConfig", "IndexConfig", "IngestConfig", "walk_sources",
+    "DetectorConfig", "IngestConfig", "walk_sources",
     "Detector", "Corpus", "Session",
     "Comparison", "Fingerprint", "Match", "QueryResult",
     "matches_from_hits",

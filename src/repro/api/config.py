@@ -1,11 +1,13 @@
 """Configuration dataclasses for the public facade.
 
-Both configs are plain data: constructing one never touches the
-filesystem.  Validation and loading happen when the config is handed to
+Configs are plain data: constructing one never touches the filesystem.
+Validation and loading happen when the config is handed to
 :class:`~repro.api.facade.Detector` / :class:`~repro.api.facade.Corpus`.
+Index writes (build, add, ingest) take
+:class:`~repro.index.ingest.IngestConfig`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -42,29 +44,3 @@ class DetectorConfig:
     def model_path(self):
         return None if self.model is None else Path(self.model)
 
-
-@dataclass
-class IndexConfig:
-    """Options for building or growing a fingerprint index.
-
-    Mirrors :func:`repro.index.store.build_index` keyword-for-keyword;
-    see that docstring for semantics.
-
-    Attributes:
-        chunks: also index each design's subgraph chunks (format v4
-            multi-granularity rows) so partial theft matches; disable
-            for whole-design-only indexes.
-        chunk_config: optional
-            :class:`~repro.index.chunks.ChunkConfig` override.
-        progress: optional ``callback(done, total)`` invoked as files
-            finish extraction (drives the CLI's ``--progress``).
-    """
-
-    level: str = None
-    top: str = None
-    jobs: int = None
-    use_cache: bool = True
-    batch_size: int = 64
-    chunks: bool = True
-    chunk_config: object = None
-    progress: object = field(default=None, repr=False)

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api.config import DetectorConfig, IndexConfig
+from repro.api.config import DetectorConfig
 from repro.api.types import (
     ORIGIN_CACHE,
     ORIGIN_EXTRACTED,
@@ -51,8 +51,6 @@ from repro.index.store import (
     CACHE_DIR,
     FORMAT_VERSION,
     FingerprintIndex,
-    add_to_index,
-    build_index,
     migrate_index,
 )
 from repro.ir.frontends import get_frontend
@@ -320,37 +318,35 @@ class Corpus:
 
     @classmethod
     def build(cls, root, paths, detector, config=None):
-        """Build (or rebuild) an index; returns ``(corpus, report)``.
+        """Build (or rebuild) an index: a fresh :meth:`ingest`.
+
+        A rebuild over the cache reuses the previous index's rows for
+        unchanged content when the model, options, and chunk config are
+        unchanged.
 
         Args:
             detector: a :class:`Detector` (or a bare
                 :class:`~repro.core.gnn4ip.GNN4IP`).
-            config: an :class:`~repro.api.config.IndexConfig`.
+            config: an :class:`~repro.index.ingest.IngestConfig`.
+
+        Returns:
+            ``(corpus, report)``; ``corpus`` is ``None`` when the run
+            paused at ``config.stop_after``.
         """
-        config = config if config is not None else IndexConfig()
-        model = detector.model if isinstance(detector, Detector) else detector
-        index, report = build_index(root, paths, model, jobs=config.jobs,
-                                    use_cache=config.use_cache,
-                                    top=config.top,
-                                    batch_size=config.batch_size,
-                                    level=config.level,
-                                    chunks=config.chunks,
-                                    chunk_config=config.chunk_config,
-                                    progress=config.progress)
-        return cls(index), report
+        return cls.ingest(root, paths, detector, config, fresh=True)
 
     @classmethod
     def ingest(cls, root, paths, detector=None, config=None, resume=True,
                fresh=False):
         """Streaming, resumable ingest; returns ``(corpus, report)``.
 
-        The production-scale alternative to :meth:`build`/:meth:`add`:
-        a multiprocess extract→chunk→embed worker pool, bounded-size
-        shard flushes (flat peak memory), and a durable checkpoint so a
-        killed ingest resumes exactly where it stopped — see
-        :func:`repro.index.ingest.ingest_corpus`.  With an existing
-        index at ``root`` and no checkpoint, new designs are appended in
-        place.
+        The one index writer (:meth:`build` and :meth:`add` are its
+        fresh and append modes): a multiprocess extract→chunk→embed
+        worker pool, bounded-size shard flushes (flat peak memory), and
+        a durable checkpoint so a killed ingest resumes exactly where it
+        stopped — see :func:`repro.index.ingest.ingest_corpus`.  With an
+        existing index at ``root`` and no checkpoint, new designs are
+        appended in place.
 
         Args:
             detector: a :class:`Detector` (or bare
@@ -380,10 +376,20 @@ class Corpus:
         corpus (no re-embedding; rebuild to also index chunks)."""
         return cls(migrate_index(root))
 
-    def add(self, paths, jobs=None, batch_size=64):
-        """Append designs in place (no re-embedding); returns the report."""
-        self._index, report = add_to_index(self.root, paths, jobs=jobs,
-                                           batch_size=batch_size)
+    def add(self, paths, config=None):
+        """Append designs in place; returns the report.
+
+        An append :meth:`ingest` (ignoring any checkpoint) with the
+        index's own model, level, and chunk config; content the index
+        already holds reuses its stored rows.
+
+        Args:
+            config: an :class:`~repro.index.ingest.IngestConfig` (its
+                ``jobs``, ``flush_rows``, ``batch_size``, and
+                ``progress`` apply).
+        """
+        self._index, report = ingest_corpus(self.root, paths, config=config,
+                                            resume=False)
         return report
 
     # -- introspection -------------------------------------------------------

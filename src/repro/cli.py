@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 
 from repro import __version__
-from repro.api import Corpus, Detector, IndexConfig, IngestConfig, Session
+from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.index.ingest import CHECKPOINT_NAME, walk_sources
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.core.persist import load_model, save_model  # noqa: F401 - re-export
@@ -198,35 +198,44 @@ def _collect_sources(sources):
     return walk_sources(sources)
 
 
-class _ProgressPrinter:
-    """Periodic stderr progress lines behind ``--progress``."""
+def _print_progress(stats):
+    """``--progress`` line on stderr (the ingest loop already throttles
+    its callback to ``IngestConfig.progress_every``)."""
+    eta = stats["eta_seconds"]
+    print(f"progress: {stats['done']}/{stats['total']} designs "
+          f"({stats['failed']} failed)  {stats['rows']} rows  "
+          f"{stats['rows_per_sec']:.1f} rows/s  "
+          f"eta {'?' if eta is None else f'{eta:.0f}s'}",
+          file=sys.stderr)
 
-    def __init__(self, every=2.0):
-        self.every = every
-        self.started = time.monotonic()
-        self.last = 0.0
 
-    def build(self, done, total):
-        """(done, total) callback shape used by the build extractor."""
-        now = time.monotonic()
-        if now - self.last < self.every and done < total:
-            return
-        self.last = now
-        elapsed = now - self.started
-        rate = done / elapsed if elapsed > 0 else 0.0
-        eta = f"{(total - done) / rate:.0f}s" if rate > 0 else "?"
-        print(f"progress: {done}/{total} designs  {rate:.1f}/s  eta {eta}",
-              file=sys.stderr)
+def _add_throughput(report):
+    """Attach the ``--json`` throughput summary (the same shape for
+    build, add, and ingest) from the ingest's own timing."""
+    ing = report["ingest"]
+    report["throughput"] = {
+        "wall_seconds": ing["wall_seconds"],
+        "designs_per_sec": ing["designs_per_sec"],
+        "rows_per_sec": ing["rows_per_sec"],
+    }
+    return report["throughput"]
 
-    def ingest(self, stats):
-        """Stats-dict callback shape used by the streaming ingest (the
-        ingest loop already throttles to its own progress_every)."""
-        eta = stats["eta_seconds"]
-        print(f"progress: {stats['done']}/{stats['total']} designs "
-              f"({stats['failed']} failed)  {stats['rows']} rows  "
-              f"{stats['rows_per_sec']:.1f} rows/s  "
-              f"eta {'?' if eta is None else f'{eta:.0f}s'}",
-              file=sys.stderr)
+
+def _print_reuse(report):
+    """Embedding-reuse and DFG-cache lines of a write report."""
+    if report["embeddings_reused"]:
+        print(f"embeddings: {report['embedded_fresh']} fresh, "
+              f"{report['embeddings_reused']} reused")
+    if report["cache"] is not None:
+        print(f"cache: {report['cache']['hits']} hits / "
+              f"{report['cache']['misses']} misses")
+
+
+def _print_failures(entries):
+    for entry in entries:
+        if entry["status"] == "error":
+            print(f"  FAILED {entry['path']}: {entry['error']}",
+                  file=sys.stderr)
 
 
 def _cmd_index_build(args):
@@ -246,20 +255,12 @@ def _cmd_index_build(args):
     detector = _cli_detector(args.model, args, level=args.level)
     if detector is None:
         return 1
-    progress = _ProgressPrinter().build if args.progress else None
-    corpus, report = Corpus.build(args.index_dir, paths, detector,
-                                  IndexConfig(level=args.level,
-                                              jobs=args.jobs,
-                                              use_cache=not args.no_cache,
-                                              chunks=not args.no_chunks,
-                                              progress=progress))
-    wall = report["extract_seconds"] + report["embed_seconds"]
-    report["throughput"] = {
-        "wall_seconds": wall,
-        "designs_per_sec": report["embedded"] / max(wall, 1e-9),
-        "rows_per_sec": ((report["embedded"] + report["chunk_rows"])
-                         / max(wall, 1e-9)),
-    }
+    corpus, report = Corpus.build(
+        args.index_dir, paths, detector,
+        IngestConfig(level=args.level, jobs=args.jobs,
+                     use_cache=not args.no_cache, chunks=not args.no_chunks,
+                     progress=_print_progress if args.progress else None))
+    throughput = _add_throughput(report)
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -270,21 +271,11 @@ def _cmd_index_build(args):
         if report.get("chunk_rows"):
             print(f"chunks: {report['chunk_rows']} subgraph rows for "
                   f"partial-theft locality")
-        if report["embeddings_reused"]:
-            print(f"embeddings: {report['embedded_fresh']} fresh, "
-                  f"{report['embeddings_reused']} reused from previous "
-                  f"build")
-        cache = report["cache"]
-        if cache is not None:
-            print(f"cache: {cache['hits']} hits / {cache['misses']} misses "
-                  f"({cache['store_bytes']} bytes written)")
-        print(f"extract: {report['extract_seconds']:.3f}s  "
-              f"embed: {report['embed_seconds']:.3f}s  "
-              f"({report['throughput']['designs_per_sec']:.1f} designs/s)")
-    for entry in corpus.entries:
-        if entry["status"] == "error":
-            print(f"  FAILED {entry['path']}: {entry['error']}",
-                  file=sys.stderr)
+        _print_reuse(report)
+        print(f"wall: {throughput['wall_seconds']:.3f}s  "
+              f"({throughput['designs_per_sec']:.1f} designs/s, "
+              f"{throughput['rows_per_sec']:.1f} rows/s)")
+    _print_failures(corpus.entries)
     return 0
 
 
@@ -305,21 +296,16 @@ def _cmd_index_ingest(args):
         detector = _cli_detector(args.model, args, level=args.level)
         if detector is None:
             return 1
-    progress = _ProgressPrinter().ingest if args.progress else None
     config = IngestConfig(jobs=args.jobs, flush_rows=args.flush_rows,
                           level=args.level,
                           use_cache=not args.no_cache,
-                          chunks=not args.no_chunks, progress=progress)
+                          chunks=not args.no_chunks,
+                          progress=_print_progress if args.progress else None)
     corpus, report = Corpus.ingest(args.index_dir, paths, detector,
                                    config, resume=not args.no_resume,
                                    fresh=args.fresh)
     ing = report["ingest"]
-    # Same shape as `index build --json` so tooling can read either.
-    report["throughput"] = {
-        "wall_seconds": ing["wall_seconds"],
-        "designs_per_sec": ing["designs_per_sec"],
-        "rows_per_sec": ing["rows_per_sec"],
-    }
+    _add_throughput(report)
     if args.json:
         print(json.dumps(report, indent=1, sort_keys=True))
     else:
@@ -330,6 +316,7 @@ def _cmd_index_ingest(args):
               f"{ing['rows_per_sec']:.1f} rows/s over "
               f"{ing['wall_seconds']:.1f}s  ({ing['flushes']} flushes, "
               f"{ing['shards_written']} shard(s))")
+        _print_reuse(report)
         if ing["resumed"]:
             print(f"resumed from checkpoint: "
                   f"{ing['completed'] - ing['session_designs']} designs "
@@ -338,10 +325,7 @@ def _cmd_index_ingest(args):
         print(f"paused at {ing['completed']}/{ing['total']} designs; "
               f"rerun to resume from the checkpoint", file=sys.stderr)
         return 0
-    for entry in corpus.entries[-report["files"]:]:
-        if entry["status"] == "error":
-            print(f"  FAILED {entry['path']}: {entry['error']}",
-                  file=sys.stderr)
+    _print_failures(corpus.entries[-report["files"]:])
     return 0 if report["embedded"] or not report["failures"] else 1
 
 
@@ -351,7 +335,7 @@ def _cmd_index_add(args):
         print("error: no input files to add", file=sys.stderr)
         return 1
     corpus = Corpus.open(args.index_dir)
-    report = corpus.add(paths, jobs=args.jobs)
+    report = corpus.add(paths, IngestConfig(jobs=args.jobs))
     print(f"added {report['embedded']}/{report['files']} files "
           f"({report['embedded_fresh']} embedded fresh, "
           f"{report['embeddings_reused']} reused, "
@@ -360,10 +344,7 @@ def _cmd_index_add(args):
           f"{corpus.shard_count} shard(s)")
     # Only this run's entries (appended last) — earlier failure entries
     # in the index must not be re-reported as this add's failures.
-    for entry in corpus.entries[-report["files"]:]:
-        if entry["status"] == "error":
-            print(f"  FAILED {entry['path']}: {entry['error']}",
-                  file=sys.stderr)
+    _print_failures(corpus.entries[-report["files"]:])
     # Partial failures are recorded, not fatal (same as build); but an
     # add that added nothing at all must not look like success.
     return 0 if report["embedded"] or not report["failures"] else 1
@@ -445,11 +426,16 @@ def _cmd_index_stats(args):
         print(f"{key:14s} {stats[key]}")
     print(f"{'model_hash':14s} {stats['model_hash'][:16]}...")
     if build:
-        cache = build.get("cache") or {}
-        print(f"{'last build':14s} {build.get('embedded', '?')} embedded, "
-              f"{cache.get('hits', 0)} cache hits, "
-              f"{build.get('extract_seconds', 0.0):.3f}s extract, "
-              f"{build.get('embed_seconds', 0.0):.3f}s embed")
+        # Only fields the writer measured: an index written by an older
+        # version has no ingest block, a --no-cache one no cache block.
+        parts = [f"{build.get('embedded', '?')} embedded"]
+        if build.get("embeddings_reused"):
+            parts.append(f"{build['embeddings_reused']} reused")
+        if build.get("cache"):
+            parts.append(f"{build['cache']['hits']} cache hits")
+        if "ingest" in build:
+            parts.append(f"{build['ingest']['wall_seconds']:.3f}s wall")
+        print(f"{'last build':14s} {', '.join(parts)}")
     return 0
 
 
@@ -698,7 +684,7 @@ def build_parser():
     p_ingest = index_sub.add_parser(
         "ingest",
         help="streaming multiprocess ingest with checkpointed resume "
-             "(the production-scale build/add path; walks external "
+             "(the writer behind build and add; walks external "
              "Verilog trees)")
     p_ingest.add_argument("index_dir", help="index directory (created, "
                                             "resumed, or appended to)")

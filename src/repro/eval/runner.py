@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.api import Detector, IndexConfig, Session
+from repro.api import Detector, IngestConfig, Session
 from repro.api import Corpus as ApiCorpus
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.core.dataset import GraphRecord
@@ -285,8 +285,8 @@ def build_eval_corpus(workdir, config, detector):
             workdir / "corpus", families=list(config.families),
             instances_per_design=config.corpus_instances, seed=config.seed)
     return ApiCorpus.build(workdir / "index", paths, detector,
-                           IndexConfig(level=config.level,
-                                       jobs=config.jobs))
+                           IngestConfig(level=config.level,
+                                        jobs=config.jobs))
 
 
 def scenario_suite(config, families=None):

@@ -10,8 +10,9 @@ approximate only in which rows make the candidate pool; scores are never
 approximated.  ``benchmarks/bench_query.py`` enforces the recall@10 floor.
 
 The quantizer grows in place: ``IVFIndex.add`` assigns new rows to their
-nearest existing centroid, so an incremental ``index add`` never re-runs
-k-means or touches existing assignments.  Persistence is a single
+nearest existing centroid, so an append (``index add``) never re-runs
+k-means or touches existing assignments until :func:`ivf_plan` says the
+growth since the last fit calls for a re-fit.  Persistence is a single
 ``ivf.npz`` (centroids + per-row assignments) written atomically; the
 inverted lists are rebuilt from the assignments at load time (one argsort
 over int32 row ids — microseconds at corpus scale).
@@ -45,6 +46,30 @@ MIN_ROWS = 256
 #: assign-only growth never moves centroids, so recall drifts down as
 #: the corpus outgrows the distribution the centroids were fitted on.
 REFIT_GROWTH = 0.5
+
+
+def ivf_plan(rows, new_rows=0, current=None, fitted_rows=0):
+    """The one quantizer policy for a store that now holds ``rows`` rows.
+
+    Args:
+        rows: stored rows after the write, ``new_rows`` of them new.
+        current: the quantizer the index held before the write, or
+            ``None`` (never fitted, missing, or corrupt).
+        fitted_rows: how many rows ``current``'s last k-means saw.
+
+    Returns:
+        ``"grow"`` when ``current`` covers exactly the rows stored before
+        the write and the rows added since its fit stay within
+        ``max(MIN_ROWS, REFIT_GROWTH * fitted_rows)`` (new rows then join
+        their nearest centroid); otherwise ``"fit"`` from every row when
+        the store holds at least :data:`MIN_ROWS`; else ``None`` (serve
+        exactly).
+    """
+    if (current is not None and current.rows == rows - new_rows
+            and rows - fitted_rows
+            <= max(MIN_ROWS, int(REFIT_GROWTH * fitted_rows))):
+        return "grow"
+    return "fit" if rows >= MIN_ROWS else None
 
 
 def default_clusters(rows):

@@ -1,11 +1,10 @@
-"""Streaming multiprocess corpus ingest with checkpointed resume.
+"""The index writer: streaming multiprocess ingest with checkpointed resume.
 
-``build_index`` is a one-shot pass: it extracts every graph, holds every
-embedding in memory, and writes nothing durable until the very end.
-That is the right shape for a few hundred designs and the wrong shape
-for a registry of 10⁵–10⁶ — peak memory scales with corpus × chunking
-factor and a crash at 99 % loses everything.  This module is the
-production ingest path:
+Every index is written here.  ``index build`` (:meth:`Corpus.build
+<repro.api.facade.Corpus.build>`) is a **fresh** ingest, ``index add``
+(:meth:`Corpus.add <repro.api.facade.Corpus.add>`) an **append** ingest
+over the opened index, and ``index ingest`` picks fresh, append, or
+**resume** from what it finds at the root (see :func:`ingest_corpus`).
 
 - a **work queue** of design sources feeds N worker processes, each
   running the full extract → chunk → embed pipeline (the model is
@@ -13,6 +12,12 @@ production ingest path:
   unit-normalized float32 rows plus a small metadata record — graphs
   never accumulate in the parent, so peak memory stays flat regardless
   of corpus size;
+- **embedding reuse**: content whose key an existing index already holds
+  (the base index of an append, or the root's previous index on a fresh
+  rebuild with the same model, options, and chunk config and the cache
+  on) skips chunking, embedding, and WL signing in the worker; the
+  parent copies that key's stored rows, chunk regions, and signature
+  colors from the old index's memmaps instead;
 - results stream back **in input order** (deterministic layout: two
   runs over the same corpus produce identical indexes) and are flushed
   to the append-only v4 shard files in bounded-size batches;
@@ -24,10 +29,10 @@ production ingest path:
   bytes already on disk, and ``ingest_corpus`` resumes exactly where it
   stopped, producing an index byte-equivalent to an uninterrupted run;
 - finalize merges the sidecar into ``signatures.json``, compacts the
-  per-flush mini-shards into one, fits (or grows) the IVF quantizer —
-  re-fitting from scratch in a background thread when the rows added
-  since the last k-means fit cross :data:`REFIT_GROWTH` — and writes
-  ``meta.json`` last, so the index is never observable half-built.
+  per-flush mini-shards into one, fits, grows, or drops the IVF
+  quantizer (:func:`~repro.index.ann.ivf_plan`; a fit runs in a
+  background thread), and durably writes ``meta.json`` last, so the
+  index is never observable half-built.
 
 Crash-ordering contract (what resume relies on)::
 
@@ -37,9 +42,10 @@ Crash-ordering contract (what resume relies on)::
 
 A checkpoint therefore never references a shard that is missing or
 short; an orphan shard from a crash between steps is re-done on resume
-and cleaned at finalize.  Appending to an existing index never touches
-its files — the old ``meta.json`` stays valid (and servable) until the
-new one atomically replaces it.
+and cleaned at finalize.  Writing never touches the files of the index
+already at the root — its ``meta.json`` stays valid (and servable), and
+its shards readable for reuse, until the new meta atomically replaces
+it; only then are superseded files removed.
 """
 
 import hashlib
@@ -55,7 +61,7 @@ import numpy as np
 
 from repro.core.persist import load_model, save_model
 from repro.errors import IndexStoreError, ModelError
-from repro.index.ann import IVFIndex, MIN_ROWS as IVF_MIN_ROWS, REFIT_GROWTH
+from repro.index.ann import IVFIndex, ivf_plan
 from repro.index.cache import DFGCache
 from repro.index.chunks import ChunkConfig, extract_chunks
 from repro.index.service import EmbeddingService
@@ -69,12 +75,14 @@ from repro.index.shards import (
 from repro.index.store import (
     CACHE_DIR,
     FORMAT_VERSION,
+    META_NAME,
     MODEL_NAME,
     FingerprintIndex,
     _clean_stale_files,
-    _next_ivf_name,
+    _ivf_path,
     _read_meta,
-    _write_meta,
+    _save_ivf,
+    _write_json_durable,
 )
 from repro.index.wlsig import (
     SIG_NAME,
@@ -98,6 +106,14 @@ CHECKPOINT_VERSION = 1
 #: shard when it wrote at least this many — hundreds of 2k-row blocks
 #: would otherwise tax every future query's block loop.
 COMPACT_MIN_SHARDS = 8
+
+
+def default_jobs(task_count=None):
+    """Worker count: one per core, capped at 8 and at the task count."""
+    jobs = min(os.cpu_count() or 1, 8)
+    if task_count is not None:
+        jobs = min(jobs, max(task_count, 1))
+    return jobs
 
 
 def walk_sources(sources):
@@ -139,7 +155,9 @@ class IngestConfig:
         level: extraction level for a fresh index (defaults to the
             model's level); appends always use the index's own level.
         top: top-module override applied to every file.
-        use_cache: probe/populate the content-addressed graph cache.
+        use_cache: probe/populate the content-addressed graph cache; a
+            fresh ingest also reuses the root's previous index rows
+            only with the cache on.
         chunks: also store one row per subgraph chunk (fresh indexes
             only; appends follow the index's stored chunk config).
         chunk_config: :class:`~repro.index.chunks.ChunkConfig` override.
@@ -176,7 +194,7 @@ _WORKER = {}
 
 
 def _init_ingest_worker(model, level, options, top, chunk_spec,
-                        cache_dir, batch_size):
+                        cache_dir, batch_size, reuse):
     frontend = get_frontend(level, **options)
     _WORKER["frontend"] = frontend
     _WORKER["service"] = EmbeddingService(model, batch_size=batch_size)
@@ -185,10 +203,18 @@ def _init_ingest_worker(model, level, options, top, chunk_spec,
                          if chunk_spec else None)
     _WORKER["cache"] = DFGCache(cache_dir) if cache_dir else None
     _WORKER["want_colors"] = chunk_spec is not None
+    # Content key -> whether the reuse source also holds its WL colors.
+    _WORKER["reuse"] = reuse
 
 
 def _describe(exc):
     return f"{type(exc).__name__}: {exc}"
+
+
+def _hex_colors(colors):
+    """WL color counts in the sidecar's JSON form ``{hex: count}``."""
+    return {format(color, "x"): int(count)
+            for color, count in sorted(colors.items())}
 
 
 def _ingest_task(task):
@@ -197,8 +223,10 @@ def _ingest_task(task):
     Returns ``(seq, payload)`` where the payload is a small picklable
     dict — embedding rows as raw float32 bytes, never graphs — so the
     parent's memory footprint per in-flight result is a few kilobytes.
-    Any exception is captured as an error payload: one bad design can
-    never take down the run.
+    Content the reuse source already holds is only loaded (so cache
+    counts stay truthful) and flagged ``reuse``: the parent fills in its
+    stored rows.  Any exception is captured as an error payload: one bad
+    design can never take down the run.
     """
     seq, path = task
     payload = {"path": str(path),
@@ -218,22 +246,20 @@ def _ingest_task(task):
                                                   top=_WORKER["top"])
             if cache is not None:
                 cache.store(payload["key"], graph)
-        chunk_opts = _WORKER["chunks"]
-        subs = extract_chunks(graph, chunk_opts) if chunk_opts else []
-        unit = unit_rows_f32(_WORKER["service"].embed_graphs(
-            [graph] + [sub for sub, _ in subs]))
-        payload.update({
-            "design": graph.name,
-            "nodes": len(graph),
-            "edges": graph.num_edges,
-            "rows": unit.tobytes(),
-            "n_rows": int(unit.shape[0]),
-            "regions": [region for _, region in subs],
-        })
-        if _WORKER["want_colors"]:
-            payload["colors"] = {format(color, "x"): int(count)
-                                 for color, count
-                                 in sorted(wl_colors(graph).items())}
+        payload.update(design=graph.name, nodes=len(graph),
+                       edges=graph.num_edges)
+        signed = _WORKER["reuse"].get(payload["key"])
+        if signed is not None:
+            payload["reuse"] = True
+        else:
+            chunk_opts = _WORKER["chunks"]
+            subs = extract_chunks(graph, chunk_opts) if chunk_opts else []
+            unit = unit_rows_f32(_WORKER["service"].embed_graphs(
+                [graph] + [sub for sub, _ in subs]))
+            payload.update(rows=unit.tobytes(), n_rows=int(unit.shape[0]),
+                           regions=[region for _, region in subs])
+        if _WORKER["want_colors"] and not signed:
+            payload["colors"] = _hex_colors(wl_colors(graph))
         return seq, payload
     except Exception as exc:  # noqa: BLE001 - per-item isolation is the point
         payload["error"] = _describe(exc)
@@ -241,34 +267,6 @@ def _ingest_task(task):
 
 
 # -- durable writes -----------------------------------------------------------
-def _fsync_dir(path):
-    """Best-effort directory fsync (required for rename durability on
-    POSIX; silently skipped where directories cannot be opened)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def _write_json_durable(path, payload):
-    """fsync'd write + atomic rename: the file is either the old
-    version or the complete new one, never a prefix."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    _fsync_dir(path.parent)
-
-
 def _append_sidecar(path, colors_by_name):
     """Append one durable JSONL line of ``{name: {hex: count}}``."""
     with open(path, "a") as handle:
@@ -330,6 +328,7 @@ class _IngestState:
         self.shards = checkpoint["shards"]
         self.taken = set(checkpoint["taken_base_names"])
         self.taken.update(e["name"] for e in self.entries)
+        self.reused = checkpoint.get("reused", 0)
         self.flushes = 0
 
     @property
@@ -351,6 +350,7 @@ class _IngestState:
             "entries": self.entries,
             "rows": self.rows,
             "shards": self.shards,
+            "reused": self.reused,
             "taken_base_names": sorted(
                 self.taken - {e["name"] for e in self.entries}),
         }
@@ -481,6 +481,75 @@ def _append_checkpoint(root, paths, index, service, config):
     }
 
 
+class _StoredRows:
+    """An existing index's rows, chunk regions, and WL colors by content
+    key: what embedding reuse copies instead of re-embedding.
+
+    Rows are read through the index's shard memmaps; the files stay on
+    disk until the new ``meta.json`` lands, and the copies go into this
+    run's own shards.
+    """
+
+    def __init__(self, index, signed):
+        self.shards = index.shards
+        self.names = {}
+        for entry in index.entries:
+            if entry["status"] == "ok":
+                self.names.setdefault(entry["key"], entry["name"])
+        # name -> [design row, chunk rows...]; every writer stores a
+        # design's row before its chunk rows.
+        self.rows, self.regions = {}, {}
+        for row, spec in enumerate(index.rows):
+            if spec.get("kind") == "chunk":
+                self.rows[spec["parent"]].append(row)
+                self.regions.setdefault(spec["parent"], []).append(
+                    spec.get("region"))
+            else:
+                self.rows[spec["name"]] = [row]
+        stored = load_signatures(index.root) if signed else None
+        self.colors = ({} if stored is None or stored[1] != SIG_RADIUS
+                       else stored[0])
+
+    def keys(self):
+        """``{content key: colors stored}`` for the worker initializer."""
+        return {key: name in self.colors
+                for key, name in self.names.items()}
+
+    def fill(self, payload):
+        """Complete a worker's ``reuse`` payload from the stored index."""
+        name = self.names[payload["key"]]
+        rows = self.rows[name]
+        payload.update(
+            rows=np.stack([self.shards.row(r) for r in rows]).tobytes(),
+            n_rows=len(rows), regions=self.regions.get(name, []))
+        if name in self.colors:
+            payload["colors"] = _hex_colors(self.colors[name])
+
+
+def _reuse_source(root, state, index=None):
+    """The stored rows this run may copy instead of re-embedding, or None.
+
+    An append reuses its base index (``index``, loaded from ``root``
+    when not given) for content it already holds.  A fresh ingest reuses
+    the root's previous index only when the cache is on and that index
+    was built with the same model, options, and chunk config (same
+    content + same config => the same rows).
+    """
+    if state.mode == "fresh" and not state.options.get("use_cache", True):
+        return None
+    if index is None:
+        try:
+            index = FingerprintIndex.load(root)
+        except IndexStoreError:
+            return None
+    if (index.model_hash != state.model_hash
+            or (state.mode == "fresh"
+                and (index.meta["options"] != state.options
+                     or index.meta.get("chunks") != state.chunk_spec))):
+        return None
+    return _StoredRows(index, signed=state.chunk_spec is not None)
+
+
 def _entry_from_payload(state, payload):
     """Index entry dict (plus row specs) for one worker payload."""
     name = state.unique_name(payload["stem"])
@@ -607,38 +676,27 @@ def _finalize(state, model, service, config, report):
             "chunks": state.chunk_spec,
         }
 
-    # IVF: re-fit from everything when the rows added since the last
-    # k-means fit cross the growth threshold (assign-only growth slowly
-    # degrades recall as the corpus drifts from the fitted centroids);
-    # otherwise grow the existing quantizer in place.  The fit runs in a
-    # background thread, overlapped with signature compaction below.
-    all_specs = meta["store"]["shards"]
-    store = ShardStore(root, state.hidden, all_specs)
-    total_rows = store.rows
+    # IVF: fit, grow in place, or none, as ann.ivf_plan decides.  A fit
+    # runs in a background thread, overlapped with the signature merge
+    # below.
+    store = ShardStore(root, state.hidden, meta["store"]["shards"])
     ivf_box = {}
 
     def _fit_ivf():
-        old_spec = meta.get("ivf") if state.mode == "append" else None
-        old_ivf = None
-        if old_spec:
+        current, fitted = None, 0
+        if state.mode == "append" and meta.get("ivf"):
             try:
-                old_ivf = IVFIndex.load(root / old_spec.get("file", ""))
+                current = IVFIndex.load(_ivf_path(root, meta))
             except IndexStoreError:
-                old_ivf = None
-        fitted = (old_spec or {}).get("fitted_rows", 0)
-        grown = total_rows - fitted
-        if (old_ivf is not None and old_ivf.rows == total_rows
-                - state.new_rows
-                and grown <= max(IVF_MIN_ROWS, int(REFIT_GROWTH * fitted))):
-            new_store = ShardStore(root, state.hidden, state.shards)
-            old_ivf.add(new_store.matrix())
-            ivf_box["ivf"] = old_ivf
-            ivf_box["fitted_rows"] = fitted
-        elif total_rows >= IVF_MIN_ROWS:
-            ivf_box["ivf"] = IVFIndex.fit(store.matrix())
-            ivf_box["fitted_rows"] = total_rows
-        else:
-            ivf_box["ivf"] = None
+                current = None
+            fitted = meta["ivf"].get("fitted_rows", 0)
+        plan = ivf_plan(store.rows, state.new_rows, current, fitted)
+        if plan == "grow":
+            current.add(ShardStore(root, state.hidden,
+                                   state.shards).matrix())
+            ivf_box["spec"] = (current, fitted)
+        elif plan == "fit":
+            ivf_box["spec"] = (IVFIndex.fit(store.matrix()), store.rows)
 
     fitter = threading.Thread(target=_fit_ivf, name="ingest-ivf-fit")
     fitter.start()
@@ -662,18 +720,12 @@ def _finalize(state, model, service, config, report):
         (root / SIG_NAME).unlink(missing_ok=True)
 
     fitter.join()
-    if ivf_box.get("ivf") is not None:
-        name = _next_ivf_name(root)
-        ivf_box["ivf"].save(root / name)
-        meta["ivf"] = {"clusters": ivf_box["ivf"].n_clusters, "file": name,
-                       "fitted_rows": int(ivf_box["fitted_rows"])}
-    else:
-        meta["ivf"] = None
-
+    meta["ivf"] = (_save_ivf(root, *ivf_box["spec"]) if "spec" in ivf_box
+                   else None)
     meta["build"] = report
     if state.mode == "fresh":
         save_model(model, root / MODEL_NAME)
-    _write_meta(root, meta)
+    _write_json_durable(root / META_NAME, meta)
     # Only after the new meta is live may the ingest scaffolding and any
     # superseded files disappear.
     (root / CHECKPOINT_NAME).unlink(missing_ok=True)
@@ -684,13 +736,9 @@ def _finalize(state, model, service, config, report):
 
 def ingest_corpus(root, paths, model=None, config=None, resume=True,
                   fresh=False):
-    """Streaming, resumable, multiprocess corpus ingest.
-
-    The production-scale sibling of
-    :func:`~repro.index.store.build_index` /
-    :func:`~repro.index.store.add_to_index`: same on-disk format, same
-    query results, but bounded memory, durable incremental progress,
-    and a worker pool that runs extract → chunk → embed end to end.
+    """Streaming, resumable, multiprocess corpus ingest: the one writer
+    of fingerprint indexes (``index build`` is ``fresh=True``, ``index
+    add`` is an append with ``resume=False``).
 
     Modes (selected automatically):
 
@@ -700,8 +748,12 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
     - **append** — no checkpoint, but a loadable index exists: stream
       the new designs in without touching existing files (the index
       keeps serving its old meta until the new one atomically lands).
+      Content the index already holds reuses its stored rows.
     - **fresh** — otherwise (or whenever ``fresh=True``): build a new
       index from scratch, discarding any checkpoint or existing index.
+      With ``use_cache`` on, content the root's previous index holds
+      reuses its stored rows when that index was built with the same
+      model, options, and chunk config.
 
     Args:
         root: index directory.
@@ -738,7 +790,7 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         checkpoint = _load_checkpoint(root, paths, None)
     base_index = None
     if checkpoint is None:
-        if not fresh and (root / "meta.json").is_file():
+        if not fresh and (root / META_NAME).is_file():
             base_index = FingerprintIndex.load(root)
         if model is None:
             if base_index is not None:
@@ -789,11 +841,10 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
                if k in ("do_trim",)}
     cache_dir = (str(root / CACHE_DIR)
                  if state.options.get("use_cache", True) else None)
+    reuse = _reuse_source(root, state, base_index)
     init_args = (model, state.options["level"], options,
                  state.options["top"], state.chunk_spec, cache_dir,
-                 config.batch_size)
-
-    from repro.index.extractor import default_jobs
+                 config.batch_size, reuse.keys() if reuse else {})
 
     jobs = (config.jobs if config.jobs is not None
             else default_jobs(len(remaining)))
@@ -816,6 +867,9 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
 
     def _consume(payload):
         nonlocal session_done, session_rows, failed_this_run
+        if payload.pop("reuse", False):
+            reuse.fill(payload)
+            state.reused += 1
         entry, row_specs = _entry_from_payload(state, payload)
         state.entries.append(entry)
         state.rows.extend(row_specs)
@@ -861,6 +915,8 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
             pool.join()
 
     _flush(state, buffer)
+    # Drop the reuse source's shard maps: finalize may remove the files.
+    reuse = None
     elapsed = time.monotonic() - started
     compacted = False
     if not paused:
@@ -870,20 +926,17 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
     chunk_rows = sum(1 for spec in state.rows
                      if spec.get("kind") == "chunk")
     cached = sum(1 for e in ok_entries if e.get("cached"))
+    # Only what ingest measures: cache outcomes of the embedded entries
+    # (a worker's cache counters never reach the parent).
     report = {
-        "mode": "ingest",
         "files": len(state.entries),
         "embedded": len(ok_entries),
-        "embedded_fresh": len(ok_entries),
-        "embeddings_reused": 0,
+        "embedded_fresh": len(ok_entries) - state.reused,
+        "embeddings_reused": state.reused,
         "failures": len(state.entries) - len(ok_entries),
         "chunk_rows": chunk_rows,
-        "cache": ({"hits": cached, "misses": len(ok_entries) - cached,
-                   "stores": len(ok_entries) - cached, "corrupt": 0,
-                   "hit_bytes": 0, "store_bytes": 0}
+        "cache": ({"hits": cached, "misses": len(ok_entries) - cached}
                   if state.options.get("use_cache", True) else None),
-        "extract_seconds": elapsed,
-        "embed_seconds": 0.0,
         "jobs": jobs,
         "ingest": {
             "state": "paused" if paused else "complete",

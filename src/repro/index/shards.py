@@ -119,8 +119,8 @@ def write_shard(root, ordinal, unit_matrix, fsync=False):
     store never double-normalizes reused rows.  ``fsync=True`` forces the
     bytes to stable storage before the rename — the streaming ingest
     checkpoint protocol depends on a checkpointed shard surviving a
-    crash, while one-shot builds (whose meta.json lands last anyway)
-    skip the sync.
+    crash, while the v2 migration (whose meta.json lands last anyway)
+    skips the sync.
     """
     unit_matrix = np.ascontiguousarray(unit_matrix, dtype=SHARD_DTYPE)
     if unit_matrix.ndim != 2 or not len(unit_matrix):

@@ -37,32 +37,27 @@ re-normalization (v2 paid both on every load).  Queries run through the
 batched :class:`~repro.index.engine.QueryEngine`; the embedding service
 and frontend are cached on the index object so a lookup service embeds
 each suspect once and never re-fingerprints the model per call.
-``add_to_index`` grows the corpus in place: new files append one shard
-plus meta entries without re-embedding or rewriting what is already
-stored.
+
+One writer builds and grows indexes: the streaming ingest
+(:func:`repro.index.ingest.ingest_corpus`).  ``index build`` is a fresh
+ingest and ``index add`` an append; this module holds the read side, the
+durable JSON writer, and the v2/v3 migration.
 """
 
 import json
-import time
+import os
 import zipfile
 from dataclasses import dataclass  # noqa: F401 - re-export for back-compat
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.persist import load_model, save_model
-from repro.errors import IndexStoreError, ModelError
-from repro.index.ann import (
-    IVF_NAME,
-    MIN_ROWS as IVF_MIN_ROWS,
-    REFIT_GROWTH,
-    IVFIndex,
-    ivf_filename,
-)
+from repro.core.persist import load_model
+from repro.errors import IndexStoreError
+from repro.index.ann import IVF_NAME, IVFIndex, ivf_filename, ivf_plan
 from repro.index.cache import DFGCache
 from repro.index.chunks import ChunkConfig, extract_chunks
 from repro.index.engine import QueryEngine, QueryHit  # noqa: F401
-from repro.index.extractor import CorpusExtractor
 from repro.index.service import EmbeddingService
 from repro.index.shards import (
     ShardStore,
@@ -71,13 +66,11 @@ from repro.index.shards import (
     write_shard,
 )
 from repro.index.wlsig import (
-    SIG_NAME,
     SignatureScorer,
     load_signatures,
     wl_colors,
-    write_signatures,
 )
-from repro.ir.frontends import RTLFrontend, get_frontend
+from repro.ir.frontends import get_frontend
 
 META_NAME = "meta.json"
 MODEL_NAME = "model.npz"
@@ -93,11 +86,34 @@ LEGACY_EMBEDDINGS_NAME = "embeddings.npz"
 FORMAT_VERSION = 4
 
 
-def _write_meta(root, meta):
-    """Atomic ``meta.json`` write — always the last file to land."""
-    tmp = root / (META_NAME + ".tmp")
-    tmp.write_text(json.dumps(meta, indent=1, sort_keys=True))
-    tmp.replace(root / META_NAME)
+def _fsync_dir(path):
+    """Best-effort directory fsync (required for rename durability on
+    POSIX; silently skipped where directories cannot be opened)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _write_json_durable(path, payload):
+    """fsync'd write + atomic rename + directory fsync: the file is
+    either the old version or the complete new one, never a prefix, and
+    the rename survives a crash.  ``meta.json`` and the ingest
+    checkpoint both land this way."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+        handle.flush()
+        os.fsync(handle.fileno())
+    tmp.replace(path)
+    _fsync_dir(path.parent)
 
 
 def _read_meta(root):
@@ -272,7 +288,7 @@ class FingerprintIndex:
         """The stored (unit float32) matrix, materialized on first use.
 
         The serving path never needs this — the engine scores straight
-        off the memmaps; it exists for rebuild reuse and inspection.
+        off the memmaps; it exists for inspection.
         """
         if self._matrix is None:
             self._matrix = self.shards.matrix()
@@ -461,8 +477,7 @@ class FingerprintIndex:
     def entry_for_key(self, key):
         """The ok-entry dict whose embedding ``lookup_key`` would return,
         or None when the content key is not indexed."""
-        row = self._row_by_key.get(key)
-        return None if row is None else self._ok_entries[row]
+        return self._entry_by_key.get(key)
 
     def query_vector(self, vector, k=5, delta=0.0, nprobe=None,
                      exact=False):
@@ -567,40 +582,6 @@ class FingerprintIndex:
         }
 
 
-def _unique_names(results, taken=()):
-    """File stems, suffixed where needed so index names stay unique.
-
-    ``taken`` seeds the reserved set with names already in the index, so
-    incremental adds cannot collide with existing entries.
-    """
-    taken = set(taken)
-    names = []
-    for result in results:
-        candidate, suffix = result.name, 1
-        while candidate in taken:
-            suffix += 1
-            candidate = f"{result.name}#{suffix}"
-        taken.add(candidate)
-        names.append(candidate)
-    return names
-
-
-def _result_entries(results, names):
-    entries = []
-    for result, name in zip(results, names):
-        entry = {"name": name, "path": result.path, "key": result.key,
-                 "status": "ok" if result.ok else "error"}
-        if result.ok:
-            entry["design"] = result.graph.name
-            entry["nodes"] = len(result.graph)
-            entry["edges"] = result.graph.num_edges
-            entry["cached"] = result.cached
-        else:
-            entry["error"] = result.error
-        entries.append(entry)
-    return entries
-
-
 def _next_ivf_name(root):
     """Generation-named quantizer file nothing on disk uses yet.
 
@@ -621,21 +602,15 @@ def _ivf_path(root, meta):
     return Path(root) / meta["ivf"].get("file", IVF_NAME)
 
 
-def _maybe_fit_ivf(root, unit_matrix, meta):
-    """Fit + persist the coarse quantizer when the corpus is big enough.
-
-    ``fitted_rows`` records how many rows the k-means actually saw, so
-    later appends know when assign-only growth has outrun the centroids
-    and a re-fit is due (:data:`~repro.index.ann.REFIT_GROWTH`).
-    """
-    if len(unit_matrix) >= IVF_MIN_ROWS:
-        ivf = IVFIndex.fit(unit_matrix)
-        name = _next_ivf_name(root)
-        ivf.save(root / name)
-        meta["ivf"] = {"clusters": ivf.n_clusters, "file": name,
-                       "fitted_rows": len(unit_matrix)}
-    else:
-        meta["ivf"] = None
+def _save_ivf(root, ivf, fitted_rows):
+    """Persist a quantizer under a fresh generation name; returns its
+    ``meta.json`` spec.  ``fitted_rows`` records how many rows the
+    k-means actually saw, so later appends know when assign-only growth
+    has outrun the centroids (:func:`~repro.index.ann.ivf_plan`)."""
+    name = _next_ivf_name(root)
+    ivf.save(Path(root) / name)
+    return {"clusters": ivf.n_clusters, "file": name,
+            "fitted_rows": int(fitted_rows)}
 
 
 def _clean_stale_files(root, meta):
@@ -652,327 +627,6 @@ def _clean_stale_files(root, meta):
     for path in Path(root).glob("ivf*.npz"):
         if path.name != live_ivf:
             path.unlink(missing_ok=True)
-
-
-def build_index(root, paths, model, pipeline=None, jobs=None,
-                use_cache=True, top=None, batch_size=64, level=None,
-                frontend=None, chunks=True, chunk_config=None,
-                progress=None):
-    """Build (or rebuild) a fingerprint index over Verilog files.
-
-    Extraction fans out over worker processes and reuses the index's graph
-    cache; embedding runs batched.  Files the frontend rejects become
-    failure entries instead of aborting the build.
-
-    Args:
-        level: extraction level (``rtl`` / ``netlist``); defaults to the
-            level of the model's featurizer, so a netlist-trained model
-            indexes at the netlist level without extra flags.
-        frontend: explicit :mod:`repro.ir.frontends` frontend (overrides
-            ``level`` and ``pipeline``).
-        chunks: also store one embedding row per subgraph chunk of each
-            design (:mod:`repro.index.chunks`), enabling partial-theft
-            matching; designs too small to chunk store only their
-            whole-design row.
-        chunk_config: :class:`~repro.index.chunks.ChunkConfig` override
-            (defaults apply when ``None``).
-        progress: optional ``callback(done, total)`` forwarded to the
-            extraction phase (the build's dominant cost).
-
-    Returns:
-        (index, report) — the loaded :class:`FingerprintIndex` and a dict
-        describing the build (counts, cache stats, timings).
-
-    Raises:
-        ModelError: when the model's featurizer level does not match the
-            requested extraction level (its embeddings would be garbage).
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    paths = [str(p) for p in paths]
-    if not paths:
-        raise IndexStoreError("no input files to index")
-
-    model_level = getattr(model.encoder, "featurizer", None)
-    model_level = model_level.level if model_level is not None else "rtl"
-    if frontend is None:
-        if pipeline is not None:
-            if level not in (None, "rtl"):
-                raise ValueError(
-                    f"pipeline= selects the RTL frontend and conflicts "
-                    f"with level={level!r}; pass frontend= instead")
-            frontend = RTLFrontend(pipeline=pipeline)
-        else:
-            frontend = get_frontend(level if level is not None
-                                    else model_level)
-    if frontend.level != model_level:
-        raise ModelError(
-            f"cannot build a {frontend.level}-level index with a "
-            f"{model_level}-level model (train with --level "
-            f"{frontend.level} or change --level)")
-
-    start = time.perf_counter()
-    cache = DFGCache(root / CACHE_DIR) if use_cache else None
-    extractor = CorpusExtractor(cache=cache, jobs=jobs, frontend=frontend)
-    results = extractor.extract_paths(paths, top=top, progress=progress)
-    extract_seconds = time.perf_counter() - start
-
-    ok = [r for r in results if r.ok]
-    service = EmbeddingService(model, batch_size=batch_size)
-    chunk_opts = (chunk_config or ChunkConfig()) if chunks else None
-    per_ok_chunks = [extract_chunks(r.graph, chunk_opts) if chunk_opts
-                     else [] for r in ok]
-
-    # Rebuild fast path: embeddings from a previous build of this index
-    # are reused for unchanged content keys, provided the model is the
-    # same one (fingerprint match).  Chunk rows are reused too, when the
-    # chunk options are unchanged (same content + same config => the
-    # same chunk set).  --no-cache recomputes everything.
-    previous = {}
-    previous_chunks = {}
-    if use_cache:
-        try:
-            old = FingerprintIndex.load(root)
-            if old.model_hash == service.fingerprint:
-                matrix = old.matrix
-                key_by_name = {e["name"]: e["key"]
-                               for e in old._ok_entries}
-                same_chunks = (chunk_opts is not None
-                               and old.meta.get("chunks")
-                               == chunk_opts.as_dict())
-                for row, spec in enumerate(old.rows):
-                    if spec.get("kind") == "chunk":
-                        if same_chunks:
-                            key = key_by_name[spec["parent"]]
-                            previous_chunks.setdefault(key, []).append(
-                                matrix[row])
-                    else:
-                        previous[key_by_name[spec["name"]]] = matrix[row]
-            # .matrix is a materialized copy; drop the old index now so
-            # its shard memmaps are closed before cleanup unlinks the
-            # files (deleting a mapped file fails on some platforms).
-            del old
-        except IndexStoreError:
-            pass
-
-    embed_start = time.perf_counter()
-    fresh = [r for r in ok if r.key not in previous]
-    # One batched pass embeds the fresh whole designs and every chunk
-    # whose vectors cannot be reused from the previous build.
-    fresh_chunk_slots = []
-    chunk_graphs = []
-    for i, result in enumerate(ok):
-        subs = per_ok_chunks[i]
-        if subs and len(previous_chunks.get(result.key, ())) != len(subs):
-            fresh_chunk_slots.append((i, len(subs)))
-            chunk_graphs.extend(sub for sub, _ in subs)
-    embed_graphs = [r.graph for r in fresh] + chunk_graphs
-    unit = unit_rows_f32(
-        service.embed_graphs(embed_graphs)
-        if embed_graphs else np.empty((0, model.encoder.hidden)))
-    fresh_rows = {r.key: unit[i] for i, r in enumerate(fresh)}
-    cursor = len(fresh)
-    chunk_vectors = {}  # ok-ordinal -> (n_chunks, hidden) unit rows
-    for i, count in fresh_chunk_slots:
-        chunk_vectors[i] = unit[cursor:cursor + count]
-        cursor += count
-    for i, result in enumerate(ok):
-        if per_ok_chunks[i] and i not in chunk_vectors:
-            chunk_vectors[i] = np.stack(previous_chunks[result.key])
-    embed_seconds = time.perf_counter() - embed_start
-
-    names = _unique_names(results)
-    ok_names = [name for result, name in zip(results, names) if result.ok]
-    # Row layout: whole-design rows first (ok order), then chunk rows
-    # grouped by design.  The rows table mirrors it spec for spec.
-    design_rows = [previous[r.key] if r.key in previous
-                   else fresh_rows[r.key] for r in ok]
-    row_specs = [{"kind": "design", "name": name} for name in ok_names]
-    chunk_rows = []
-    for i in range(len(ok)):
-        for j, (_, region) in enumerate(per_ok_chunks[i]):
-            row_specs.append({"kind": "chunk", "parent": ok_names[i],
-                              "region": region})
-            chunk_rows.append(chunk_vectors[i][j])
-    unit_matrix = (np.stack(design_rows + chunk_rows)
-                   if design_rows or chunk_rows
-                   else np.empty((0, model.encoder.hidden),
-                                 dtype=np.float32))
-
-    report = {
-        "files": len(results),
-        "embedded": len(ok),
-        "embedded_fresh": len(fresh),
-        "embeddings_reused": len(ok) - len(fresh),
-        "failures": len(results) - len(ok),
-        "chunk_rows": len(chunk_rows),
-        "cache": cache.stats.as_dict() if cache else None,
-        "extract_seconds": extract_seconds,
-        "embed_seconds": embed_seconds,
-        "jobs": extractor.last_jobs,
-    }
-    specs = ([write_shard(root, next_shard_ordinal(root), unit_matrix)]
-             if len(unit_matrix) else [])
-    meta = {
-        "version": FORMAT_VERSION,
-        "model_hash": service.fingerprint,
-        "options": {
-            "top": top,
-            "level": frontend.level,
-            "do_trim": getattr(frontend, "do_trim", True),
-            "schema": frontend.schema_fingerprint(),
-            "use_cache": use_cache,
-        },
-        "store": {
-            "dtype": "float32",
-            "hidden": int(model.encoder.hidden),
-            "shards": specs,
-        },
-        "entries": _result_entries(results, names),
-        "rows": row_specs,
-        "chunks": chunk_opts.as_dict() if chunk_opts else None,
-        "build": report,
-    }
-    _maybe_fit_ivf(root, unit_matrix, meta)
-    save_model(model, root / MODEL_NAME)
-    # Structural signatures ride along with every multi-granularity
-    # build (the graphs are already in hand; wl_colors is one pass per
-    # graph).  Chunk-less indexes get no signature file so their
-    # serving contract stays bit-identical to v3 — the structural
-    # channel exists to fix what chunk granularity breaks.
-    if chunk_rows:
-        write_signatures(root, {name: wl_colors(result.graph)
-                                for result, name in zip(ok, ok_names)})
-    else:
-        (root / SIG_NAME).unlink(missing_ok=True)
-    # meta.json is written before any stale file is removed (and after
-    # everything it references exists): its presence marks a complete
-    # index, and load() cross-checks it against the shard files.
-    _write_meta(root, meta)
-    _clean_stale_files(root, meta)
-    return FingerprintIndex.load(root), report
-
-
-def add_to_index(root, paths, jobs=None, batch_size=64):
-    """Incrementally add files to an existing index.
-
-    Appends exactly one new shard plus meta entries: existing shards,
-    the model, and the quantizer's centroids are left untouched, and
-    files whose content key is already indexed reuse the stored vector
-    instead of re-embedding (the incremental-construction idea — grow
-    the index in place instead of rebuilding).
-
-    Returns:
-        (index, report) — the reloaded index and a build-style dict with
-        ``"mode": "add"``.
-    """
-    root = Path(root)
-    index = FingerprintIndex.load(root)
-    paths = [str(p) for p in paths]
-    if not paths:
-        raise IndexStoreError("no input files to add")
-    model = index.model()
-    frontend = index.frontend()
-
-    start = time.perf_counter()
-    cache = DFGCache(root / CACHE_DIR) if index.use_cache else None
-    extractor = CorpusExtractor(cache=cache, jobs=jobs, frontend=frontend)
-    results = extractor.extract_paths(paths, top=index.top)
-    extract_seconds = time.perf_counter() - start
-
-    ok = [r for r in results if r.ok]
-    chunk_opts = index.chunk_config()
-    per_ok_chunks = [extract_chunks(r.graph, chunk_opts) if chunk_opts
-                     else [] for r in ok]
-    embed_start = time.perf_counter()
-    fresh = [r for r in ok if index.lookup_key(r.key) is None]
-    chunk_graphs = [sub for subs in per_ok_chunks for sub, _ in subs]
-    embed_graphs = [r.graph for r in fresh] + chunk_graphs
-    if embed_graphs:
-        service = index.service_for(model, batch_size=batch_size)
-        unit = unit_rows_f32(service.embed_graphs(embed_graphs))
-    else:
-        unit = np.empty((0, index.shards.hidden), dtype=np.float32)
-    fresh_rows = {r.key: unit[i] for i, r in enumerate(fresh)}
-    chunk_unit = unit[len(fresh):]
-    design_rows = [fresh_rows[r.key] if r.key in fresh_rows
-                   else index.lookup_key(r.key) for r in ok]
-    new_unit = (np.concatenate(
-        [np.stack(design_rows) if design_rows
-         else np.empty((0, index.shards.hidden), dtype=np.float32),
-         chunk_unit])
-        if design_rows or len(chunk_unit) else
-        np.empty((0, index.shards.hidden), dtype=np.float32))
-    embed_seconds = time.perf_counter() - embed_start
-
-    meta = index.meta
-    if len(new_unit):
-        ordinal = next_shard_ordinal(root, meta["store"]["shards"])
-        meta["store"]["shards"].append(write_shard(root, ordinal,
-                                                   new_unit))
-        total = index.shards.rows + len(new_unit)
-        fitted = ((meta.get("ivf") or {}).get("fitted_rows", 0)
-                  if index.ivf is not None else 0)
-        refit_due = (total - fitted
-                     > max(IVF_MIN_ROWS, int(REFIT_GROWTH * fitted)))
-        if index.ivf is not None and not refit_due:
-            # Grow the quantizer in place: new rows join their nearest
-            # existing centroid; no re-clustering, no reassignment.
-            index.ivf.add(new_unit)
-            name = _next_ivf_name(root)
-            index.ivf.save(root / name)
-            meta["ivf"]["file"] = name
-        elif total >= IVF_MIN_ROWS:
-            # Covers the first crossing of the size threshold, a
-            # quantizer load() dropped as stale, and assign-only growth
-            # crossing REFIT_GROWTH since the last k-means (centroids
-            # fitted on a fraction of the corpus probe poorly against
-            # the rest) — refit from everything.
-            ivf = IVFIndex.fit(
-                np.concatenate([index.matrix, new_unit], axis=0))
-            name = _next_ivf_name(root)
-            ivf.save(root / name)
-            meta["ivf"] = {"clusters": ivf.n_clusters, "file": name,
-                           "fitted_rows": total}
-
-    existing_names = [e["name"] for e in meta["entries"]]
-    names = _unique_names(results, taken=existing_names)
-    ok_names = [name for result, name in zip(results, names) if result.ok]
-    meta["entries"].extend(_result_entries(results, names))
-    # The appended shard mirrors the build layout batch-locally: the
-    # batch's design rows first, then its chunk rows grouped by design.
-    rows = meta.setdefault("rows", [])
-    rows.extend({"kind": "design", "name": name} for name in ok_names)
-    for i in range(len(ok)):
-        rows.extend({"kind": "chunk", "parent": ok_names[i],
-                     "region": region} for _, region in per_ok_chunks[i])
-    report = {
-        "mode": "add",
-        "files": len(results),
-        "embedded": len(ok),
-        "embedded_fresh": len(fresh),
-        "embeddings_reused": len(ok) - len(fresh),
-        "failures": len(results) - len(ok),
-        "chunk_rows": len(chunk_graphs),
-        "cache": cache.stats.as_dict() if cache else None,
-        "extract_seconds": extract_seconds,
-        "embed_seconds": embed_seconds,
-        "jobs": extractor.last_jobs,
-    }
-    meta["build"] = report
-    # Extend the signature file for the appended designs.  An index
-    # without one (migrated from v3, never re-extracted) stays without:
-    # a partially-signed corpus could never serve the structural
-    # channel anyway.
-    stored = load_signatures(root)
-    if stored is not None:
-        colors, radius = stored
-        colors.update({name: wl_colors(result.graph, radius)
-                       for result, name in zip(ok, ok_names)})
-        write_signatures(root, colors, radius=radius)
-    _write_meta(root, meta)
-    _clean_stale_files(root, meta)
-    return FingerprintIndex.load(root), report
 
 
 def _design_row_specs(meta):
@@ -1008,7 +662,7 @@ def migrate_index(root):
         meta["version"] = FORMAT_VERSION
         meta["rows"] = _design_row_specs(meta)
         meta["chunks"] = None
-        _write_meta(root, meta)
+        _write_json_durable(root / META_NAME, meta)
         return FingerprintIndex.load(root)
     if version != 2:
         raise IndexStoreError(
@@ -1039,11 +693,13 @@ def migrate_index(root):
     }
     meta["rows"] = _design_row_specs(meta)
     meta["chunks"] = None
-    _maybe_fit_ivf(root, unit_matrix, meta)
+    meta["ivf"] = (_save_ivf(root, IVFIndex.fit(unit_matrix),
+                             len(unit_matrix))
+                   if ivf_plan(len(unit_matrix)) == "fit" else None)
     # v4 meta lands atomically first; only then is the legacy store
     # removed, so a crash mid-migration never strands a half-converted
     # index (either version's meta always matches its files).
-    _write_meta(root, meta)
+    _write_json_durable(root / META_NAME, meta)
     _clean_stale_files(root, meta)
     return FingerprintIndex.load(root)
 

@@ -3,7 +3,7 @@
 A frontend owns one extraction level end-to-end: preprocessing, the
 level-specific lowering, the default featurizer, and the fingerprints that
 make extraction content-addressable.  The fingerprint index, the CLI's
-``--level rtl|netlist`` flags, and the corpus extractor all select a
+``--level rtl|netlist`` flags, and the ingest workers all select a
 frontend instead of hard-coding the DFG pipeline:
 
 - :class:`RTLFrontend` — the paper's five-phase dataflow pipeline
@@ -89,22 +89,17 @@ class _Frontend:
         return content_key(cleaned, self.options_fingerprint(), top=top,
                            schema=self.schema_fingerprint())
 
-    def worker_spec(self):
-        """(level, options) pair a worker process can rebuild us from."""
-        return self.level, {}
-
 
 class RTLFrontend(_Frontend):
     """RTL dataflow frontend wrapping :class:`~repro.dataflow.pipeline.DFGPipeline`."""
 
     level = LEVEL_RTL
 
-    def __init__(self, pipeline=None, do_trim=True, featurizer=None):
+    def __init__(self, do_trim=True, featurizer=None):
         super().__init__(featurizer)
         from repro.dataflow.pipeline import DFGPipeline
 
-        self.pipeline = pipeline if pipeline is not None \
-            else DFGPipeline(do_trim=do_trim)
+        self.pipeline = DFGPipeline(do_trim=do_trim)
 
     @property
     def do_trim(self):
@@ -120,9 +115,6 @@ class RTLFrontend(_Frontend):
 
     def options_fingerprint(self):
         return f"level={self.level}:{self.pipeline.options_fingerprint()}"
-
-    def worker_spec(self):
-        return self.level, {"do_trim": self.pipeline.do_trim}
 
 
 class NetlistFrontend(_Frontend):

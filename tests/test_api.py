@@ -17,7 +17,7 @@ from repro.api import (
     Corpus,
     Detector,
     DetectorConfig,
-    IndexConfig,
+    IngestConfig,
     Session,
 )
 from repro.cli import main
@@ -63,7 +63,7 @@ def detector():
 def built(tmp_path, corpus_dir, detector):
     corpus, report = Corpus.build(tmp_path / "idx",
                                   sorted(corpus_dir.glob("*.v")),
-                                  detector, IndexConfig(jobs=1))
+                                  detector, IngestConfig(jobs=1))
     assert report["failures"] == 0
     return corpus
 
@@ -139,7 +139,7 @@ class TestCorpus:
         broken = tmp_path / "broken.v"
         broken.write_text("module oops(endmodule")
         corpus, report = Corpus.build(tmp_path / "empty_idx", [broken],
-                                      detector, IndexConfig(jobs=1))
+                                      detector, IngestConfig(jobs=1))
         assert report["embedded"] == 0
         assert len(corpus) == 0
         session = Session(detector=detector, corpus=corpus)
@@ -225,7 +225,7 @@ class TestSession:
         detector = Detector.from_model(GNN4IP(seed=0, delta=2.0))
         corpus, _ = Corpus.build(tmp_path / "delta_idx",
                                  sorted(corpus_dir.glob("*.v")),
-                                 detector, IndexConfig(jobs=1))
+                                 detector, IngestConfig(jobs=1))
         session = Session.open(corpus.root)  # no detector bound yet
         vector = Detector.from_model(GNN4IP(seed=0)).fingerprint(
             ADDER).vector

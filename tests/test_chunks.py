@@ -5,8 +5,10 @@ tiny designs must produce **zero** chunks (so unit-test-scale corpora
 keep the single-granularity serving contract bit-for-bit), designs
 smaller than the window must emit no window chunks, extraction must be
 deterministic across processes (different hash seeds), chunk-level
-aggregation must rank parents with locality evidence, and a populated
-v3 index must survive the in-place ``index migrate`` to v4.
+aggregation must rank parents with locality evidence, a rebuild or
+append must copy stored chunked rows bit for bit instead of
+re-embedding, and a populated v3 index must survive the in-place
+``index migrate`` to v4.
 """
 
 import json
@@ -24,13 +26,15 @@ from repro.errors import IndexStoreError
 from repro.index import (
     ChunkConfig,
     FingerprintIndex,
+    IngestConfig,
     QueryEngine,
-    build_index,
     extract_chunks,
+    ingest_corpus,
     migrate_index,
 )
 from repro.index.chunks import topological_order
 from repro.index.shards import unit_rows_f32
+from repro.index.wlsig import load_signatures
 from repro.ir.frontends import NetlistFrontend
 
 TINY = """
@@ -233,8 +237,9 @@ def netlist_index(tmp_path_factory):
                                        families=["adder8", "cmp8"],
                                        instances_per_design=1, seed=0)
     model = GNN4IP(seed=0, featurizer="netlist")
-    index, report = build_index(root / "idx", paths, model,
-                                level="netlist", jobs=1)
+    index, report = ingest_corpus(root / "idx", paths, model,
+                                  IngestConfig(level="netlist", jobs=1),
+                                  fresh=True)
     return index, report, model
 
 
@@ -256,6 +261,17 @@ class TestV4Store:
         reloaded = FingerprintIndex.load(index.root)
         assert reloaded.rows == index.rows
 
+    def test_entry_for_key_with_interleaved_rows(self, netlist_index):
+        """Ingest stores each design's chunk rows right after its design
+        row, so a design's row number is not its entry ordinal."""
+        index, _, _ = netlist_index
+        for entry in index.entries:
+            assert index.entry_for_key(entry["key"]) is entry
+            row = index.rows.index({"kind": "design",
+                                    "name": entry["name"]})
+            np.testing.assert_array_equal(index.lookup_key(entry["key"]),
+                                          index.matrix[row])
+
     def test_query_graphs_finds_chunk_locality(self, netlist_index):
         index, _, model = netlist_index
         frontend = NetlistFrontend()
@@ -275,13 +291,84 @@ class TestV4Store:
     def test_build_without_chunks(self, tmp_path, netlist_index):
         index, _, model = netlist_index
         ok = [e for e in index.entries if e["status"] == "ok"]
-        plain, report = build_index(tmp_path / "plain",
-                                    [e["path"] for e in ok], model,
-                                    level="netlist", jobs=1, chunks=False)
+        plain, report = ingest_corpus(
+            tmp_path / "plain", [e["path"] for e in ok], model,
+            IngestConfig(level="netlist", jobs=1, chunks=False), fresh=True)
         assert not plain.has_chunks
         assert report["chunk_rows"] == 0
         assert plain.meta["chunks"] is None
         assert plain.chunk_config() is None
+
+
+class TestEmbeddingReuse:
+    """Reuse copies a stored design's rows, chunk regions, and WL colors
+    by content key; the copies must equal what embedding produces."""
+
+    NETLIST = IngestConfig(level="netlist", jobs=1)
+
+    @staticmethod
+    def _rows_of(index, name):
+        ids = [row for row, spec in enumerate(index.rows)
+               if name in (spec.get("name"), spec.get("parent"))]
+        return (np.asarray(index.matrix)[ids],
+                [index.rows[row].get("region") for row in ids])
+
+    def test_warm_rebuild_reuses_every_design(self, tmp_path,
+                                              netlist_index):
+        index, _, model = netlist_index
+        paths = [e["path"] for e in index.entries if e["status"] == "ok"]
+        root = tmp_path / "idx"
+        ingest_corpus(root, paths, model, self.NETLIST, fresh=True)
+        warm, report = ingest_corpus(root, paths, model, self.NETLIST,
+                                     fresh=True)
+        assert report["embeddings_reused"] == len(paths)
+        assert report["embedded_fresh"] == 0
+        assert warm.has_chunks
+        reused = np.array(warm.matrix)
+        rows = warm.rows
+        signatures = load_signatures(root)
+
+        # Another model's or another chunk config's rows are never
+        # reused.
+        _, report = ingest_corpus(root, paths,
+                                  GNN4IP(seed=1, featurizer="netlist"),
+                                  self.NETLIST, fresh=True)
+        assert report["embeddings_reused"] == 0
+        _, report = ingest_corpus(
+            root, paths, GNN4IP(seed=1, featurizer="netlist"),
+            IngestConfig(level="netlist", jobs=1,
+                         chunk_config=ChunkConfig(max_chunks=4)),
+            fresh=True)
+        assert report["embeddings_reused"] == 0
+
+        rebuilt, report = ingest_corpus(
+            root, paths, model,
+            IngestConfig(level="netlist", jobs=1, use_cache=False),
+            fresh=True)
+        assert report["embeddings_reused"] == 0
+        np.testing.assert_array_equal(reused, rebuilt.matrix)
+        assert rebuilt.rows == rows
+        assert load_signatures(root) == signatures
+
+    def test_appended_duplicate_copies_rows(self, tmp_path, netlist_index):
+        index, _, model = netlist_index
+        ok = [e for e in index.entries if e["status"] == "ok"]
+        root = tmp_path / "idx"
+        ingest_corpus(root, [e["path"] for e in ok], model, self.NETLIST,
+                      fresh=True)
+        copy = tmp_path / "copy.v"
+        copy.write_text(Path(ok[0]["path"]).read_text())
+        grown, report = ingest_corpus(root, [copy],
+                                      config=IngestConfig(jobs=1),
+                                      resume=False)
+        assert report["embeddings_reused"] == 1
+        rows, regions = self._rows_of(grown, ok[0]["name"])
+        copy_rows, copy_regions = self._rows_of(grown, "copy")
+        assert len(rows) > 1  # the design's chunk rows came along
+        assert copy_rows.tobytes() == rows.tobytes()
+        assert copy_regions == regions
+        colors, _ = load_signatures(root)
+        assert colors["copy"] == colors[ok[0]["name"]]
 
 
 class TestV3Migration:
@@ -302,8 +389,8 @@ endmodule
         for name, text in self.SOURCES.items():
             (root / name).write_text(text)
         model = GNN4IP(seed=0)
-        index, _ = build_index(tmp_path / "idx",
-                               sorted(root.glob("*.v")), model, jobs=1)
+        index, _ = ingest_corpus(tmp_path / "idx", sorted(root.glob("*.v")),
+                                 model, IngestConfig(jobs=1), fresh=True)
         return index, model
 
     @staticmethod

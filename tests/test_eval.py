@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.api import Corpus, Detector, IndexConfig, Session
+from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.cli import main
 from repro.core import GNN4IP
 from repro.core.metrics import ConfusionMatrix, roc_auc
@@ -311,8 +311,8 @@ class TestSessionEvaluate:
         detector = Detector.from_model(GNN4IP(seed=0,
                                               featurizer="netlist"))
         corpus, _ = Corpus.build(tmp_path / "idx", [tmp_path / "x.v"],
-                                 detector, IndexConfig(level="netlist",
-                                                       jobs=1))
+                                 detector, IngestConfig(level="netlist",
+                                                        jobs=1))
         session = Session(detector=detector, corpus=corpus)
         with pytest.raises(EvalError, match="families"):
             session.evaluate(tiny_config())

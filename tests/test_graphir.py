@@ -291,12 +291,12 @@ class TestModelModality:
         import json
 
         from repro.errors import IndexStoreError
-        from repro.index import FingerprintIndex, build_index
+        from repro.index import FingerprintIndex, IngestConfig, ingest_corpus
 
         corpus = tmp_path / "a.v"
         corpus.write_text(ADDER)
-        index, _ = build_index(tmp_path / "idx", [corpus],
-                               GNN4IP(seed=0), jobs=1)
+        index, _ = ingest_corpus(tmp_path / "idx", [corpus], GNN4IP(seed=0),
+                                 IngestConfig(jobs=1), fresh=True)
         meta_path = index.root / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["options"]["schema"] = "rtl:ir-v0:feat=stale"

@@ -1,4 +1,5 @@
-"""Fingerprint index: cache behavior, parallel extraction, top-k queries."""
+"""Fingerprint index: cache behavior through ingest, extraction, top-k
+queries."""
 
 import json
 
@@ -10,14 +11,15 @@ from repro.dataflow import DFGPipeline, dfg_from_verilog
 from repro.dataflow.serialize import dfg_from_dict, dfg_to_dict, dumps, loads
 from repro.errors import DataflowError, IndexStoreError
 from repro.index import (
-    CorpusExtractor,
     DFGCache,
     EmbeddingService,
     FingerprintIndex,
-    build_index,
+    IngestConfig,
     content_key,
+    ingest_corpus,
     model_fingerprint,
 )
+from repro.ir import serialize as ir_serialize
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -61,6 +63,16 @@ def corpus_dir(tmp_path):
 @pytest.fixture
 def corpus_paths(corpus_dir):
     return sorted(corpus_dir.glob("*.v"))
+
+
+def ingest(root, paths, jobs=1, **options):
+    """Fresh ingest (what ``index build`` runs) with an untrained model."""
+    return ingest_corpus(root, paths, GNN4IP(seed=0),
+                         IngestConfig(jobs=jobs, **options), fresh=True)
+
+
+def cached_graph(root, entry):
+    return DFGCache(root / "cache").load(entry["key"])
 
 
 def graph_signature(graph):
@@ -108,85 +120,78 @@ class TestContentKey:
 
 class TestCache:
     def test_miss_then_hit(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        extractor = CorpusExtractor(cache=cache, jobs=1)
-        first = extractor.extract_paths(corpus_paths)
-        assert cache.stats.misses == len(corpus_paths)
-        assert cache.stats.stores == len(corpus_paths)
-        assert cache.stats.hits == 0
+        root = tmp_path / "idx"
+        first, cold = ingest(root, corpus_paths)
+        assert cold["cache"] == {"hits": 0, "misses": len(corpus_paths)}
+        assert not any(e["cached"] for e in first.entries)
 
-        cache.stats.__init__()
-        second = extractor.extract_paths(corpus_paths)
-        assert cache.stats.hits == len(corpus_paths)
-        assert cache.stats.misses == 0
-        assert all(r.cached for r in second)
-        for a, b in zip(first, second):
-            assert graph_signature(a.graph) == graph_signature(b.graph)
+        second, warm = ingest(root, corpus_paths)
+        assert warm["cache"] == {"hits": len(corpus_paths), "misses": 0}
+        assert all(e["cached"] for e in second.entries)
+        for a, b in zip(first.entries, second.entries):
+            assert (a["key"], a["nodes"], a["edges"]) == \
+                (b["key"], b["nodes"], b["edges"])
 
     def test_corrupt_entry_recovers(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        extractor = CorpusExtractor(cache=cache, jobs=1)
-        first = extractor.extract_paths(corpus_paths)
+        root = tmp_path / "idx"
+        first, _ = ingest(root, corpus_paths)
+        victim = first.entries[0]
+        before = graph_signature(cached_graph(root, victim))
 
         # Truncate one blob; the entry must heal on the next run.
-        victim = cache.blob_path(first[0].key)
-        victim.write_bytes(b"\x00garbage")
-        cache.stats.__init__()
-        second = extractor.extract_paths(corpus_paths)
-        assert cache.stats.corrupt == 1
-        assert cache.stats.hits == len(corpus_paths) - 1
-        assert graph_signature(second[0].graph) == \
-            graph_signature(first[0].graph)
+        DFGCache(root / "cache").blob_path(victim["key"]).write_bytes(
+            b"\x00garbage")
+        second, report = ingest(root, corpus_paths)
+        assert report["cache"] == {"hits": len(corpus_paths) - 1,
+                                   "misses": 1}
+        assert not second.entries[0]["cached"]
+        assert graph_signature(cached_graph(root, victim)) == before
         # Healed: third run hits everything.
-        cache.stats.__init__()
-        extractor.extract_paths(corpus_paths)
-        assert cache.stats.hits == len(corpus_paths)
+        _, report = ingest(root, corpus_paths)
+        assert report["cache"]["hits"] == len(corpus_paths)
 
-    def test_no_cache(self, corpus_paths):
-        extractor = CorpusExtractor(cache=None, jobs=1)
-        results = extractor.extract_paths(corpus_paths)
-        assert all(r.ok and not r.cached for r in results)
+    def test_no_cache(self, tmp_path, corpus_paths):
+        index, report = ingest(tmp_path / "idx", corpus_paths,
+                               use_cache=False)
+        assert report["cache"] is None
+        assert all(e["status"] == "ok" and not e["cached"]
+                   for e in index.entries)
+        assert not (tmp_path / "idx" / "cache").exists()
 
     def test_entry_count_and_bytes(self, tmp_path, corpus_paths):
-        cache = DFGCache(tmp_path / "cache")
-        CorpusExtractor(cache=cache, jobs=1).extract_paths(corpus_paths)
-        assert cache.entry_count() == len(corpus_paths)
-        assert cache.disk_bytes() == cache.stats.store_bytes > 0
+        index, _ = ingest(tmp_path / "idx", corpus_paths)
+        frontend = index.frontend()
+        written = sum(len(ir_serialize.dumps(frontend.extract_file(path)))
+                      for path in corpus_paths)
+        stats = index.stats()
+        assert stats["cache_entries"] == len(corpus_paths)
+        assert stats["cache_bytes"] == written > 0
 
 
-class TestCorpusExtractor:
-    def test_parallel_matches_serial(self, corpus_paths):
-        serial = CorpusExtractor(jobs=1).extract_paths(corpus_paths)
-        parallel = CorpusExtractor(jobs=3).extract_paths(corpus_paths)
-        assert [r.path for r in parallel] == [r.path for r in serial]
-        for a, b in zip(serial, parallel):
-            assert graph_signature(a.graph) == graph_signature(b.graph)
-
-    def test_error_isolation(self, corpus_dir):
+class TestIngestExtraction:
+    def test_error_isolation(self, tmp_path, corpus_dir):
         (corpus_dir / "broken.v").write_text(BROKEN)
         paths = sorted(corpus_dir.glob("*.v"))
         for jobs in (1, 2):
-            results = CorpusExtractor(jobs=jobs).extract_paths(paths)
-            by_name = {r.name: r for r in results}
-            assert not by_name["broken"].ok
-            assert "Error" in by_name["broken"].error
-            assert by_name["broken"].graph is None
-            ok = [r for r in results if r.ok]
-            assert len(ok) == len(paths) - 1
+            index, report = ingest(tmp_path / f"idx{jobs}", paths,
+                                   jobs=jobs)
+            by_name = {e["name"]: e for e in index.entries}
+            assert by_name["broken"]["status"] == "error"
+            assert "Error" in by_name["broken"]["error"]
+            assert "design" not in by_name["broken"]
+            assert report["failures"] == 1
+            assert len(index) == len(paths) - 1
 
-    def test_matches_single_file_pipeline(self, corpus_paths):
-        results = CorpusExtractor(jobs=2).extract_paths(corpus_paths)
+    def test_matches_single_file_pipeline(self, tmp_path, corpus_paths):
+        root = tmp_path / "idx"
+        index, _ = ingest(root, corpus_paths, jobs=2)
         pipeline = DFGPipeline()
-        for result in results:
-            direct = pipeline.extract_file(result.path)
-            assert graph_signature(result.graph) == graph_signature(direct)
-
-    def test_respects_do_trim(self, corpus_paths):
-        trimmed = CorpusExtractor(jobs=1).extract_paths(corpus_paths[:1])
-        raw = CorpusExtractor(pipeline=DFGPipeline(do_trim=False),
-                              jobs=1).extract_paths(corpus_paths[:1])
-        assert len(raw[0].graph) >= len(trimmed[0].graph)
-        assert raw[0].key != trimmed[0].key
+        for entry in index.entries:
+            direct = pipeline.extract_file(entry["path"])
+            assert graph_signature(cached_graph(root, entry)) == \
+                graph_signature(direct)
+            assert (entry["nodes"], entry["edges"]) == \
+                (len(direct), direct.num_edges)
 
 
 class TestModelFingerprint:
@@ -207,10 +212,8 @@ class TestModelFingerprint:
 class TestFingerprintIndex:
     @pytest.fixture
     def built(self, tmp_path, corpus_paths):
-        model = GNN4IP(seed=0)
-        index, report = build_index(tmp_path / "idx", corpus_paths, model,
-                                    jobs=1)
-        return index, report, model
+        index, report = ingest(tmp_path / "idx", corpus_paths)
+        return index, report, index.model()
 
     def test_build_report(self, built):
         index, report, _ = built
@@ -266,8 +269,7 @@ class TestFingerprintIndex:
     def test_failures_are_recorded(self, tmp_path, corpus_dir):
         (corpus_dir / "broken.v").write_text(BROKEN)
         paths = sorted(corpus_dir.glob("*.v"))
-        index, report = build_index(tmp_path / "idx2", paths,
-                                    GNN4IP(seed=0), jobs=1)
+        index, report = ingest(tmp_path / "idx2", paths)
         assert report["failures"] == 1
         failed = [e for e in index.entries if e["status"] == "error"]
         assert len(failed) == 1
@@ -296,7 +298,7 @@ class TestFingerprintIndex:
     def test_warm_rebuild_hits_cache(self, built, tmp_path, corpus_paths):
         _, report, model = built
         assert report["cache"]["hits"] == 0
-        _, warm = build_index(tmp_path / "idx", corpus_paths, model, jobs=1)
+        _, warm = ingest(tmp_path / "idx", corpus_paths)
         assert warm["cache"]["hits"] == len(SOURCES)
         assert warm["cache"]["misses"] == 0
 

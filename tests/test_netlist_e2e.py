@@ -7,7 +7,7 @@ from repro.cli import main
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.designs import materialize_corpus, netlist_ir_records
 from repro.errors import ModelError
-from repro.index import FingerprintIndex, build_index
+from repro.index import FingerprintIndex, IngestConfig, ingest_corpus
 
 FAMILIES = ("adder8", "cmp8", "mux8")
 
@@ -24,8 +24,9 @@ class TestNetlistIndex:
     def built(self, tmp_path_factory, corpus_paths):
         root = tmp_path_factory.mktemp("netlist_index")
         model = GNN4IP(seed=0, featurizer="netlist")
-        index, report = build_index(root, corpus_paths, model,
-                                    level="netlist", jobs=1)
+        index, report = ingest_corpus(root, corpus_paths, model,
+                                      IngestConfig(level="netlist", jobs=1),
+                                      fresh=True)
         return index, report, model
 
     def test_builds_at_netlist_level(self, built, corpus_paths):
@@ -53,13 +54,14 @@ class TestNetlistIndex:
 
     def test_level_mismatch_refused(self, tmp_path, corpus_paths):
         with pytest.raises(ModelError):
-            build_index(tmp_path / "idx", corpus_paths,
-                        GNN4IP(seed=0), level="netlist", jobs=1)
+            ingest_corpus(tmp_path / "idx", corpus_paths, GNN4IP(seed=0),
+                          IngestConfig(level="netlist", jobs=1), fresh=True)
 
     def test_warm_rebuild_hits_cache(self, built, corpus_paths):
         index, _, model = built
-        _, warm = build_index(index.root, corpus_paths, model,
-                              level="netlist", jobs=1)
+        _, warm = ingest_corpus(index.root, corpus_paths, model,
+                                IngestConfig(level="netlist", jobs=1),
+                                fresh=True)
         assert warm["cache"]["misses"] == 0
         assert warm["embeddings_reused"] == len(corpus_paths)
 

@@ -17,10 +17,10 @@ from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError
 from repro.index import (
     FingerprintIndex,
+    IngestConfig,
     IVFIndex,
     QueryEngine,
-    add_to_index,
-    build_index,
+    ingest_corpus,
     migrate_v2,
 )
 from repro.index import service as service_mod
@@ -65,9 +65,9 @@ def corpus_dir(tmp_path):
 @pytest.fixture
 def built(tmp_path, corpus_dir):
     model = GNN4IP(seed=0)
-    index, report = build_index(tmp_path / "idx",
-                                sorted(corpus_dir.glob("*.v")), model,
-                                jobs=1)
+    index, report = ingest_corpus(tmp_path / "idx",
+                                  sorted(corpus_dir.glob("*.v")), model,
+                                  IngestConfig(jobs=1), fresh=True)
     return index, report, model
 
 
@@ -178,9 +178,9 @@ class TestShardIntegrity:
         mid-rebuild can never pair the previous meta with new bytes."""
         index, _, model = built
         old = index.meta["store"]["shards"][0]["file"]
-        rebuilt, _ = build_index(index.root,
-                                 sorted(corpus_dir.glob("*.v")), model,
-                                 jobs=1)
+        rebuilt, _ = ingest_corpus(index.root,
+                                   sorted(corpus_dir.glob("*.v")), model,
+                                   IngestConfig(jobs=1), fresh=True)
         new = rebuilt.meta["store"]["shards"][0]["file"]
         assert new != old
         assert not (index.root / "shards" / old).exists()
@@ -309,11 +309,11 @@ class TestIVF:
         """The quantizer is an accelerator, not a dependency: a broken
         ivf.npz must not make an intact index unloadable, and the next
         add refits it."""
-        monkeypatch.setattr("repro.index.store.IVF_MIN_ROWS", 2)
+        monkeypatch.setattr("repro.index.ann.MIN_ROWS", 2)
         model = GNN4IP(seed=0)
         root = tmp_path / "ivf_idx"
-        index, _ = build_index(root, sorted(corpus_dir.glob("*.v")),
-                               model, jobs=1)
+        index, _ = ingest_corpus(root, sorted(corpus_dir.glob("*.v")),
+                                 model, IngestConfig(jobs=1), fresh=True)
         assert index.ivf is not None
         # Corrupt quantizer -> exact serving, index still loads.
         (root / index.meta["ivf"]["file"]).write_bytes(b"junk")
@@ -324,7 +324,8 @@ class TestIVF:
         assert degraded.stats()["ivf_clusters"] == 0
         # Simulated crash between ivf.save and the meta write: quantizer
         # rows outrun the metadata -> treated as stale, exact serving.
-        healed, _ = add_to_index(root, [corpus_dir / "adder.v"], jobs=1)
+        healed, _ = ingest_corpus(root, [corpus_dir / "adder.v"],
+                                  config=IngestConfig(jobs=1), resume=False)
         assert healed.ivf is not None
         healed.ivf.add(np.ones((1, 16), dtype=np.float32))
         healed.ivf.save(root / healed.meta["ivf"]["file"])
@@ -333,7 +334,9 @@ class TestIVF:
         # under a fresh generation name, and cleans superseded files.
         extra = tmp_path / "xchain.v"
         extra.write_text(XOR_CHAIN)
-        refitted, _ = add_to_index(root, [extra], jobs=1)
+        refitted, _ = ingest_corpus(root, [extra],
+                                    config=IngestConfig(jobs=1),
+                                    resume=False)
         assert refitted.ivf is not None
         assert refitted.ivf.rows == len(refitted)
         on_disk = sorted(p.name for p in root.glob("ivf*.npz"))
@@ -349,8 +352,10 @@ class TestIncrementalAdd:
         before_bytes = first_shard.read_bytes()
         extra = tmp_path / "xchain.v"
         extra.write_text(XOR_CHAIN)
-        grown, report = add_to_index(index.root, [extra], jobs=1)
-        assert report["mode"] == "add"
+        grown, report = ingest_corpus(index.root, [extra],
+                                      config=IngestConfig(jobs=1),
+                                      resume=False)
+        assert report["ingest"]["ingest_mode"] == "append"
         assert report["embedded_fresh"] == 1
         assert len(grown) == len(index) + 1
         assert first_shard.read_bytes() == before_bytes
@@ -363,7 +368,9 @@ class TestIncrementalAdd:
         index, _, _ = built
         copy = tmp_path / "adder_copy.v"
         copy.write_text(ADDER)
-        grown, report = add_to_index(index.root, [copy], jobs=1)
+        grown, report = ingest_corpus(index.root, [copy],
+                                      config=IngestConfig(jobs=1),
+                                      resume=False)
         assert report["embedded_fresh"] == 0
         assert report["embeddings_reused"] == 1
         assert len(grown) == len(index) + 1
@@ -372,7 +379,8 @@ class TestIncrementalAdd:
         index, _, _ = built
         other = tmp_path / "adder.v"
         other.write_text(XOR_CHAIN)
-        grown, _ = add_to_index(index.root, [other], jobs=1)
+        grown, _ = ingest_corpus(index.root, [other],
+                                 config=IngestConfig(jobs=1), resume=False)
         names = [e["name"] for e in grown.entries]
         assert "adder" in names and "adder#2" in names
 
@@ -435,8 +443,10 @@ class TestServingCaches:
 
     def test_stats_does_not_create_cache_dir(self, tmp_path, corpus_dir):
         root = tmp_path / "nocache_idx"
-        index, _ = build_index(root, sorted(corpus_dir.glob("*.v")),
-                               GNN4IP(seed=0), jobs=1, use_cache=False)
+        index, _ = ingest_corpus(root, sorted(corpus_dir.glob("*.v")),
+                                 GNN4IP(seed=0),
+                                 IngestConfig(jobs=1, use_cache=False),
+                                 fresh=True)
         assert not index.use_cache
         assert not (root / "cache").exists()
         stats = FingerprintIndex.load(root).stats()
@@ -449,8 +459,8 @@ class TestServingCaches:
     def test_compare_respects_no_cache_policy(self, tmp_path, corpus_dir,
                                               capsys):
         root = tmp_path / "nocache_idx"
-        build_index(root, sorted(corpus_dir.glob("*.v")), GNN4IP(seed=0),
-                    jobs=1, use_cache=False)
+        ingest_corpus(root, sorted(corpus_dir.glob("*.v")), GNN4IP(seed=0),
+                      IngestConfig(jobs=1, use_cache=False), fresh=True)
         fresh = tmp_path / "fresh.v"
         fresh.write_text(XOR_CHAIN)
         code = main(["compare", str(corpus_dir / "adder.v"), str(fresh),

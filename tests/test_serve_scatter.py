@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Corpus, Detector, IndexConfig, Session
+from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.client import AsyncClient, ServerError
 from repro.core import GNN4IP
 from repro.errors import IndexStoreError
@@ -128,7 +128,7 @@ def rtl_session(tmp_path_factory):
     detector = Detector.from_model(GNN4IP(seed=0))
     corpus, _ = Corpus.build(tmp_path_factory.mktemp("scatter_rtl_idx")
                              / "idx", sorted(src.glob("*.v")), detector,
-                             IndexConfig(jobs=1))
+                             IngestConfig(jobs=1))
     return Session(detector=detector, corpus=corpus)
 
 

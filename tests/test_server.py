@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Corpus, Detector, IndexConfig, Session
+from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.client import AsyncClient, Client, ServerError
 from repro.core import GNN4IP
 from repro.server import ReproServer
@@ -37,7 +37,7 @@ def session(tmp_path_factory):
     detector = Detector.from_model(GNN4IP(seed=0))
     corpus, _ = Corpus.build(tmp_path_factory.mktemp("srv") / "idx",
                              sorted(root.glob("*.v")), detector,
-                             IndexConfig(jobs=1))
+                             IngestConfig(jobs=1))
     return Session(detector=detector, corpus=corpus)
 
 
@@ -49,7 +49,7 @@ def netlist_session(tmp_path_factory):
     detector = Detector.from_model(GNN4IP(seed=0, featurizer="netlist"))
     corpus, _ = Corpus.build(tmp_path_factory.mktemp("srvn") / "idx",
                              sorted(root.glob("*.v")), detector,
-                             IndexConfig(level="netlist", jobs=1))
+                             IngestConfig(level="netlist", jobs=1))
     return Session(detector=detector, corpus=corpus)
 
 

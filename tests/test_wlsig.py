@@ -23,9 +23,10 @@ from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError
 from repro.index import (
     FingerprintIndex,
+    IngestConfig,
     QueryEngine,
     SignatureScorer,
-    build_index,
+    ingest_corpus,
     wl_colors,
 )
 from repro.index.shards import unit_rows_f32
@@ -252,8 +253,9 @@ class TestIndexedSignatures:
                                            families=["adder8", "cmp8"],
                                            instances_per_design=1, seed=0)
         model = GNN4IP(seed=0, featurizer="netlist")
-        index, report = build_index(root / "idx", paths, model,
-                                    level="netlist", jobs=1)
+        index, report = ingest_corpus(root / "idx", paths, model,
+                                      IngestConfig(level="netlist", jobs=1),
+                                      fresh=True)
         return index, model
 
     def test_build_writes_signatures_for_every_entry(self, netlist_index):
@@ -285,8 +287,8 @@ class TestIndexedSignatures:
             "module tiny(input a, input b, output y);\n"
             "  assign y = a & b;\nendmodule\n")
         model = GNN4IP(seed=0)
-        index, _ = build_index(tmp_path / "idx",
-                               [sources / "tiny.v"], model, jobs=1)
+        index, _ = ingest_corpus(tmp_path / "idx", [sources / "tiny.v"],
+                                 model, IngestConfig(jobs=1), fresh=True)
         assert not index.has_chunks
         assert not (index.root / SIG_NAME).is_file()
         assert index.signature_scorer() is None
