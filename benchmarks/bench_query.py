@@ -230,7 +230,7 @@ def bench_served_vs_inprocess(corpus, entries, tmp_path_factory):
     sequential single-suspect HTTP calls by >= 3x — and the in-process
     overhead factor is recorded alongside.
 
-    The server runs in a background thread over a synthetic v3 index
+    The server runs in a background thread over a synthetic v4 index
     (the same clustered corpus, served through the real
     Session -> Corpus -> QueryEngine path with vector suspects).
     """
@@ -250,7 +250,10 @@ def bench_served_vs_inprocess(corpus, entries, tmp_path_factory):
             "options": {"top": None, "level": "rtl", "use_cache": False},
             "store": {"dtype": "float32", "hidden": HIDDEN,
                       "shards": [spec]},
-            "entries": served_entries}
+            "entries": served_entries,
+            "rows": [{"kind": "design", "name": entry["name"]}
+                     for entry in served_entries],
+            "chunks": None}
     index = FingerprintIndex(root, meta,
                              ShardStore(root, HIDDEN, [spec]).open())
     session = Session(corpus=ApiCorpus(index))

@@ -7,8 +7,6 @@ are substituted by their constant values, and port connections become
 continuous assignments.
 """
 
-import copy
-
 from repro.errors import ElaborationError
 from repro.dataflow.consteval import evaluate_const, try_evaluate_const
 from repro.verilog import ast_nodes as ast
@@ -21,7 +19,9 @@ def rewrite_expr(expr, mapping):
 
     ``mapping`` maps identifier names to replacement *expressions*.  Names
     absent from the mapping are kept (they are either globals like constants
-    or an error caught later).
+    or an error caught later).  The result shares no node with ``expr`` or
+    ``mapping``: a replacement is copied by rewriting it with an empty
+    mapping.
     """
     if expr is None:
         return None
@@ -29,9 +29,13 @@ def rewrite_expr(expr, mapping):
         replacement = mapping.get(expr.name)
         if replacement is None:
             return ast.Identifier(expr.name)
-        return copy.deepcopy(replacement)
-    if isinstance(expr, (ast.IntConst, ast.BasedConst, ast.StringConst)):
-        return copy.deepcopy(expr)
+        return rewrite_expr(replacement, {})
+    if isinstance(expr, ast.IntConst):
+        return ast.IntConst(expr.value)
+    if isinstance(expr, ast.BasedConst):
+        return ast.BasedConst(expr.width, expr.base, expr.digits)
+    if isinstance(expr, ast.StringConst):
+        return ast.StringConst(expr.value)
     if isinstance(expr, ast.UnaryOp):
         return ast.UnaryOp(expr.op, rewrite_expr(expr.operand, mapping))
     if isinstance(expr, ast.BinaryOp):

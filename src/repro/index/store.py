@@ -152,8 +152,13 @@ class FingerprintIndex:
         self._row_by_key = {}
         self._entry_by_key = {}
         for entry in self._ok_entries:
-            self._row_by_key.setdefault(
-                entry["key"], self._design_row_by_name[entry["name"]])
+            row = self._design_row_by_name.get(entry["name"])
+            if row is None:
+                raise IndexStoreError(
+                    f"embedded entry {entry['name']!r} has no design row "
+                    f"in the row table (corrupt metadata? rebuild the "
+                    f"index)")
+            self._row_by_key.setdefault(entry["key"], row)
             self._entry_by_key.setdefault(entry["key"], entry)
         self._matrix = None
         self._engine = None

@@ -421,8 +421,9 @@ class ReproServer:
         All source suspects across the gulp are embedded in **one**
         packed forward pass, and all suspects sharing (k, nprobe, exact)
         are scored with **one** engine call — the micro-batching win.
-        Per-job failures (bad Verilog, wrong vector width) become that
-        job's error without failing the gulp.
+        Per-job failures (bad Verilog, wrong vector width, an untyped
+        exception in extraction) become that job's error without failing
+        the gulp.
         """
         session = self.session
         corpus = session.corpus
@@ -463,7 +464,9 @@ class ReproServer:
                 # without signatures); vector suspects never get them —
                 # there is no graph to fingerprint structurally.
                 struct_by_job[idx] = corpus.index.suspect_struct(graphs)
-            except (ReproError, OSError) as exc:
+            except Exception as exc:
+                # Typed errors become the job's 4xx; anything else its
+                # 500, which names the exception type only.
                 out[idx] = exc
         # ... then embed all parts across the gulp in one batched pass.
         if parts_by_job:

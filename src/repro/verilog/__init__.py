@@ -9,7 +9,7 @@ typical entry point is::
 """
 
 from repro.verilog import ast_nodes as ast
-from repro.verilog.lexer import Lexer, tokenize
+from repro.verilog.lexer import tokenize
 from repro.verilog.parser import Parser, parse, parse_module
 from repro.verilog.preprocess import Preprocessor, preprocess, strip_comments
 from repro.verilog.writer import write_expr, write_module, write_source
@@ -24,7 +24,6 @@ def parse_source(text, include_dirs=(), defines=None, include_sources=None):
 
 __all__ = [
     "ast",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse",

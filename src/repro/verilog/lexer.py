@@ -1,10 +1,16 @@
-"""Hand-written lexer for the synthesizable Verilog subset.
+"""Regex lexer for the synthesizable Verilog subset.
 
-The lexer is a straightforward single-pass scanner.  It assumes comments and
-compiler directives have already been handled by
-:mod:`repro.verilog.preprocess`; stray block comments are still tolerated so
-the lexer can also be used standalone on clean snippets.
+One compiled master pattern with a named group per token kind (the
+tokenizer recipe of the :mod:`re` docs) scans the text; a short loop
+turns the matches into tokens and keeps line and column.  Malformed input
+is matched by its own error groups, so every :class:`LexerError` names
+where the scan stopped.  The lexer assumes comments and compiler
+directives have already been handled by :mod:`repro.verilog.preprocess`;
+stray comments are still skipped so it can also be used standalone on
+clean snippets.
 """
+
+import re
 
 from repro.errors import LexerError
 from repro.verilog.tokens import (
@@ -21,187 +27,104 @@ from repro.verilog.tokens import (
     Token,
 )
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_BASE_CHARS = frozenset("bBoOdDhH")
-_BASED_DIGITS = frozenset("0123456789abcdefABCDEFxXzZ?_")
+_OPERATOR = "|".join(
+    [re.escape(op) for op in MULTI_CHAR_OPERATORS]
+    + ["[" + re.escape("".join(sorted(SINGLE_CHAR_OPERATORS))) + "]"])
+_BASED_HEAD = r"(?:[0-9][0-9_]*)?'[sS]?"
 
-
-class Lexer:
-    """Tokenizes Verilog source text.
-
-    Usage::
-
-        tokens = Lexer(source).tokenize()
-    """
-
-    def __init__(self, text):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._line_start = 0
-
-    def tokenize(self):
-        """Return the full token list, terminated by a single EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind == EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    def _column(self):
-        return self._pos - self._line_start + 1
-
-    def _error(self, message):
-        raise LexerError(message, line=self._line, column=self._column())
-
-    def _peek(self, offset=0):
-        index = self._pos + offset
-        if index < len(self._text):
-            return self._text[index]
-        return ""
-
-    def _advance_line(self):
-        self._line += 1
-        self._line_start = self._pos
-
-    def _skip_whitespace_and_comments(self):
-        text = self._text
-        while self._pos < len(text):
-            char = text[self._pos]
-            if char == "\n":
-                self._pos += 1
-                self._advance_line()
-            elif char in " \t\r\f":
-                self._pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(text) and text[self._pos] != "\n":
-                    self._pos += 1
-            elif char == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self):
-        text = self._text
-        self._pos += 2
-        while self._pos < len(text):
-            if text[self._pos] == "\n":
-                self._pos += 1
-                self._advance_line()
-            elif text[self._pos] == "*" and self._peek(1) == "/":
-                self._pos += 2
-                return
-            else:
-                self._pos += 1
-        self._error("unterminated block comment")
-
-    # ------------------------------------------------------------------
-    def _next_token(self):
-        self._skip_whitespace_and_comments()
-        if self._pos >= len(self._text):
-            return Token(EOF, "", self._line, self._column())
-
-        char = self._text[self._pos]
-        if char in _IDENT_START or char == "$":
-            return self._lex_identifier()
-        if char in _DIGITS:
-            return self._lex_number()
-        if char == "'":
-            return self._lex_based_number(size_text="")
-        if char == '"':
-            return self._lex_string()
-        if char == "\\":
-            return self._lex_escaped_identifier()
-        if char == "`":
-            self._error("stray compiler directive (run the preprocessor first)")
-        return self._lex_operator()
-
-    def _lex_identifier(self):
-        line, column = self._line, self._column()
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and text[self._pos] in _IDENT_CONT:
-            self._pos += 1
-        word = text[start:self._pos]
-        kind = KEYWORD if word in KEYWORDS else IDENT
-        return Token(kind, word, line, column)
-
-    def _lex_escaped_identifier(self):
-        line, column = self._line, self._column()
-        self._pos += 1
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and not text[self._pos].isspace():
-            self._pos += 1
-        word = text[start:self._pos]
-        if not word:
-            self._error("empty escaped identifier")
-        return Token(IDENT, word, line, column)
-
-    def _lex_number(self):
-        line, column = self._line, self._column()
-        start = self._pos
-        text = self._text
-        while self._pos < len(text) and text[self._pos] in _DIGITS | {"_"}:
-            self._pos += 1
-        size_text = text[start:self._pos]
-        if self._peek() == "'":
-            return self._lex_based_number(size_text, line, column)
-        return Token(NUMBER, size_text.replace("_", ""), line, column)
-
-    def _lex_based_number(self, size_text, line=None, column=None):
-        if line is None:
-            line, column = self._line, self._column()
-        text = self._text
-        start = self._pos
-        self._pos += 1  # consume the apostrophe
-        if self._peek() in "sS":
-            self._pos += 1
-        if self._peek() not in _BASE_CHARS:
-            self._error(f"invalid base character {self._peek()!r} in literal")
-        self._pos += 1
-        digit_start = self._pos
-        while self._pos < len(text) and text[self._pos] in _BASED_DIGITS:
-            self._pos += 1
-        if self._pos == digit_start:
-            self._error("based literal has no digits")
-        value = size_text + text[start:self._pos]
-        return Token(BASED_NUMBER, value, line, column)
-
-    def _lex_string(self):
-        line, column = self._line, self._column()
-        text = self._text
-        self._pos += 1
-        start = self._pos
-        while self._pos < len(text) and text[self._pos] != '"':
-            if text[self._pos] == "\n":
-                self._error("unterminated string literal")
-            self._pos += 1
-        if self._pos >= len(text):
-            self._error("unterminated string literal")
-        value = text[start:self._pos]
-        self._pos += 1
-        return Token(STRING, value, line, column)
-
-    def _lex_operator(self):
-        line, column = self._line, self._column()
-        for op in MULTI_CHAR_OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._pos += len(op)
-                return Token(PUNCT, op, line, column)
-        char = self._text[self._pos]
-        if char in SINGLE_CHAR_OPERATORS:
-            self._pos += 1
-            return Token(PUNCT, char, line, column)
-        self._error(f"unexpected character {char!r}")
+#: Alternatives are tried in order: comments before the ``/`` operator,
+#: based literals before plain numbers, and each error group after the
+#: well-formed groups it backs up.
+_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+    ("WS", r"[ \t\r\f]+"),
+    ("NL", r"\n[\n \t\r\f]*"),
+    ("IDENT", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("LINE_COMMENT", r"//[^\n]*"),
+    ("BLOCK_COMMENT", r"/\*(?s:.*?)\*/"),
+    ("OPEN_BLOCK_COMMENT", r"/\*"),
+    ("OP", _OPERATOR),
+    ("BASED", _BASED_HEAD + r"[bBoOdDhH][0-9a-fA-FxXzZ?_]+"),
+    ("NO_DIGITS", _BASED_HEAD + r"[bBoOdDhH]"),
+    ("BAD_BASE", _BASED_HEAD),
+    ("NUMBER", r"[0-9][0-9_]*"),
+    ("STRING", r'"[^"\n]*"'),
+    ("OPEN_STRING", r'"[^"\n]*'),
+    ("ESCAPED", r"\\\S+"),
+    ("EMPTY_ESCAPED", r"\\"),
+    ("DIRECTIVE", r"`"),
+    ("BAD_CHAR", r"(?s:.)"),
+)))
 
 
 def tokenize(text):
-    """Convenience wrapper: lex ``text`` and return the token list."""
-    return Lexer(text).tokenize()
+    """Lex ``text`` and return the token list, terminated by one EOF token.
+
+    Raises:
+        LexerError: at the first character sequence that is not a token.
+    """
+    tokens = []
+    append = tokens.append
+    line = 1
+    line_start = 0
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        if kind == "WS" or kind == "LINE_COMMENT":
+            continue
+        start = match.start()
+        if kind == "IDENT":
+            word = match.group()
+            append(Token(KEYWORD if word in KEYWORDS else IDENT, word, line,
+                         start - line_start + 1))
+        elif kind == "OP":
+            append(Token(PUNCT, match.group(), line, start - line_start + 1))
+        elif kind == "NL" or kind == "BLOCK_COMMENT":
+            newlines = text.count("\n", start, match.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, match.end()) + 1
+        elif kind == "NUMBER":
+            append(Token(NUMBER, match.group().replace("_", ""), line,
+                         start - line_start + 1))
+        elif kind == "BASED":
+            append(Token(BASED_NUMBER, match.group(), line,
+                         start - line_start + 1))
+        elif kind == "STRING":
+            append(Token(STRING, match.group()[1:-1], line,
+                         start - line_start + 1))
+        elif kind == "ESCAPED":
+            append(Token(IDENT, match.group()[1:], line,
+                         start - line_start + 1))
+        else:
+            _raise(kind, text, match, line, line_start)
+    append(Token(EOF, "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _raise(kind, text, match, line, line_start):
+    """Raise the :class:`LexerError` an error-group ``match`` stands for."""
+    pos = match.end()
+    if kind == "OPEN_BLOCK_COMMENT":
+        message, pos = "unterminated block comment", len(text)
+        newlines = text.count("\n", match.start())
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n") + 1
+    elif kind == "NO_DIGITS":
+        message = "based literal has no digits"
+    elif kind == "BAD_BASE":
+        message = f"invalid base character {text[pos:pos + 1]!r} in literal"
+        if pos == len(text) and text.endswith("'"):
+            # An apostrophe that ends the text is reported one column
+            # past the end.
+            pos += 1
+    elif kind == "OPEN_STRING":
+        message = "unterminated string literal"
+    elif kind == "EMPTY_ESCAPED":
+        message = "empty escaped identifier"
+    elif kind == "DIRECTIVE":
+        message, pos = ("stray compiler directive (run the preprocessor "
+                        "first)"), match.start()
+    else:
+        message, pos = (f"unexpected character {match.group()!r}",
+                        match.start())
+    raise LexerError(message, line=line, column=pos - line_start + 1)

@@ -50,9 +50,10 @@ class Parser:
         self._pos = 0
 
     # -- token helpers --------------------------------------------------
-    def _peek(self, offset=0):
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    # The stream ends in EOF and ``_advance`` never steps past it, so the
+    # current token is always ``self._tokens[self._pos]``.
+    def _peek(self):
+        return self._tokens[self._pos]
 
     def _advance(self):
         token = self._tokens[self._pos]
@@ -61,10 +62,8 @@ class Parser:
         return token
 
     def _check(self, kind, value=None):
-        token = self._peek()
-        if token.kind != kind:
-            return False
-        return value is None or token.value == value
+        token = self._tokens[self._pos]
+        return token.kind == kind and (value is None or token.value == value)
 
     def _accept(self, kind, value=None):
         if self._check(kind, value):

@@ -20,39 +20,39 @@ _IGNORED_DIRECTIVES = frozenset({
 _MAX_MACRO_DEPTH = 32
 
 
+#: One alternative per construct the comment stripper must see whole: a
+#: string hides comment markers, and one broken by a newline is an error.
+_COMMENT_RE = re.compile(r"""
+    (?P<line>//[^\n]*)
+  | (?P<block>/\*(?s:.*?)\*/)
+  | (?P<open_block>/\*)
+  | (?P<string>"[^"\n]*(?:"|\Z))
+  | (?P<broken_string>")
+""", re.VERBOSE)
+
+
+def _replace_comment(match):
+    kind = match.lastgroup
+    if kind == "line":
+        return ""
+    if kind == "block":
+        return "\n" * match.group().count("\n")
+    if kind == "string":
+        return match.group()
+    if kind == "open_block":
+        raise PreprocessorError("unterminated block comment")
+    raise PreprocessorError("unterminated string literal")
+
+
 def strip_comments(text):
     """Remove ``//`` and ``/* */`` comments, preserving line structure.
 
     Block comments are replaced by an equivalent number of newlines so that
-    line numbers in later error messages stay accurate.
+    line numbers in later error messages stay accurate.  Comment markers
+    inside a string literal are kept; a string left open at the end of the
+    text passes through, one broken by a newline raises.
     """
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        char = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if char == "/" and nxt == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif char == "/" and nxt == "*":
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise PreprocessorError("unterminated block comment")
-            out.append("\n" * text.count("\n", i, end))
-            i = end + 2
-        elif char == '"':
-            end = i + 1
-            while end < n and text[end] != '"':
-                if text[end] == "\n":
-                    raise PreprocessorError("unterminated string literal")
-                end += 1
-            out.append(text[i:end + 1])
-            i = end + 1
-        else:
-            out.append(char)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_replace_comment, text)
 
 
 class Preprocessor:

@@ -5,7 +5,7 @@ plain strings (an enum would buy little here and cost verbosity at every
 comparison site in the parser).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Token kinds ---------------------------------------------------------------
 IDENT = "IDENT"
@@ -44,9 +44,8 @@ MULTI_CHAR_OPERATORS = (
 SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>!&|^~?:=.,;#@(){}[]")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (a tuple, cheap to build in bulk).
 
     Attributes:
         kind: one of the module-level kind constants.

@@ -295,6 +295,15 @@ class TestFingerprintIndex:
         with pytest.raises(IndexStoreError):
             FingerprintIndex.load(root)
 
+    def test_load_detects_entry_without_design_row(self, built, tmp_path):
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        design = next(r for r in meta["rows"] if r.get("kind") != "chunk")
+        design["name"] = "renamed"
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(IndexStoreError, match="no design row"):
+            FingerprintIndex.load(root)
+
     def test_warm_rebuild_hits_cache(self, built, tmp_path, corpus_paths):
         _, report, model = built
         assert report["cache"]["hits"] == 0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import PreprocessorError
+from repro.errors import ParseError, PreprocessorError
+from repro.verilog import parse_source
 from repro.verilog.preprocess import Preprocessor, preprocess, strip_comments
 
 
@@ -22,6 +23,33 @@ class TestStripComments:
     def test_unterminated_block_raises(self):
         with pytest.raises(PreprocessorError):
             strip_comments("/* open")
+
+    def test_comment_markers_inside_string_survive(self):
+        text = 'x = "a // b /* c */ d"; // gone\ny = "/*";'
+        assert strip_comments(text) == 'x = "a // b /* c */ d"; \ny = "/*";'
+
+    def test_block_comment_keeps_later_error_lines(self):
+        text = ("module m(input a, output y);\n"
+                "/* one\ntwo\nthree */ // tail\n"
+                "  assign y = ;\n"
+                "endmodule\n")
+        assert strip_comments(text).count("\n") == text.count("\n")
+        with pytest.raises(ParseError) as excinfo:
+            parse_source(text)
+        assert excinfo.value.line == 5
+
+    def test_unclosed_string_at_end_passes_through(self):
+        assert strip_comments('a /* c */ = "open // end') == \
+            'a  = "open // end'
+
+    @pytest.mark.parametrize("text,message", [
+        ('x = "broken\n";', "unterminated string literal"),
+        ("a = b; /* never closed", "unterminated block comment"),
+        ("a /*/ b", "unterminated block comment"),
+    ])
+    def test_broken_string_and_bare_block_open_raise(self, text, message):
+        with pytest.raises(PreprocessorError, match=message):
+            strip_comments(text)
 
 
 class TestDefine:

@@ -278,6 +278,29 @@ class TestMicroBatching:
         serve(request.getfixturevalue(fixture), scenario,
               batch_window_s=0.05)
 
+    def test_untyped_extraction_error_fails_only_its_request(
+            self, session, monkeypatch):
+        extract = session.extract
+
+        def flaky_extract(source, **kwargs):
+            if source == MUX:
+                raise ValueError("secret internal state")
+            return extract(source, **kwargs)
+
+        monkeypatch.setattr(session, "extract", flaky_extract)
+
+        async def scenario(server, client):
+            good, bad = await asyncio.gather(
+                client.query(sources=[ADDER], k=1),
+                expect_error(client.query(sources=[MUX]), 500,
+                             "ValueError"))
+            assert good["results"][0]["matches"][0]["design"] == "adder"
+            assert "secret" not in str(bad)
+            # Both rode one micro-batch gulp.
+            assert server.batcher.batches == 1
+
+        serve(session, scenario, batch_window_s=0.05)
+
 
 class TestErrorEnvelopes:
     def test_unknown_route_404(self, session):
