@@ -265,8 +265,10 @@ class Corpus:
                 balanced shard-file partitions (see
                 :func:`repro.index.shards.assign_partitions`).  Whole-
                 corpus queries (:meth:`query` etc.) are unaffected; the
-                mmap'd shards are shared through the OS page cache, so
-                N partitioned opens cost no extra memory.
+                mmap'd shards are shared through the OS page cache, and
+                IVF queries add one resident copy of each partition's
+                rows (the engine's inverted lists), so N partitioned
+                opens together hold one copy of the store.
         """
         corpus = cls(FingerprintIndex.load(root))
         if partition is not None:

@@ -4,10 +4,17 @@ An exact top-k query scores the suspect against every stored fingerprint.
 That is one BLAS matmul — fast, but linear in the corpus.  The IVF
 (inverted-file) pre-filter makes it sublinear: k-means clusters the unit
 embedding rows once at build time, each query probes only the ``nprobe``
-clusters whose centroids score highest, and the candidate rows from those
-clusters are re-ranked with **exact** dot products.  Results are
-approximate only in which rows make the candidate pool; scores are never
-approximated.  ``benchmarks/bench_query.py`` enforces the recall@10 floor.
+clusters whose centroids score highest, and the rows of those clusters
+are re-ranked with **exact** dot products.  Results are approximate only
+in which rows make the candidate pool; scores are never approximated.
+``benchmarks/bench_query.py`` enforces the recall@10 floor.
+
+This module owns the quantizer only: :meth:`IVFIndex.probe` returns the
+probed *cluster ids*, and :meth:`IVFIndex.inverted_lists` the row ids in
+cluster order.  The lists that carry the vectors themselves live in the
+query engine (:mod:`repro.index.engine`), which gathers each partition's
+rows into cluster order once and scores probed clusters as contiguous
+slices of that copy.
 
 The quantizer grows in place: ``IVFIndex.add`` assigns new rows to their
 nearest existing centroid, so an append (``index add``) never re-runs
@@ -34,6 +41,8 @@ IVF_NAME = "ivf.npz"
 def ivf_filename(ordinal):
     """Generation-named quantizer file for a build/add ordinal."""
     return f"ivf-{ordinal:05d}.npz"
+
+
 #: Probe count used when a query does not choose one: with sqrt-scaled
 #: cluster counts this keeps recall@10 well above 0.95 on clustered
 #: corpora (see benchmarks/bench_query.py) at a fraction of exact cost.
@@ -165,8 +174,13 @@ class IVFIndex:
             nprobe = DEFAULT_NPROBE
         return max(1, min(int(nprobe), self.n_clusters))
 
-    def _inverted_lists(self):
-        """(row_ids sorted by cluster, per-cluster start offsets)."""
+    def inverted_lists(self):
+        """(row_ids sorted by cluster, per-cluster start offsets).
+
+        Cluster ``c`` holds ``row_ids[starts[c]:starts[c + 1]]``, in
+        ascending row order.  Cached until :meth:`add` changes the
+        assignments.
+        """
         if self._lists is None:
             order = np.argsort(self.assignments, kind="stable")
             counts = np.bincount(self.assignments,
@@ -176,31 +190,20 @@ class IVFIndex:
         return self._lists
 
     def probe(self, unit_queries, nprobe=None):
-        """Candidate rows for a batch of queries.
+        """The probed clusters for a batch of queries.
 
-        Returns ``(rows, offsets)``: the concatenated candidate row ids
-        and per-query offsets into them (query ``i`` owns
-        ``rows[offsets[i]:offsets[i + 1]]``).  Candidates preserve
-        cluster order; the engine re-ranks them exactly.
+        Returns an ``(n, nprobe)`` array of cluster ids: row ``i`` holds
+        the :meth:`effective_nprobe` clusters whose centroids score
+        highest against query ``i``, in no particular order.  The engine
+        re-ranks the rows of those clusters exactly.
         """
         queries = np.ascontiguousarray(unit_queries, dtype=np.float32)
         nprobe = self.effective_nprobe(nprobe)
+        if nprobe == self.n_clusters:
+            return np.broadcast_to(np.arange(self.n_clusters),
+                                   (len(queries), self.n_clusters))
         scores = queries @ self.centroids.T
-        if nprobe < self.n_clusters:
-            top = np.argpartition(-scores, nprobe - 1, axis=1)[:, :nprobe]
-        else:
-            top = np.broadcast_to(np.arange(self.n_clusters),
-                                  (len(queries), self.n_clusters))
-        order, starts = self._inverted_lists()
-        # One concatenate over every (query, cluster) slice; per-query
-        # offsets fall out of the probed clusters' list lengths.
-        parts = [order[starts[c]:starts[c + 1]]
-                 for clusters in top for c in clusters]
-        rows = (np.concatenate(parts) if parts
-                else np.empty(0, dtype=np.int64))
-        per_query = (starts[top + 1] - starts[top]).sum(axis=1)
-        offsets = np.concatenate(([0], np.cumsum(per_query)))
-        return rows, offsets.astype(np.int64)
+        return np.argpartition(-scores, nprobe - 1, axis=1)[:, :nprobe]
 
     # -- persistence ---------------------------------------------------------
     def save(self, path):

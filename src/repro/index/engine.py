@@ -28,10 +28,14 @@ multi-worker serving agree bit for bit by construction.
   partition's top-k always contains every row of the global top-k it
   owns — the property merging relies on.
 - **IVF pre-filter** — with a fitted :class:`~repro.index.ann.IVFIndex`,
-  only the rows in the ``nprobe`` best clusters are gathered and scored
-  (exact dot products, so scores are never approximated — only the
-  candidate pool is).  ``exact=True`` is the escape hatch that bypasses
-  the quantizer entirely.
+  only the rows in the ``nprobe`` best clusters are scored (exact dot
+  products, so scores are never approximated — only the candidate pool
+  is).  The inverted lists carry their vectors: the first IVF pass over
+  a shard subset gathers that partition's rows once into cluster order
+  (``rows x hidden`` float32, one resident copy per partition), and
+  every later pass scores the probed clusters as contiguous slices of
+  it.  ``exact=True`` is the escape hatch that bypasses the quantizer
+  entirely.
 - **Chunk aggregation** — a v4 index stores extra rows for subgraph
   chunks (:mod:`repro.index.chunks`), each carrying a parent-design
   back-pointer.  ``query_groups`` scores a *group* of query parts (the
@@ -48,8 +52,9 @@ multi-worker serving agree bit for bit by construction.
   its own parent and aggregation would rank it identically: the parent
   reduction pays ``np.unique`` plus scatter (``ufunc.at``) passes over
   every candidate row and builds coverage evidence nobody reads.
-  Routed through it, a 32-vector IVF pass over a 50k-row, 4-shard
-  chunk-less index took about 80 ms instead of 18 ms (one Xeon core).
+  Routed through it, a 32-vector, k=10 IVF pass over a 50k-row,
+  4-shard chunk-less index took about 23 ms instead of 2.6 ms (one
+  Xeon core).
 - **Structural rank fusion** — when the caller also supplies per-group
   structural scores (:mod:`repro.index.wlsig` reverse-containment, one
   score per parent design), parents are ranked by the *better of their
@@ -75,6 +80,7 @@ every partition layout on the same answer.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +91,31 @@ from repro.errors import IndexStoreError
 #: live in its top-k blocks by max), then partitions only their
 #: ~k*_BLOCK members instead of the full row.
 _BLOCK = 1024
+
+
+def _spans(lo, hi):
+    """Concatenated ``arange(lo[i], hi[i])`` over every ``i``."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    return (np.repeat(lo - ends + counts, counts)
+            + np.arange(ends[-1] if len(ends) else 0))
+
+
+class InvertedLists(NamedTuple):
+    """One partition's IVF inverted lists, vectors included.
+
+    Attributes:
+        rows: the partition's global row ids, grouped by cluster (each
+            cluster's rows ascending).
+        vectors: ``(len(rows), hidden)`` C-contiguous float32 copy of
+            those rows, aligned with ``rows``.
+        starts: ``n_clusters + 1`` offsets; cluster ``c`` is
+            ``rows[starts[c]:starts[c + 1]]``.
+    """
+
+    rows: np.ndarray
+    vectors: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass
@@ -184,6 +215,11 @@ class QueryEngine:
         entries: the ok index entries, one per stored row, in row order.
         ivf: optional fitted :class:`~repro.index.ann.IVFIndex` over the
             same rows.
+
+    Raises:
+        IndexStoreError: when ``ivf`` was fitted over a different number
+            of rows than ``blocks`` hold (its lists would name the wrong
+            rows).
     """
 
     def __init__(self, blocks, entries, ivf=None):
@@ -193,6 +229,13 @@ class QueryEngine:
         self._offsets = np.concatenate(
             ([0], np.cumsum([len(b) for b in self._blocks]))
         ).astype(np.int64)
+        if ivf is not None and ivf.rows != len(self):
+            raise IndexStoreError(
+                f"the IVF quantizer covers {ivf.rows} rows but the store "
+                f"holds {len(self)} (refit it over the stored rows)")
+        #: Shard subset -> its :class:`InvertedLists`, built on the
+        #: subset's first IVF pass.
+        self._lists = {}
         #: Global row ids, sliced per partition instead of rebuilt.
         self._rows = np.arange(self._offsets[-1], dtype=np.int64)
         self.hidden = (int(self._blocks[0].shape[1]) if self._blocks
@@ -235,20 +278,6 @@ class QueryEngine:
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         unit = queries / np.maximum(norms, 1e-12)
         return np.ascontiguousarray(unit, dtype=np.float32)
-
-    def gather(self, rows):
-        """Stored rows by global id, crossing shard boundaries."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(self._blocks) == 1:
-            return np.asarray(self._blocks[0])[rows]
-        out = np.empty((len(rows), self.hidden), dtype=np.float32)
-        shard = np.searchsorted(self._offsets, rows, side="right") - 1
-        for index, block in enumerate(self._blocks):
-            mask = shard == index
-            if mask.any():
-                out[mask] = np.asarray(block)[rows[mask]
-                                              - self._offsets[index]]
-        return out
 
     @staticmethod
     def _top_sel(scores, k, *ties):
@@ -386,13 +415,36 @@ class QueryEngine:
                                    for s in shards])
         return scores[:len(queries)], rows
 
-    def _owned(self, rows, shards):
-        """Mask of the ``rows`` stored in ``shards``, or ``None`` when
-        the subset is every shard (nothing to filter)."""
-        if len(shards) == len(self._blocks):
-            return None
-        shard_of = np.searchsorted(self._offsets, rows, side="right") - 1
-        return np.isin(shard_of, np.asarray(shards, dtype=np.int64))
+    def inverted_lists(self, shards):
+        """The IVF inverted lists of a shard subset, vectors included.
+
+        Built on the subset's first call and kept: the quantizer's
+        cluster-ordered row ids, filtered once to the rows ``shards``
+        own, plus one gather of those rows.  The copy costs ``rows x
+        hidden`` float32 per subset; a serving worker only ever asks for
+        its own partition, so N workers together hold one copy of the
+        store.
+        """
+        key = tuple(shards)
+        lists = self._lists.get(key)
+        if lists is None:
+            order, starts = self.ivf.inverted_lists()
+            cluster = np.repeat(np.arange(self.ivf.n_clusters),
+                                np.diff(starts))
+            shard = np.searchsorted(self._offsets, order, side="right") - 1
+            keep = np.isin(shard, shards)
+            rows, shard = order[keep], shard[keep]
+            vectors = np.empty((len(rows), self.hidden), dtype=np.float32)
+            for s in shards:
+                mine = shard == s
+                vectors[mine] = np.asarray(self._blocks[s])[
+                    rows[mine] - self._offsets[s]]
+            counts = np.bincount(cluster[keep],
+                                 minlength=self.ivf.n_clusters)
+            lists = self._lists[key] = InvertedLists(
+                rows, vectors,
+                np.concatenate(([0], np.cumsum(counts))).astype(np.int64))
+        return lists
 
     def partial_many(self, vectors, k=5, delta=0.0, nprobe=None,
                      exact=False, shards=None):
@@ -429,15 +481,16 @@ class QueryEngine:
                 out.append(PartialTopK(rows=rows[sel],
                                        scores=scores[i][sel]))
             return out
-        cand_rows, offsets = self.ivf.probe(queries, nprobe)
-        owner = np.repeat(np.arange(len(queries)), np.diff(offsets))
-        keep = self._owned(cand_rows, shards)
-        if keep is not None:
-            cand_rows, owner = cand_rows[keep], owner[keep]
-            counts = np.bincount(owner, minlength=len(queries))
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-        cand_scores = np.einsum("ij,ij->i", self.gather(cand_rows),
-                                queries[owner])
+        lists = self.inverted_lists(shards)
+        clusters = self.ivf.probe(queries, nprobe)
+        begin, end = lists.starts[clusters], lists.starts[clusters + 1]
+        pos = _spans(begin.ravel(), end.ravel())
+        counts = (end - begin).sum(axis=1)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        cand_rows = lists.rows[pos]
+        cand_scores = np.einsum("ij,ij->i",
+                                np.take(lists.vectors, pos, axis=0),
+                                np.repeat(queries, counts, axis=0))
         out = []
         for i in range(len(queries)):
             lo, hi = int(offsets[i]), int(offsets[i + 1])
@@ -523,19 +576,25 @@ class QueryEngine:
                     parents=uniq, best=best, best_row=best_row,
                     best_part=best_part, above=above))
             return out
-        cand_rows, part_offsets = self.ivf.probe(queries, nprobe)
+        lists = self.inverted_lists(shards)
+        probed = self.ivf.probe(queries, nprobe)
         out = []
         for g in range(groups):
             lo, hi = int(offsets[g]), int(offsets[g + 1])
-            rows = np.unique(
-                cand_rows[int(part_offsets[lo]):int(part_offsets[hi])])
-            keep = self._owned(rows, shards)
-            if keep is not None:
-                rows = rows[keep]
+            clusters = np.unique(probed[lo:hi])
+            pos = _spans(lists.starts[clusters], lists.starts[clusters + 1])
+            rows, first = np.unique(lists.rows[pos], return_index=True)
             if not len(rows):
                 out.append(empty_partial(False))
                 continue
-            block = self._gathered_block(rows, queries[lo:hi])
+            # einsum, not a BLAS gemm: BLAS picks differently-rounded
+            # kernels by matrix shape, so a gemm'd row score would
+            # depend on how many neighbours the probe (or the partition)
+            # put beside it.  einsum's per-cell reduction is
+            # shape-invariant, which partitioned grouped queries rely on.
+            block = np.einsum("ij,kj->ik",
+                              np.take(lists.vectors, pos[first], axis=0),
+                              queries[lo:hi])
             uniq, _, best, best_row, best_part, above = \
                 self._parent_partials(rows, block.max(axis=1),
                                       block.argmax(axis=1), delta)
@@ -543,19 +602,6 @@ class QueryEngine:
                                      best_row=best_row,
                                      best_part=best_part, above=above))
         return out
-
-    def _gathered_block(self, rows, group_queries):
-        """(rows, parts) exact scores for gathered candidate rows.
-
-        ``einsum`` instead of a BLAS gemm: BLAS picks differently-
-        rounded kernels by matrix shape, so a gemm'd row score would
-        depend on how many neighbours the probe (or a partition
-        filter) gathered alongside it.  einsum's per-cell reduction is
-        shape-invariant, which is the invariant partitioned grouped
-        queries rely on — and candidate blocks are small (probe-
-        bounded), so BLAS would buy little here anyway.
-        """
-        return np.einsum("ij,kj->ik", self.gather(rows), group_queries)
 
     def _parent_arrays(self):
         """(parent_of, parent_row, parent_counts) — on a chunk-less

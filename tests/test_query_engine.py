@@ -344,6 +344,104 @@ class TestIVF:
         assert refitted.meta["ivf"]["file"] != index.meta["ivf"]["file"]
 
 
+class TestResidentLists:
+    """The IVF branch scores probed clusters from each partition's
+    cluster-ordered resident copy of its rows.  The layout must not show
+    in any result: a 4-shard engine with uneven shard sizes (one of them
+    empty) answers exactly like a single-block engine over the same
+    rows, and its partitions' partials merge to the same answer."""
+
+    SIZES = (610, 0, 333, 257)
+    K_BEYOND_POOL = 150
+    PARTITIONS = ([[0], [1], [2, 3]], [[0, 1, 2, 3], []],
+                  [[2], [0, 3], [1]])
+
+    @pytest.fixture(scope="class")
+    def layout(self):
+        rows = clustered_vectors(sum(self.SIZES), families=12, seed=21)
+        # Store rows roughly cluster by cluster, so most clusters live
+        # in one or two shards and partitions see empty list slices.
+        rows = rows[np.argsort(IVFIndex.fit(rows, seed=0).assignments,
+                               kind="stable")]
+        ivf = IVFIndex.fit(rows, seed=0)
+        entries = [{"name": f"d{i}", "path": f"d{i}.v", "design": f"f{i}",
+                    "status": "ok"} for i in range(len(rows))]
+        blocks = np.split(rows, np.cumsum(self.SIZES)[:-1])
+        single = QueryEngine([rows], entries, ivf=ivf)
+        sharded = QueryEngine(blocks, entries, ivf=ivf)
+        rng = np.random.default_rng(22)
+        picks = rng.choice(len(rows), size=9, replace=False)
+        queries = unit_rows_f32(rows[picks]
+                                + 0.05 * rng.standard_normal((9, 16)))
+        return single, sharded, queries
+
+    @pytest.mark.parametrize("nprobe", [1, 8, 10 ** 6])
+    def test_sharded_equals_single_block(self, layout, nprobe):
+        single, sharded, queries = layout
+        for k in (5, self.K_BEYOND_POOL):
+            expected = single.query_many(queries, k=k, nprobe=nprobe)
+            assert sharded.query_many(queries, k=k, nprobe=nprobe) == \
+                expected
+            singles = [sharded.query_many(q, k=k, nprobe=nprobe)[0]
+                       for q in queries]
+            assert singles == expected
+        if nprobe == 1:
+            # k outruns at least one query's probed pool.
+            assert min(len(h) for h in expected) < self.K_BEYOND_POOL
+        offsets = [0, 1, 4, 4, 9]
+        assert sharded.query_groups(queries, offsets, k=6,
+                                    nprobe=nprobe) == \
+            single.query_groups(queries, offsets, k=6, nprobe=nprobe)
+
+    @pytest.mark.parametrize("nprobe", [1, 8, 10 ** 6])
+    @pytest.mark.parametrize("shard_sets", PARTITIONS)
+    def test_partials_merge_bitident(self, layout, nprobe, shard_sets):
+        single, sharded, queries = layout
+        for k in (5, self.K_BEYOND_POOL):
+            partials = [sharded.partial_many(queries, k=k, nprobe=nprobe,
+                                             shards=s) for s in shard_sets]
+            assert sharded.merge_many(partials, k=k) == \
+                single.query_many(queries, k=k, nprobe=nprobe)
+        offsets = [0, 3, 9]
+        grouped = [sharded.partial_groups(queries, offsets, k=6,
+                                          nprobe=nprobe, shards=s)
+                   for s in shard_sets]
+        assert sharded.merge_groups(grouped, offsets, k=6) == \
+            single.query_groups(queries, offsets, k=6, nprobe=nprobe)
+
+    def test_partitions_see_empty_slices(self, layout):
+        """The layouts above really exercise empty list slices: some
+        partition owns no row of a cluster a query probes."""
+        _, sharded, queries = layout
+        probed = np.unique(sharded.ivf.probe(queries, 8))
+        lists = sharded.inverted_lists([2, 3])
+        sizes = np.diff(lists.starts)[probed]
+        assert (sizes == 0).any() and (sizes > 0).any()
+        assert len(sharded.inverted_lists([1]).rows) == 0
+
+    def test_resident_copy_is_partition_sized(self, layout):
+        _, sharded, queries = layout
+        offsets = np.concatenate(([0], np.cumsum(self.SIZES)))
+        for shards in self.PARTITIONS[0]:
+            sharded.partial_many(queries, k=3, shards=shards)
+            lists = sharded.inverted_lists(shards)
+            rows = sum(self.SIZES[s] for s in shards)
+            assert lists.vectors.size == rows * sharded.hidden
+            assert lists.vectors.dtype == np.float32
+            assert lists.vectors.flags.c_contiguous
+            owned = np.concatenate([np.arange(offsets[s], offsets[s + 1])
+                                    for s in shards])
+            assert sorted(lists.rows.tolist()) == owned.tolist()
+            # Built once, then reused.
+            assert sharded.inverted_lists(shards) is lists
+
+    def test_quantizer_over_other_rows_refused(self):
+        matrix = clustered_vectors(300, seed=23)
+        ivf = IVFIndex.fit(matrix[:299], n_clusters=8, seed=0)
+        with pytest.raises(IndexStoreError, match="covers 299 rows"):
+            synthetic_engine(matrix, ivf=ivf)
+
+
 class TestIncrementalAdd:
     def test_appends_shard_without_touching_existing(self, built,
                                                      tmp_path):

@@ -407,6 +407,20 @@ class TestCorpusPartition:
             for i in range(2)]
         assert whole.merge_parts(partials, offsets, None, k=5) == direct
 
+    def test_partition_holds_one_copy_of_its_rows(self, disk_index,
+                                                  queries):
+        """An IVF pass over a partitioned open makes the engine resident
+        in exactly its own partition's rows (``rows x hidden`` float32)."""
+        root, _ = disk_index
+        for i in range(2):
+            corpus = Corpus.open(root, partition=(i, 2))
+            corpus.partial_parts(queries, list(range(len(queries) + 1)),
+                                 None, k=5)
+            engine = corpus.index.engine
+            assert sum(lists.vectors.size
+                       for lists in engine._lists.values()) == \
+                corpus.partition_rows * HIDDEN
+
 
 # -- the worker pool ---------------------------------------------------------
 
