@@ -21,7 +21,7 @@ from repro.core.features import (
     one_hot_features,
 )
 from repro.core.gnn4ip import GNN4IP, cosine_similarity_np
-from repro.core.hw2vec import HW2VEC, PreparedGraph
+from repro.core.hw2vec import HW2VEC, GraphSlice, PreparedGraph
 from repro.core.matcher import IPMatcher, Match
 from repro.core.metrics import ConfusionMatrix, confusion_from_scores
 from repro.core.persist import load_model, save_model
@@ -34,7 +34,7 @@ __all__ = [
     "RTL_FEATURIZER", "VOCABULARY", "OneHotFeaturizer", "get_featurizer",
     "label_index", "one_hot_features",
     "GNN4IP", "cosine_similarity_np",
-    "HW2VEC", "PreparedGraph",
+    "HW2VEC", "GraphSlice", "PreparedGraph",
     "IPMatcher", "Match",
     "ConfusionMatrix", "confusion_from_scores",
     "load_model", "save_model",

@@ -33,7 +33,9 @@ class PreparedGraph:
     normalizes a whole batch at once.  Conversion is deterministic, so
     prepared graphs can be cached and reused across epochs.  Accepts
     anything :func:`repro.ir.to_graphir` can adapt (GraphIR, DFG,
-    gate-level Netlist).
+    gate-level Netlist).  :meth:`restrict` derives the prepared graph of
+    a node subset (a subgraph chunk) from these arrays without touching
+    the graph again.
 
     Raises:
         GraphIRError: when the graph has no nodes (there is nothing to
@@ -55,11 +57,54 @@ class PreparedGraph:
         keys = np.unique(np.concatenate([src * n + dst, dst * n + src]))
         self.rows, self.cols = np.divmod(keys, n)
 
+    def restrict(self, members):
+        """The prepared graph of the subgraph induced by ``members``.
+
+        ``members`` are sorted, distinct node ids.  The result equals
+        ``PreparedGraph(graph.subgraph(members))`` array for array: a
+        node's one-hot row depends on its label alone, and renumbering
+        through the sorted ids preserves order, so the kept edges stay
+        deduplicated and row-major sorted.
+
+        Raises:
+            GraphIRError: when ``members`` is empty.
+        """
+        members = np.asarray(members, dtype=np.int64)
+        if len(members) == 0:
+            raise GraphIRError(f"a subgraph of {self.name!r} has no nodes "
+                               f"to embed")
+        local = np.full(self.num_nodes, -1, dtype=np.int64)
+        local[members] = np.arange(len(members))
+        rows, cols = local[self.rows], local[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        part = object.__new__(PreparedGraph)
+        part.name = self.name
+        part.level = self.level
+        part.features = self.features[members]
+        part.num_nodes = len(members)
+        part.rows, part.cols = rows[keep], cols[keep]
+        return part
+
     def adjacency(self):
         """Binary symmetric adjacency (CSR) of the prepared edges."""
         n = self.num_nodes
         return sparse.csr_matrix((np.ones(len(self.rows)),
                                   (self.rows, self.cols)), shape=(n, n))
+
+
+class GraphSlice:
+    """A node subset of a prepared graph, embedded as a graph of its own.
+
+    :meth:`HW2VEC.prepare` turns it into ``parent.restrict(members)``, so
+    a subgraph chunk reuses its design's features and edges instead of
+    being copied and featurized again.
+    """
+
+    __slots__ = ("parent", "members")
+
+    def __init__(self, parent, members):
+        self.parent = parent
+        self.members = members
 
 
 class HW2VEC(Module):
@@ -114,12 +159,18 @@ class HW2VEC(Module):
     def prepare(self, graph):
         """Convert a GraphIR/DFG/Netlist into cached model inputs.
 
+        A :class:`GraphSlice` is prepared by restricting its parent's
+        prepared arrays to its members.
+
         Raises:
             ModelError: when the graph's level does not match the
                 encoder's featurizer (e.g. a netlist graph fed to an
                 RTL-trained model).
             GraphIRError: when the graph has no nodes.
         """
+        if isinstance(graph, GraphSlice):
+            self.featurizer.check(graph.parent)
+            return graph.parent.restrict(graph.members)
         return PreparedGraph(graph, self.featurizer)
 
     def forward(self, prepared):

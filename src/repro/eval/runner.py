@@ -243,8 +243,10 @@ def augment_with_chunk_pairs(dataset, seed=0, per_instance=2,
     extra_records, extra_pairs = [], []
     for i in range(base):
         record = dataset.records[i]
-        for sub, _region in extract_chunks(record.graph,
-                                           chunk_config)[:per_instance]:
+        chunks = extract_chunks(record.graph, chunk_config)[:per_instance]
+        for index, (members, region) in enumerate(chunks):
+            sub = record.graph.subgraph(members.tolist())
+            sub.name = f"{record.graph.name}#{region['kind']}{index}"
             ci = base + len(extra_records)
             extra_records.append(GraphRecord(
                 design=record.design, instance=sub.name, graph=sub,

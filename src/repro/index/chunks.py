@@ -27,11 +27,18 @@ are dropped — a single-gate design produces **zero** chunks and behaves
 exactly like a v3 single-row corpus.  Extraction order and node
 numbering are fully deterministic (sorted iteration everywhere), so two
 processes — or two machines — produce byte-identical chunk sets.
+
+A chunk stays a node set of its design: its model inputs are the
+design's prepared features and edges sliced to the chunk's members
+(:func:`chunk_parts`), never a re-featurized subgraph copy.
 """
 
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.hw2vec import GraphSlice
 from repro.ir.graphir import KIND_CELL, KIND_SIGNAL
 
 #: Bump when the chunking strategy changes shape: stored chunk rows are
@@ -193,7 +200,13 @@ def _window_chunks(graph, config):
 
 
 def extract_chunks(graph, config=None):
-    """Deterministic ``(subgraph, region)`` chunk list for one graph.
+    """Deterministic ``(members, region)`` chunk list for one graph.
+
+    A chunk is a node set of ``graph``, not a copy of it: ``members`` is
+    the sorted int64 array of its node ids.  Embedding slices the
+    design's prepared arrays to those ids (:func:`chunk_parts`); callers
+    that need the chunk as a graph build it with
+    ``graph.subgraph(members.tolist())``.
 
     The region dict describes *where* the chunk came from — it is stored
     in the index metadata and surfaced as match evidence ("which region
@@ -226,11 +239,22 @@ def extract_chunks(graph, config=None):
         windows = [c for c in kept if c[1]["kind"] == "window"]
         priority = priority[:config.max_chunks]
         kept = priority + _thin(windows, config.max_chunks - len(priority))
-    chunks = []
-    for index, (members, region) in enumerate(kept):
-        sub = graph.subgraph(members)
-        sub.name = f"{graph.name}#{region['kind']}{index}"
-        region = dict(region, nodes=len(members),
-                      frac=round(len(members) / n, 4))
-        chunks.append((sub, region))
-    return chunks
+    return [(np.fromiter(sorted(members), dtype=np.int64,
+                         count=len(members)),
+             dict(region, nodes=len(members),
+                  frac=round(len(members) / n, 4)))
+            for members, region in kept]
+
+
+def chunk_parts(encoder, graph, chunks):
+    """The embedding parts of one design: the design, then its chunks.
+
+    The design is prepared once (``encoder.prepare``); each chunk is a
+    :class:`~repro.core.hw2vec.GraphSlice` of that prepared graph, which
+    ``encoder.prepare`` restricts to the chunk's members when the parts
+    are embedded.  Ingest (stored chunk rows) and queries (suspect chunk
+    parts) both build their parts here.
+    """
+    prepared = encoder.prepare(graph)
+    return [prepared] + [GraphSlice(prepared, members)
+                         for members, _ in chunks]

@@ -263,7 +263,8 @@ class QueryEngine:
 
     # -- scoring -------------------------------------------------------------
     def _as_queries(self, vectors):
-        """Unit float32 query batch, validated against the store width."""
+        """Unit float32 query batch, validated against the store width
+        and for finite values."""
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.size == 0:
             # Any empty input (including a plain []) is an empty batch,
@@ -275,6 +276,9 @@ class QueryEngine:
             raise IndexStoreError(
                 f"query vectors have shape {queries.shape}, expected "
                 f"(n, {self.hidden})")
+        if not np.isfinite(queries).all():
+            raise IndexStoreError(
+                "query vectors must be finite (no NaN or infinity)")
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         unit = queries / np.maximum(norms, 1e-12)
         return np.ascontiguousarray(unit, dtype=np.float32)

@@ -63,7 +63,7 @@ from repro.core.persist import load_model, save_model
 from repro.errors import IndexStoreError, ModelError
 from repro.index.ann import IVFIndex, ivf_plan
 from repro.index.cache import DFGCache
-from repro.index.chunks import ChunkConfig, extract_chunks
+from repro.index.chunks import ChunkConfig, chunk_parts, extract_chunks
 from repro.index.service import EmbeddingService
 from repro.index.shards import (
     SHARD_DTYPE,
@@ -253,11 +253,12 @@ def _ingest_task(task):
             payload["reuse"] = True
         else:
             chunk_opts = _WORKER["chunks"]
-            subs = extract_chunks(graph, chunk_opts) if chunk_opts else []
-            unit = unit_rows_f32(_WORKER["service"].embed_graphs(
-                [graph] + [sub for sub, _ in subs]))
+            chunks = extract_chunks(graph, chunk_opts) if chunk_opts else []
+            service = _WORKER["service"]
+            unit = unit_rows_f32(service.embed_graphs(
+                chunk_parts(service.model.encoder, graph, chunks)))
             payload.update(rows=unit.tobytes(), n_rows=int(unit.shape[0]),
-                           regions=[region for _, region in subs])
+                           regions=[region for _, region in chunks])
         if _WORKER["want_colors"] and not signed:
             payload["colors"] = _hex_colors(wl_colors(graph))
         return seq, payload

@@ -56,7 +56,7 @@ from repro.core.persist import load_model
 from repro.errors import IndexStoreError
 from repro.index.ann import IVF_NAME, IVFIndex, ivf_filename, ivf_plan
 from repro.index.cache import DFGCache
-from repro.index.chunks import ChunkConfig, extract_chunks
+from repro.index.chunks import ChunkConfig, chunk_parts, extract_chunks
 from repro.index.engine import QueryEngine, QueryHit  # noqa: F401
 from repro.index.service import EmbeddingService
 from repro.index.shards import (
@@ -360,25 +360,25 @@ class FingerprintIndex:
         spec = self.meta.get("chunks")
         return None if not spec else ChunkConfig.from_dict(spec)
 
-    def suspect_parts(self, graphs):
+    def suspect_parts(self, graphs, encoder):
         """Decompose suspect graphs the same way the corpus is stored.
 
-        Returns ``(parts, offsets, regions)``: the flat list of part
-        graphs for all suspects (each suspect contributes itself first,
-        then its chunks under the stored chunk config), group prefix
-        offsets (``len(graphs) + 1``), and per-part region descriptors
-        (``None`` for the whole-suspect parts).  On a chunk-less index
-        every suspect is a single part.
+        Returns ``(parts, offsets, regions)``: the flat list of
+        embedding parts for all suspects (each suspect contributes its
+        prepared graph first, then one slice of it per chunk under the
+        stored chunk config; see :func:`~repro.index.chunks.chunk_parts`),
+        group prefix offsets (``len(graphs) + 1``), and per-part region
+        descriptors (``None`` for the whole-suspect parts).  On a
+        chunk-less index every suspect is a single part.
         """
-        config = self.chunk_config()
+        config = self.chunk_config() if self.has_chunks else None
         parts, regions, offsets = [], [], [0]
         for graph in graphs:
-            parts.append(graph)
+            chunks = (extract_chunks(graph, config) if config is not None
+                      else [])
+            parts.extend(chunk_parts(encoder, graph, chunks))
             regions.append(None)
-            if config is not None and self.has_chunks:
-                for sub, region in extract_chunks(graph, config):
-                    parts.append(sub)
-                    regions.append(region)
+            regions.extend(region for _, region in chunks)
             offsets.append(len(parts))
         return parts, offsets, regions
 
@@ -544,7 +544,7 @@ class FingerprintIndex:
         """
         service = self.service_for(model)
         struct = self.suspect_struct(graphs)
-        parts, offsets, regions = self.suspect_parts(graphs)
+        parts, offsets, regions = self.suspect_parts(graphs, model.encoder)
         vectors = service.embed_graphs(parts)
         return self.query_parts(vectors, offsets, regions, k=k,
                                 delta=model.delta, nprobe=nprobe,

@@ -239,7 +239,11 @@ def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,
 
 
 def batched_embed(encoder, graphs, batch_size=64):
-    """Embed a sequence of DFGs (or PreparedGraphs) in large batches.
+    """Embed a sequence of DFGs (or prepared graphs) in large batches.
+
+    Items that are not :class:`~repro.core.hw2vec.PreparedGraph` yet
+    (graphs, :class:`~repro.core.hw2vec.GraphSlice` chunk parts) go
+    through ``encoder.prepare`` once each.
 
     Splits the input into batches of at most ``batch_size`` graphs to bound
     peak memory, packs each, and runs :func:`batched_forward`.  Results

@@ -459,7 +459,8 @@ class ReproServer:
                 graphs = [
                     session.extract(src, top=job.top, allow_paths=False)
                     for src in job.sources]
-                parts_by_job[idx] = corpus.index.suspect_parts(graphs)
+                parts_by_job[idx] = corpus.index.suspect_parts(
+                    graphs, detector.model.encoder)
                 # Structural scores for rank fusion (None on an index
                 # without signatures); vector suspects never get them —
                 # there is no graph to fingerprint structurally.
@@ -487,7 +488,8 @@ class ReproServer:
                     regions_by_job[idx] = regions
                     cursor += len(parts)
 
-        # Phase 2: validate vector suspects against the store width.
+        # Phase 2: validate vector suspects against the store width and
+        # for finite values.
         # Each supplied vector is its own single-part group.
         hidden = corpus.index.engine.hidden
         for idx, job in enumerate(jobs):
@@ -498,6 +500,12 @@ class ReproServer:
                 out[idx] = IndexStoreError(
                     f"query vectors have shape {rows.shape}, expected "
                     f"(n, {hidden})")
+                continue
+            if not np.isfinite(rows).all():
+                # JSON bodies may carry NaN/Infinity; their scores would
+                # make a reply no strict JSON parser accepts.
+                out[idx] = IndexStoreError(
+                    "query vectors must be finite (no NaN or infinity)")
                 continue
             vectors_by_job[idx] = rows
             offsets_by_job[idx] = list(range(len(rows) + 1))

@@ -34,26 +34,34 @@ _BASED_HEAD = r"(?:[0-9][0-9_]*)?'[sS]?"
 
 #: Alternatives are tried in order: comments before the ``/`` operator,
 #: based literals before plain numbers, and each error group after the
-#: well-formed groups it backs up.
-_MASTER = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in (
-    ("WS", r"[ \t\r\f]+"),
-    ("NL", r"\n[\n \t\r\f]*"),
-    ("IDENT", r"[A-Za-z_$][A-Za-z0-9_$]*"),
-    ("LINE_COMMENT", r"//[^\n]*"),
-    ("BLOCK_COMMENT", r"/\*(?s:.*?)\*/"),
-    ("OPEN_BLOCK_COMMENT", r"/\*"),
-    ("OP", _OPERATOR),
-    ("BASED", _BASED_HEAD + r"[bBoOdDhH][0-9a-fA-FxXzZ?_]+"),
-    ("NO_DIGITS", _BASED_HEAD + r"[bBoOdDhH]"),
-    ("BAD_BASE", _BASED_HEAD),
-    ("NUMBER", r"[0-9][0-9_]*"),
-    ("STRING", r'"[^"\n]*"'),
-    ("OPEN_STRING", r'"[^"\n]*'),
-    ("ESCAPED", r"\\\S+"),
-    ("EMPTY_ESCAPED", r"\\"),
-    ("DIRECTIVE", r"`"),
-    ("BAD_CHAR", r"(?s:.)"),
-)))
+#: well-formed groups it backs up.  Blanks before a token are consumed by
+#: the pattern's prefix rather than matched as tokens of their own; a
+#: match therefore starts at the blanks, and the token is its named group
+#: (``match.start(kind)``, not ``match.start()``).  Blanks that end the
+#: text have no token after them: ``BAD_CHAR`` skips blanks, and the last
+#: group, ``WS``, takes the run in one linear match (a run no group could
+#: take would cost a backtracking search per blank, quadratic in its
+#: length).
+_MASTER = re.compile(r"[ \t\r\f]*(?:" + "|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in (
+        ("NL", r"\n[\n \t\r\f]*"),
+        ("IDENT", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+        ("LINE_COMMENT", r"//[^\n]*"),
+        ("BLOCK_COMMENT", r"/\*(?s:.*?)\*/"),
+        ("OPEN_BLOCK_COMMENT", r"/\*"),
+        ("OP", _OPERATOR),
+        ("BASED", _BASED_HEAD + r"[bBoOdDhH][0-9a-fA-FxXzZ?_]+"),
+        ("NO_DIGITS", _BASED_HEAD + r"[bBoOdDhH]"),
+        ("BAD_BASE", _BASED_HEAD),
+        ("NUMBER", r"[0-9][0-9_]*"),
+        ("STRING", r'"[^"\n]*"'),
+        ("OPEN_STRING", r'"[^"\n]*'),
+        ("ESCAPED", r"\\\S+"),
+        ("EMPTY_ESCAPED", r"\\"),
+        ("DIRECTIVE", r"`"),
+        ("BAD_CHAR", r"[^ \t\r\f]"),
+        ("WS", r"[ \t\r\f]+"),
+    )) + ")")
 
 
 def tokenize(text):
@@ -64,48 +72,54 @@ def tokenize(text):
     """
     tokens = []
     append = tokens.append
+    new = tuple.__new__  # Token(...) without the namedtuple's __new__
     line = 1
     line_start = 0
     for match in _MASTER.finditer(text):
         kind = match.lastgroup
-        if kind == "WS" or kind == "LINE_COMMENT":
-            continue
-        start = match.start()
+        start, end = match.span(kind)
         if kind == "IDENT":
-            word = match.group()
-            append(Token(KEYWORD if word in KEYWORDS else IDENT, word, line,
-                         start - line_start + 1))
+            word = text[start:end]
+            append(new(Token, (KEYWORD if word in KEYWORDS else IDENT, word,
+                               line, start - line_start + 1)))
         elif kind == "OP":
-            append(Token(PUNCT, match.group(), line, start - line_start + 1))
+            append(new(Token, (PUNCT, text[start:end], line,
+                               start - line_start + 1)))
         elif kind == "NL" or kind == "BLOCK_COMMENT":
-            newlines = text.count("\n", start, match.end())
+            newlines = text.count("\n", start, end)
             if newlines:
                 line += newlines
-                line_start = text.rindex("\n", start, match.end()) + 1
+                line_start = text.rindex("\n", start, end) + 1
+        elif kind == "LINE_COMMENT" or kind == "WS":
+            continue
         elif kind == "NUMBER":
-            append(Token(NUMBER, match.group().replace("_", ""), line,
-                         start - line_start + 1))
+            append(new(Token, (NUMBER, text[start:end].replace("_", ""),
+                               line, start - line_start + 1)))
         elif kind == "BASED":
-            append(Token(BASED_NUMBER, match.group(), line,
-                         start - line_start + 1))
+            append(new(Token, (BASED_NUMBER, text[start:end], line,
+                               start - line_start + 1)))
         elif kind == "STRING":
-            append(Token(STRING, match.group()[1:-1], line,
-                         start - line_start + 1))
+            append(new(Token, (STRING, text[start + 1:end - 1], line,
+                               start - line_start + 1)))
         elif kind == "ESCAPED":
-            append(Token(IDENT, match.group()[1:], line,
-                         start - line_start + 1))
+            append(new(Token, (IDENT, text[start + 1:end], line,
+                               start - line_start + 1)))
         else:
             _raise(kind, text, match, line, line_start)
-    append(Token(EOF, "", line, len(text) - line_start + 1))
+    append(new(Token, (EOF, "", line, len(text) - line_start + 1)))
     return tokens
 
 
 def _raise(kind, text, match, line, line_start):
-    """Raise the :class:`LexerError` an error-group ``match`` stands for."""
-    pos = match.end()
+    """Raise the :class:`LexerError` an error-group ``match`` stands for.
+
+    Positions come from the ``kind`` group: the whole match also holds
+    the blanks before it.
+    """
+    pos = match.end(kind)
     if kind == "OPEN_BLOCK_COMMENT":
         message, pos = "unterminated block comment", len(text)
-        newlines = text.count("\n", match.start())
+        newlines = text.count("\n", match.start(kind))
         if newlines:
             line += newlines
             line_start = text.rindex("\n") + 1
@@ -123,8 +137,8 @@ def _raise(kind, text, match, line, line_start):
         message = "empty escaped identifier"
     elif kind == "DIRECTIVE":
         message, pos = ("stray compiler directive (run the preprocessor "
-                        "first)"), match.start()
+                        "first)"), match.start(kind)
     else:
-        message, pos = (f"unexpected character {match.group()!r}",
-                        match.start())
+        message, pos = (f"unexpected character {match.group(kind)!r}",
+                        match.start(kind))
     raise LexerError(message, line=line, column=pos - line_start + 1)

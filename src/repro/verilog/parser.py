@@ -40,6 +40,8 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPERATORS = frozenset({"+", "-", "!", "~", "&", "|", "^", "~&", "~|", "~^"})
 _NET_KINDS = frozenset({"wire", "reg", "integer", "supply0", "supply1"})
+#: Tokens that end an expression and bind to no operator.
+_EXPRESSION_ENDS = frozenset({",", ")", ";"})
 
 
 class Parser:
@@ -461,6 +463,14 @@ class Parser:
 
     # -- expressions -------------------------------------------------------
     def _parse_expression(self):
+        # A bare identifier closed by ``,``, ``)`` or ``;`` (a gate or
+        # port argument) is the ladder's answer too, without the climb.
+        token = self._tokens[self._pos]
+        if token.kind == IDENT:
+            follow = self._tokens[self._pos + 1]
+            if follow.kind == PUNCT and follow.value in _EXPRESSION_ENDS:
+                self._pos += 1
+                return ast.Identifier(token.value)
         return self._parse_ternary()
 
     def _parse_ternary(self):

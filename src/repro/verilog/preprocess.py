@@ -52,6 +52,9 @@ def strip_comments(text):
     inside a string literal are kept; a string left open at the end of the
     text passes through, one broken by a newline raises.
     """
+    # Every alternative of the pattern starts with ``/`` or ``"``.
+    if "/" not in text and '"' not in text:
+        return text
     return _COMMENT_RE.sub(_replace_comment, text)
 
 

@@ -85,7 +85,8 @@ def netlist_parts():
         graph = to_graphir(synthesize_verilog(variant.verilog,
                                               top=variant.top))
         parts.append(graph)
-        parts.extend(sub for sub, _ in extract_chunks(graph))
+        parts.extend(graph.subgraph(members.tolist())
+                     for members, _ in extract_chunks(graph))
     assert len(parts) > 6
     return parts
 

@@ -11,6 +11,7 @@ re-embedding, and a populated v3 index must survive the in-place
 ``index migrate`` to v4.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,9 +21,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import GNN4IP
+from repro.core import GNN4IP, HW2VEC, GraphSlice
 from repro.dataflow import dfg_from_verilog
-from repro.errors import IndexStoreError
+from repro.designs.base import family_names
+from repro.designs.corpus import SYNTHESIZABLE_FAMILIES, canonical_variant
+from repro.errors import GraphIRError, IndexStoreError, ModelError
 from repro.index import (
     ChunkConfig,
     FingerprintIndex,
@@ -32,10 +35,13 @@ from repro.index import (
     ingest_corpus,
     migrate_index,
 )
-from repro.index.chunks import topological_order
+from repro.index.chunks import chunk_parts, topological_order
 from repro.index.shards import unit_rows_f32
 from repro.index.wlsig import load_signatures
+from repro.ir import to_graphir
 from repro.ir.frontends import NetlistFrontend
+from repro.nn import batched_embed
+from repro.synth.synthesize import synthesize_verilog
 
 TINY = """
 module t(input a, output y);
@@ -61,10 +67,22 @@ SMALL = ChunkConfig(window=8, stride=4, min_nodes=4, max_chunks=16,
                     cone_seeds=6)
 
 
+def chunk_graphs(graph, config):
+    """``(subgraph, region)`` per chunk, each chunk materialized from its
+    member ids and named ``<design>#<kind><index>``."""
+    graphs = []
+    for index, (members, region) in enumerate(extract_chunks(graph,
+                                                             config)):
+        sub = graph.subgraph(members.tolist())
+        sub.name = f"{graph.name}#{region['kind']}{index}"
+        graphs.append((sub, region))
+    return graphs
+
+
 def chunk_records(graph, config):
     """Fully serialized chunk set: names, regions, nodes, and edges."""
     records = []
-    for sub, region in extract_chunks(graph, config):
+    for sub, region in chunk_graphs(graph, config):
         nodes = [[n.node_id, n.kind, n.label, n.name] for n in sub.nodes]
         edges = [[i, list(sub.successors(i))] for i in range(len(sub))]
         records.append([sub.name, region, nodes, edges])
@@ -93,7 +111,7 @@ class TestExtraction:
 
     def test_chunks_are_proper_subgraphs_with_region_evidence(self):
         graph = dfg_from_verilog(WIDE)
-        chunks = extract_chunks(graph, SMALL)
+        chunks = chunk_graphs(graph, SMALL)
         kinds = {region["kind"] for _, region in chunks}
         assert "window" in kinds and "cone" in kinds
         for sub, region in chunks:
@@ -102,6 +120,14 @@ class TestExtraction:
             assert sub.name.startswith(f"{graph.name}#{region['kind']}")
             assert region["nodes"] == len(sub)
             assert 0.0 < region["frac"] < 1.0
+
+    def test_chunks_are_sorted_member_id_sets(self):
+        graph = dfg_from_verilog(WIDE)
+        for members, region in extract_chunks(graph, SMALL):
+            assert members.dtype == np.int64
+            assert np.all(np.diff(members) > 0)
+            assert 0 <= members[0] and members[-1] < len(graph)
+            assert region["nodes"] == len(members)
 
     def test_cap_keeps_cones_first(self):
         graph = dfg_from_verilog(WIDE)
@@ -142,6 +168,72 @@ class TestExtraction:
             capture_output=True, text=True, check=True)
         local = chunk_records(dfg_from_verilog(WIDE), SMALL)
         assert json.loads(out.stdout) == json.loads(json.dumps(local))
+
+    def test_materialized_chunks_are_pinned(self):
+        """Materializing chunks from their member ids reproduces the
+        chunk sets that copied subgraphs out of extraction itself."""
+        digests = []
+        for graph, config in ((dfg_from_verilog(WIDE), SMALL),
+                              (family_graph("netlist", "crc8"),
+                               ChunkConfig())):
+            records = json.dumps(chunk_records(graph, config))
+            digests.append(hashlib.sha256(records.encode()).hexdigest())
+        assert digests == [
+            "82c90c395cdab48c0f44654b39973415"
+            "b96483026f14919be4fb62f05a241390",
+            "fe3c9e5ec551abd3888d7034e8fe4e09"
+            "8a8981f087fad96662c936a371227216",
+        ]
+
+
+# -- chunk parts are slices of the design's prepared arrays -------------------
+LEVEL_FAMILIES = ([("rtl", name) for name in family_names()]
+                  + [("netlist", name) for name in SYNTHESIZABLE_FAMILIES])
+
+
+def family_graph(level, name):
+    """A family's canonical design as an RTL DFG or a gate-level IR."""
+    variant = canonical_variant(name)
+    if level == "rtl":
+        return dfg_from_verilog(variant.verilog, top=variant.top)
+    return to_graphir(synthesize_verilog(variant.verilog, top=variant.top))
+
+
+class TestChunkSlices:
+    @pytest.mark.parametrize("level,family", LEVEL_FAMILIES,
+                             ids=[f"{lv}-{f}" for lv, f in LEVEL_FAMILIES])
+    def test_slice_equals_prepared_subgraph(self, level, family):
+        graph = family_graph(level, family)
+        encoder = HW2VEC(seed=3, featurizer=level)
+        for config in (ChunkConfig(), SMALL):
+            chunks = extract_chunks(graph, config)
+            parts = chunk_parts(encoder, graph, chunks)
+            assert len(parts) == 1 + len(chunks)
+            subs = [graph.subgraph(members.tolist())
+                    for members, _ in chunks]
+            for part, sub in zip(parts[1:], subs):
+                sliced, copied = encoder.prepare(part), encoder.prepare(sub)
+                assert sliced.num_nodes == copied.num_nodes
+                for name in ("features", "rows", "cols"):
+                    got, want = getattr(sliced, name), getattr(copied, name)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+            embedded = batched_embed(encoder, parts)
+            expected = batched_embed(encoder, [graph] + subs)
+            assert embedded.tobytes() == expected.tobytes()
+
+    def test_slice_keeps_level_check(self):
+        graph = family_graph("rtl", "adder8")
+        parent = HW2VEC(featurizer="rtl").prepare(graph)
+        members = extract_chunks(graph, SMALL)[0][0]
+        with pytest.raises(ModelError, match="expects netlist"):
+            HW2VEC(featurizer="netlist").prepare(GraphSlice(parent,
+                                                            members))
+
+    def test_empty_restriction_refused(self):
+        parent = HW2VEC().prepare(dfg_from_verilog(WIDE))
+        with pytest.raises(GraphIRError, match="no nodes"):
+            parent.restrict(np.empty(0, dtype=np.int64))
 
 
 # -- chunk-level aggregation (synthetic engine) -------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.designs import materialize_corpus, materialize_netlist_corpus
 from repro.errors import LexerError
+from repro.verilog import preprocess
 from repro.verilog.lexer import tokenize
 from repro.verilog.tokens import (
     BASED_NUMBER,
@@ -118,6 +120,20 @@ class TestCommentsAndWhitespace:
         assert tokens[2].line == 3
         assert tokens[2].column == 3
 
+    @pytest.mark.parametrize("text,expected", [
+        ("a \t\f\r", [(IDENT, 1, 1), (EOF, 1, 6)]),
+        ("a\n  \t", [(IDENT, 1, 1), (EOF, 2, 4)]),
+        ("  ", [(EOF, 1, 3)]),
+    ])
+    def test_trailing_blanks_end_the_stream(self, text, expected):
+        assert [(t.kind, t.line, t.column)
+                for t in tokenize(text)] == expected
+
+    def test_long_trailing_blank_run_lexes_in_linear_time(self):
+        tokens = tokenize("a" + " \t" * 100_000)
+        assert [(t.kind, t.column) for t in tokens] == [(IDENT, 1),
+                                                        (EOF, 200_002)]
+
 
 class TestErrors:
     def test_unexpected_character(self):
@@ -161,3 +177,29 @@ class TestRealisticSnippets:
     def test_nonblocking_assign_lexes_le(self):
         # '<=' is one token; the parser disambiguates assign vs compare.
         assert "<=" in values("q <= d;")
+
+
+@pytest.fixture(scope="module")
+def corpus_sources(tmp_path_factory):
+    """Preprocessed text of the generated RTL and netlist corpora."""
+    root = tmp_path_factory.mktemp("lexed")
+    paths = (materialize_corpus(root / "rtl", instances_per_design=2)
+             + materialize_netlist_corpus(root / "net",
+                                          instances_per_design=2))
+    return [preprocess(path.read_text()) for path in paths]
+
+
+def test_positions_point_at_token_text(corpus_sources):
+    """Every identifier, keyword and punctuation token's (line, column)
+    is where its own text starts, blanks before it notwithstanding."""
+    checked = 0
+    for text in corpus_sources:
+        lines = text.split("\n")
+        for token in tokenize(text):
+            if token.kind not in (IDENT, KEYWORD, PUNCT):
+                continue
+            start = token.column - 1
+            line = lines[token.line - 1]
+            assert line[start:start + len(token.value)] == token.value
+            checked += 1
+    assert checked > 50000

@@ -290,6 +290,46 @@ endmodule
         assert module.items[0].connections[1].expr is None
 
 
+class TestIdentifierFastPath:
+    """Pinned trees around the bare-identifier shortcut: an identifier
+    followed by ``,``, ``)`` or ``;`` skips the precedence ladder, and
+    every other form next to it still climbs."""
+
+    def items(self, body):
+        return parse_module(f"module m(input a, input b, input c, "
+                            f"output y); {body} endmodule").items
+
+    def rhs(self, text):
+        return self.items(f"assign y = {text};")[0].rhs
+
+    def test_function_call_arguments(self):
+        assert self.rhs("f(a, b)") == ast.FunctionCall(
+            name="f", args=[ast.Identifier("a"), ast.Identifier("b")])
+
+    def test_bit_select(self):
+        assert self.rhs("a[1]") == ast.BitSelect(
+            base=ast.Identifier("a"), index=ast.IntConst(1))
+
+    def test_ternary(self):
+        assert self.rhs("a ? b : c") == ast.Ternary(
+            cond=ast.Identifier("a"), true_value=ast.Identifier("b"),
+            false_value=ast.Identifier("c"))
+
+    def test_binary(self):
+        assert self.rhs("a + b") == ast.BinaryOp(
+            op="+", left=ast.Identifier("a"), right=ast.Identifier("b"))
+
+    def test_parenthesized_and_bare(self):
+        assert self.rhs("(a)") == ast.Identifier("a")
+        assert self.rhs("a") == ast.Identifier("a")
+
+    def test_gate_arguments(self):
+        assert self.items("xor g1 (y, a, b);") == [ast.GateInstance(
+            gate="xor", name="g1",
+            args=[ast.Identifier("y"), ast.Identifier("a"),
+                  ast.Identifier("b")], line=1)]
+
+
 class TestErrors:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):

@@ -42,6 +42,19 @@ class TestStripComments:
         assert strip_comments('a /* c */ = "open // end') == \
             'a  = "open // end'
 
+    def test_slash_without_comment_kept(self):
+        text = "assign q = a / b;\nassign r = a /b;"
+        assert strip_comments(text) == text
+
+    def test_string_without_slash_kept(self):
+        text = 'x = "a b";\ny = "";'
+        assert strip_comments(text) == text
+
+    def test_text_without_slash_or_quote_is_returned_as_is(self):
+        text = "module m(input a, output y);\n  not (y, a);\nendmodule\n"
+        assert strip_comments(text) is text
+        assert preprocess(text) == text
+
     @pytest.mark.parametrize("text,message", [
         ('x = "broken\n";', "unterminated string literal"),
         ("a = b; /* never closed", "unterminated block comment"),

@@ -214,6 +214,14 @@ class TestExactBatched:
         with pytest.raises(IndexStoreError, match="shape"):
             index.query_vector(np.ones(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, built, bad):
+        index, _, _ = built
+        vector = np.array(index.matrix[0], dtype=np.float64)
+        vector[3] = bad
+        with pytest.raises(IndexStoreError, match="finite"):
+            index.query_many([index.matrix[1], vector], exact=True)
+
     def test_tied_survivors_ordered_by_row(self):
         """Among the selected top-k, equal scores order by lower row id.
 
