@@ -8,11 +8,10 @@ DESIGN.md.
 
 import time
 
-import numpy as np
-
 from conftest import report
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.designs import rtl_records
+from repro.nn import batched_forward, pack_prepared
 
 _ABLATION_FAMILIES = ("adder8", "cmp8", "mux8", "counter8", "lfsr8",
                       "crc8", "alu", "rs232")
@@ -90,13 +89,13 @@ def bench_ablation_embed_once_speedup(benchmark):
     # per unique graph; measured by embedding that many graphs.
     from repro.core.dataset import batches as batch_iter
     encoder = trainer.model.encoder
-    encoder.train()
     naive_embeds = 0
     start = time.perf_counter()
     for batch in batch_iter(dataset.train_pairs, trainer.batch_size, seed=0):
         for i, j, _ in batch:
-            encoder(trainer._prepared[i])
-            encoder(trainer._prepared[j])
+            for index in (i, j):
+                batched_forward(encoder,
+                                pack_prepared([trainer._prepared[index]]))
             naive_embeds += 2
         break  # one batch is enough to extrapolate the per-embed cost
     per_embed = (time.perf_counter() - start) / naive_embeds

@@ -1,6 +1,7 @@
-"""Fingerprint-index benchmark: cache leverage, batched embedding/training.
+"""Fingerprint-index benchmark: cache leverage, batched embedding, training.
 
-Three scaling claims are measured and enforced:
+Two scaling claims are measured and enforced, and one training figure is
+pinned:
 
 - **Cold vs warm indexing** — rebuilding an unchanged corpus (a fresh
   ingest, what ``index build`` runs) must be at least 2x faster than the
@@ -8,15 +9,13 @@ Three scaling claims are measured and enforced:
   cache instead of the Verilog front-end and every stored row is reused
   instead of re-embedded.
 - **Batched vs per-graph embedding** — embedding the corpus through the
-  block-diagonal batched forward pass must beat one ``embed`` call per
-  graph.
-- **Batched vs per-pair-loop training** — a training epoch through the
-  block-diagonal forward+backward path must be at least 2x faster than the
-  per-graph autograd loop, with identical losses.
+  block-diagonal batched forward pass must beat one ``embed`` call
+  (a batch of one) per graph.
+- **Training epoch** — the trainer's epoch time is recorded, and three
+  seeded dropout-free epochs must reproduce a pinned loss trajectory.
 
 Results are also written as JSON (``benchmarks/out/bench_index.json`` and
-``benchmarks/out/bench_train.json``) so future PRs can track the
-trajectory of all three speedups.
+``benchmarks/out/bench_train.json``) so future PRs can track them.
 """
 
 import json
@@ -30,6 +29,7 @@ from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.designs import materialize_corpus, rtl_records
 from repro.index import EmbeddingService, IngestConfig, ingest_corpus
 from repro.ir.frontends import get_frontend
+from repro.nn import batched_forward, pack_prepared
 
 #: Small but non-trivial slice of the generated corpus; extraction cost
 #: dominates indexing, which is exactly what the cache is for.
@@ -108,7 +108,6 @@ def bench_index_batched_embedding(benchmark, corpus_files, config):
     frontend = get_frontend("rtl")
     graphs = [frontend.extract_file(path) for path in corpus_files]
     model = GNN4IP(seed=config.seed)
-    model.encoder.eval()  # embedding is always eval-mode; keep fwd fair
     service = EmbeddingService(model)
 
     def timed(fn, repeats=5):
@@ -127,7 +126,8 @@ def bench_index_batched_embedding(benchmark, corpus_files, config):
     # block-diagonal batching win from the shared prepare() cost.
     prepared = [model.encoder.prepare(g) for g in graphs]
     single_fwd_s = timed(
-        lambda: [model.encoder.forward(p).numpy() for p in prepared])
+        lambda: [batched_forward(model.encoder, pack_prepared([p]))
+                 for p in prepared])
     batched_fwd_s = timed(lambda: service.embed_graphs(prepared))
     benchmark(service.embed_graphs, prepared)
 
@@ -164,61 +164,45 @@ def bench_index_batched_embedding(benchmark, corpus_files, config):
         "batched embedding slower than per-graph embedding"
 
 
-def bench_train_batched_vs_loop(benchmark, config):
-    """Batched training epochs must be >= 2x faster than the per-pair loop.
+#: Epoch losses of three seeded dropout-free epochs (1-3, after a warm-up
+#: epoch 0) on this bench's corpus, measured when training went through a
+#: batched autograd forward; the one forward and its hand-derived backward
+#: must stay on that trajectory.
+PINNED_LOSSES = [0.58542040008119, 0.6139065246421932, 0.6354580427121329]
 
-    Both trainers see the same dataset, seed, and (dropout-free) model, so
-    the per-epoch losses must agree to rounding — the speedup is pure
-    execution strategy, not a different optimization trajectory.
-    """
+
+def bench_train_epoch(benchmark, config):
+    """Time a training epoch; its seeded losses must match the pinned ones."""
     records = rtl_records(families=list(FAMILIES),
                           instances_per_design=INSTANCES,
                           seed=config.seed)
     dataset = build_pair_dataset(records, seed=config.seed)
 
-    def epoch_time(mode, epochs=3):
-        trainer = Trainer(GNN4IP(seed=config.seed, dropout=0.0),
-                          seed=config.seed, mode=mode)
-        trainer.train_epoch(dataset, 0)  # warm caches + prepare()
-        losses = []
-        start = time.perf_counter()
-        for epoch in range(1, epochs + 1):
-            loss, _ = trainer.train_epoch(dataset, epoch)
-            losses.append(loss)
-        return (time.perf_counter() - start) / epochs, losses
-
-    loop_s, loop_losses = epoch_time("loop")
-    batched_s, batched_losses = epoch_time("batched")
-
     trainer = Trainer(GNN4IP(seed=config.seed, dropout=0.0),
                       seed=config.seed)
-    trainer.train_epoch(dataset, 0)
-    benchmark(trainer.train_epoch, dataset, 1)
+    trainer.train_epoch(dataset, 0)  # warm caches + prepare()
+    losses = []
+    start = time.perf_counter()
+    for epoch in range(1, len(PINNED_LOSSES) + 1):
+        loss, _ = trainer.train_epoch(dataset, epoch)
+        losses.append(loss)
+    epoch_s = (time.perf_counter() - start) / len(PINNED_LOSSES)
+    benchmark(trainer.train_epoch, dataset, len(PINNED_LOSSES) + 1)
 
-    speedup = loop_s / batched_s
     pairs = len(dataset.train_pairs)
     lines = [f"graphs: {len(records)}, train pairs: {pairs}",
-             f"per-pair loop epoch: {loop_s * 1000:8.1f} ms "
-             f"({pairs / loop_s:8.0f} pairs/s)",
-             f"batched epoch:       {batched_s * 1000:8.1f} ms "
-             f"({pairs / batched_s:8.0f} pairs/s)",
-             f"speedup:             {speedup:8.2f}x (required: >= 2x)"]
-    report("train_batched_vs_loop", "\n".join(lines))
+             f"epoch: {epoch_s * 1000:8.1f} ms ({pairs / epoch_s:8.0f} pairs/s)",
+             "losses: " + ", ".join(f"{loss:.15f}" for loss in losses)]
+    report("train_epoch", "\n".join(lines))
 
     OUT_DIR.mkdir(exist_ok=True)
     with open(OUT_DIR / "bench_train.json", "w") as handle:
         json.dump({"graphs": len(records), "train_pairs": pairs,
-                   "loop_epoch_seconds": loop_s,
-                   "batched_epoch_seconds": batched_s,
-                   "batched_speedup": speedup,
-                   "loop_losses": loop_losses,
-                   "batched_losses": batched_losses},
+                   "epoch_seconds": epoch_s, "losses": losses},
                   handle, indent=2, sort_keys=True)
 
-    for loop_loss, batched_loss in zip(loop_losses, batched_losses):
-        assert batched_loss == pytest.approx(loop_loss, abs=1e-8)
-    assert speedup >= 2.0, \
-        f"batched training only {speedup:.2f}x faster than the loop"
+    np.testing.assert_allclose(losses, PINNED_LOSSES, rtol=1e-12,
+                               atol=1e-12)
 
 
 def bench_index_parallel_extraction(corpus_files, tmp_path_factory,

@@ -7,9 +7,8 @@ Y_hat > delta -> piracy (label 1), else no piracy (label 0).
 
 import numpy as np
 
-from repro.core.hw2vec import HW2VEC, PreparedGraph
+from repro.core.hw2vec import HW2VEC
 from repro.errors import ModelError
-from repro.nn.tensor import cosine_similarity, Tensor
 
 
 def cosine_similarity_np(a, b, eps=1e-12):
@@ -84,14 +83,3 @@ class GNN4IP:
                 best_delta = float(candidate)
         self.delta = best_delta
         return best_delta, best_accuracy
-
-    # -- training-time helper ------------------------------------------------
-    def training_similarity(self, prepared_a, prepared_b):
-        """Differentiable similarity for two prepared graphs."""
-        if not isinstance(prepared_a, PreparedGraph):
-            prepared_a = self.encoder.prepare(prepared_a)
-        if not isinstance(prepared_b, PreparedGraph):
-            prepared_b = self.encoder.prepare(prepared_b)
-        h_a = self.encoder(prepared_a)
-        h_b = self.encoder(prepared_b)
-        return cosine_similarity(h_a, h_b)

@@ -5,6 +5,10 @@ layers (2 layers, 16 hidden units), dropout 0.1 after each, a self-attention
 graph-pooling layer with ratio 0.5, and a max readout producing the graph
 embedding h_G.
 
+:class:`HW2VEC` holds the parameters and settings; the computation is the
+one batched forward pass, :func:`repro.nn.batch.batched_forward` (with its
+hand-derived backward for training).  A single graph is a batch of one.
+
 The encoder consumes :class:`~repro.ir.graphir.GraphIR` through a pluggable
 featurizer (see :mod:`repro.core.features`): RTL DFGs and gate-level
 netlist graphs flow through the same layers, differing only in the node
@@ -14,14 +18,12 @@ fingerprint index can refuse graphs from the wrong frontend.
 """
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.features import get_featurizer
 from repro.errors import GraphIRError
 from repro.ir import to_graphir
 from repro.nn.layers import Dropout, GCNConv, Module
 from repro.nn.pooling import Readout, SAGPool
-from repro.nn.tensor import Tensor
 
 
 class PreparedGraph:
@@ -84,12 +86,6 @@ class PreparedGraph:
         part.num_nodes = len(members)
         part.rows, part.cols = rows[keep], cols[keep]
         return part
-
-    def adjacency(self):
-        """Binary symmetric adjacency (CSR) of the prepared edges."""
-        n = self.num_nodes
-        return sparse.csr_matrix((np.ones(len(self.rows)),
-                                  (self.rows, self.cols)), shape=(n, n))
 
 
 class GraphSlice:
@@ -173,37 +169,15 @@ class HW2VEC(Module):
             return graph.parent.restrict(graph.members)
         return PreparedGraph(graph, self.featurizer)
 
-    def forward(self, prepared):
-        """Embed one prepared graph; returns a 1-D Tensor of size hidden.
-
-        The graph is packed as a batch of one, so it is normalized by the
-        same routine as every batched path.
-        """
-        from repro.nn.batch import pack_prepared
-
-        a_norm = pack_prepared([prepared]).a_norm
-        x = Tensor(prepared.features)
-        for conv in self.convs:
-            x = conv(x, a_norm).relu()
-            x = self.dropout(x)
-        x_pool, _, _, _ = self.pool(x, a_norm, prepared.adjacency())
-        return self.readout(x_pool)
-
     def embed(self, graph):
-        """Embed a graph (prepares it first); returns a numpy vector."""
-        was_training = self.training
-        self.eval()
-        embedding = self.forward(self.prepare(graph)).numpy().copy()
-        if was_training:
-            self.train()
-        return embedding
+        """Embed one graph (prepares it first); returns a numpy vector."""
+        return self.embed_many([graph])[0]
 
     def embed_many(self, graphs, batch_size=64):
         """Embed a sequence of graphs; returns an (n, hidden) array.
 
         Graphs are packed into block-diagonal batches and embedded in one
-        forward pass per batch (:func:`repro.nn.batch.batched_embed`);
-        results match per-graph :meth:`embed` calls to BLAS rounding.
+        forward pass per batch (:func:`repro.nn.batch.batched_embed`).
         """
         from repro.nn.batch import batched_embed
 

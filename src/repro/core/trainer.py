@@ -2,34 +2,31 @@
 
 The trainer uses an *embed-once, pair-many* strategy: within a minibatch of
 pairs, every distinct graph is embedded exactly once and the pair losses
-are computed on the shared embedding tensors.  Because autograd accumulates
-gradients through shared subgraphs, this is mathematically identical to
-embedding each pair separately, but far cheaper — a graph appearing in k
-pairs is propagated once instead of k times.
+are computed on the shared embeddings, so a graph appearing in k pairs is
+propagated once instead of k times.
 
-On top of that, the default ``batched`` mode packs each minibatch's unique
-graphs into one block-diagonal system (:mod:`repro.nn.batch`) and runs
-forward *and* backward as a handful of large sparse/dense products instead
-of a Python loop of per-graph passes; the pair losses are likewise one
-vectorized cosine computation.  Gradients match the per-graph ``loop``
-mode (kept for comparison and benchmarking) to summation-order rounding.
+Each step packs the minibatch's unique graphs into one block-diagonal
+system (:mod:`repro.nn.batch`) and runs the model's one forward pass,
+:func:`~repro.nn.batch.batched_forward`, with this batch's dropout masks.
+The pair losses are one vectorized cosine computation on the autograd
+tape, over a leaf that holds the embeddings; the leaf's gradient then
+goes through the hand-derived :func:`~repro.nn.batch.batched_backward`
+into the encoder's parameters.
 """
 
 import time
-
-import numpy as np
 
 from repro.core.dataset import batches
 from repro.core.gnn4ip import GNN4IP, cosine_similarity_np
 from repro.core.metrics import confusion_from_scores
 from repro.errors import ModelError
 from repro.nn.batch import (
+    batched_backward,
     batched_embed,
-    batched_forward_tensor,
+    batched_forward,
     batched_pair_loss,
     pack_prepared,
 )
-from repro.nn.loss import cosine_embedding_loss
 from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 
@@ -44,21 +41,14 @@ class Trainer:
         margin: cosine-embedding-loss margin (paper: 0.5).
         optimizer: ``adam`` or ``sgd`` (the paper's batch gradient descent).
         seed: shuffling seed.
-        mode: ``batched`` (block-diagonal forward/backward, default) or
-            ``loop`` (one autograd pass per graph; the pre-batching path,
-            kept as the reference for equivalence tests and benchmarks).
     """
 
     def __init__(self, model=None, lr=1e-3, batch_size=64, margin=0.5,
-                 optimizer="adam", seed=0, positive_weight=None,
-                 mode="batched"):
+                 optimizer="adam", seed=0, positive_weight=None):
         self.model = model if model is not None else GNN4IP()
         self.batch_size = batch_size
         self.margin = margin
         self.seed = seed
-        if mode not in ("batched", "loop"):
-            raise ModelError(f"unknown trainer mode {mode!r}")
-        self.mode = mode
         #: Loss weight for similar pairs.  ``None`` = auto-balance: the
         #: pair universe is heavily skewed toward dissimilar pairs (all
         #: cross-design combinations), and with the paper's plain accuracy
@@ -73,19 +63,24 @@ class Trainer:
         else:
             raise ModelError(f"unknown optimizer {optimizer!r}")
         self._prepared = None
+        self._prepared_records = None
 
     # ------------------------------------------------------------------
     def _prepare_all(self, dataset):
-        if self._prepared is None or len(self._prepared) != len(dataset.records):
-            encoder = self.model.encoder
-            self._prepared = [encoder.prepare(r.graph) for r in dataset.records]
-        return self._prepared
+        """Prepared graphs of ``dataset.records``, cached per records list.
 
-    def _embed_indices(self, indices, training):
-        """Embed the graphs at ``indices`` per-graph; returns {index: Tensor}."""
-        encoder = self.model.encoder
-        encoder.train() if training else encoder.eval()
-        return {index: encoder(self._prepared[index]) for index in indices}
+        The cache is keyed on the records object itself (and its length,
+        since chunk augmentation extends it in place), so a trainer
+        reused on another dataset of the same size prepares that one's
+        graphs instead of scoring its pairs on stale ones.
+        """
+        records = dataset.records
+        if (self._prepared_records is not records
+                or len(self._prepared) != len(records)):
+            encoder = self.model.encoder
+            self._prepared = [encoder.prepare(r.graph) for r in records]
+            self._prepared_records = records
+        return self._prepared
 
     # ------------------------------------------------------------------
     def _balance_weight(self, dataset):
@@ -99,31 +94,25 @@ class Trainer:
         # Cap the weight so a near-empty positive class cannot explode it.
         return min(negatives / positives, 32.0)
 
-    def _step_batched(self, batch, weight):
-        """One gradient step through the block-diagonal batched path."""
+    def _step(self, batch, weight):
+        """One gradient step on a minibatch of pairs; returns the loss."""
         encoder = self.model.encoder
-        encoder.train()
         unique = sorted({i for i, _, _ in batch} | {j for _, j, _ in batch})
         row = {graph: r for r, graph in enumerate(unique)}
         packed = pack_prepared([self._prepared[g] for g in unique])
-        embeddings = batched_forward_tensor(encoder, packed)
+        masks = encoder.dropout.masks(packed.sizes, encoder.hidden,
+                                      len(encoder.convs))
+        ctx = {}
+        embeddings = Tensor(batched_forward(encoder, packed, masks, ctx),
+                            requires_grad=True)
         loss, _ = batched_pair_loss(
             embeddings, [(row[i], row[j], label) for i, j, label in batch],
             self.margin, positive_weight=weight)
-        return loss
-
-    def _step_loop(self, batch, weight):
-        """One gradient step through the per-graph reference path."""
-        unique = sorted({i for i, _, _ in batch} | {j for _, j, _ in batch})
-        embeddings = self._embed_indices(unique, training=True)
-        loss = Tensor(0.0)
-        for i, j, label in batch:
-            pair_loss, _ = cosine_embedding_loss(
-                embeddings[i], embeddings[j], label, self.margin)
-            if label == 1 and weight != 1.0:
-                pair_loss = pair_loss * weight
-            loss = loss + pair_loss
-        return loss * (1.0 / len(batch))
+        self.optimizer.zero_grad()
+        loss.backward()
+        batched_backward(encoder, packed, masks, ctx, embeddings.grad)
+        self.optimizer.step()
+        return loss.item()
 
     def train_epoch(self, dataset, epoch=0, extra_pairs=None):
         """One pass over the train pairs; returns (mean_loss, seconds).
@@ -138,27 +127,22 @@ class Trainer:
         pairs = dataset.train_pairs
         if extra_pairs:
             pairs = list(pairs) + list(extra_pairs)
-        step = self._step_batched if self.mode == "batched" else self._step_loop
         total_loss = 0.0
         num_pairs = 0
         start = time.perf_counter()
         for batch in batches(pairs, self.batch_size,
                              seed=self.seed + epoch):
-            loss = step(batch, weight)
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.step()
-            total_loss += loss.item() * len(batch)
+            total_loss += self._step(batch, weight) * len(batch)
             num_pairs += len(batch)
         elapsed = time.perf_counter() - start
         return total_loss / max(num_pairs, 1), elapsed
 
     def evaluate_pairs(self, dataset, pairs):
-        """Similarities + labels for ``pairs`` using eval-mode embeddings.
+        """Similarities + labels for ``pairs`` using dropout-free embeddings.
 
-        Embedding runs through the block-diagonal eval-mode forward pass in
-        ``batch_size``-bounded packs, matching per-graph embeds to BLAS
-        rounding with memory bounded regardless of evaluation-set size.
+        Embedding runs through the dropout-free batched forward pass in
+        ``batch_size``-bounded packs, so memory stays bounded regardless of
+        evaluation-set size.
 
         Returns:
             (similarities, labels01, seconds) — labels converted to {0, 1};

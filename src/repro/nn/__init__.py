@@ -1,15 +1,19 @@
 """Numpy-based neural-network stack replacing PyTorch/PyG.
 
-Contents: reverse-mode autograd (:class:`Tensor`), GNN layers
-(:class:`GCNConv`), self-attention pooling (:class:`SAGPool`), readout,
+Contents: reverse-mode autograd (:class:`Tensor`), the model's modules
+(:class:`GCNConv`, :class:`SAGPool`, readout, dropout), its one batched
+forward pass with a hand-derived backward (:mod:`repro.nn.batch`),
 cosine-embedding loss, and optimizers.
 """
 
 from repro.nn.batch import (
     GraphBatch,
+    batched_backward,
     batched_embed,
     batched_forward,
     pack_prepared,
+    segment_readout,
+    segment_topk,
 )
 from repro.nn.layers import (
     Dropout,
@@ -17,12 +21,11 @@ from repro.nn.layers import (
     Linear,
     Module,
     glorot,
-    normalize_adjacency,
     normalize_edges,
 )
 from repro.nn.loss import cosine_embedding_loss, pairwise_cosine_loss
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.pooling import Readout, SAGPool, readout
+from repro.nn.pooling import Readout, SAGPool
 from repro.nn.tensor import (
     Tensor,
     concat,
@@ -34,10 +37,10 @@ from repro.nn.tensor import (
 
 __all__ = [
     "Tensor", "concat", "cosine_similarity", "dot", "l2_norm", "spmm",
-    "Module", "Linear", "GCNConv", "Dropout", "glorot", "normalize_adjacency",
-    "normalize_edges",
-    "SAGPool", "Readout", "readout",
-    "GraphBatch", "batched_embed", "batched_forward", "pack_prepared",
+    "Module", "Linear", "GCNConv", "Dropout", "glorot", "normalize_edges",
+    "SAGPool", "Readout",
+    "GraphBatch", "batched_embed", "batched_forward", "batched_backward",
+    "pack_prepared", "segment_readout", "segment_topk",
     "cosine_embedding_loss", "pairwise_cosine_loss",
     "Optimizer", "SGD", "Adam",
 ]

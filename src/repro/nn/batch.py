@@ -1,8 +1,9 @@
-"""Batched graph compute: many graphs through one forward (or backward) pass.
+"""The hw2vec model's one forward pass and its hand-derived backward.
 
-:class:`~repro.core.hw2vec.HW2VEC` embeds one graph per call, which wastes
-time on per-graph Python and small-matrix overhead when embedding a corpus.
-Batching packs the graphs into one block-diagonal system:
+The model is fixed (paper Fig. 3): GCN layers, SAGPool top-k with a
+``tanh`` gate, and a readout.  Every embedding -- one graph or a corpus,
+inference or training -- goes through :func:`batched_forward` over a
+packed batch:
 
 - node features are stacked into a single ``(sum(N_i), F)`` matrix, and
 - every graph's edge arrays are offset into one edge list, normalized
@@ -10,32 +11,24 @@ Batching packs the graphs into one block-diagonal system:
   CSR matrix,
 
 so every GCN layer runs as a single sparse @ dense @ dense product over the
-whole batch.  The normalized adjacency has no cross-block entries, and each
-entry is computed exactly as a per-graph normalization would compute it
-(degrees never cross blocks), so the batched math is exactly the per-graph
-math; the only numerical difference is BLAS summation order on the larger
-matrices, which the tests bound at 1e-9 relative against
-:meth:`HW2VEC.embed` in eval mode.
+whole batch.  The normalized adjacency has no cross-block entries and each
+entry is computed exactly as a one-graph batch computes it (degrees never
+cross blocks).  The pooling / readout tail is segment-vectorized: one
+``np.lexsort`` ranks every node within its graph's segment for top-k
+(:func:`segment_topk`), and one ``reduceat`` reduces each graph's kept
+rows (:func:`segment_readout`).
 
-The pooling / readout tail (top-k selection, tanh gating, reduction) is
-inherently per-graph, so it runs as a vectorized numpy loop over the node
-segments of the batch.
-
-Two entry points share the packing:
-
-- :func:`batched_forward` / :func:`batched_embed` — raw-numpy eval path
-  for inference (no gradient tape, dropout always off).
-- :func:`batched_forward_tensor` + :func:`batched_pair_loss` — the
-  autograd path the trainer uses: the same block-diagonal system built
-  from :class:`~repro.nn.tensor.Tensor` ops, so one ``backward()`` call
-  propagates gradients for a whole minibatch of graphs and pair losses.
+Inference passes no dropout masks.  Training passes the masks of
+:meth:`~repro.nn.layers.Dropout.masks` and a ``ctx`` dict, scores the
+embeddings with the taped :func:`batched_pair_loss`, and hands the
+embedding gradient to :func:`batched_backward`, which propagates it by
+hand into each parameter's ``.grad``.
 """
 
 import numpy as np
 
 from repro.nn.layers import normalize_edges
-from repro.nn.pooling import topk_nodes
-from repro.nn.tensor import Tensor, concat
+from repro.nn.tensor import Tensor
 
 
 class GraphBatch:
@@ -59,10 +52,6 @@ class GraphBatch:
     def __len__(self):
         return len(self.sizes)
 
-    def segment(self, matrix, index):
-        """Rows of ``matrix`` belonging to graph ``index``."""
-        return matrix[self.offsets[index]:self.offsets[index + 1]]
-
 
 def pack_prepared(prepared_graphs):
     """Pack :class:`~repro.core.hw2vec.PreparedGraph` objects into a batch.
@@ -84,117 +73,135 @@ def pack_prepared(prepared_graphs):
     return GraphBatch(features, a_norm, sizes)
 
 
-def _readout(x, mode):
+def segment_topk(scores, batch, ratio):
+    """SAGPool's top-k over every graph of ``batch`` at once.
+
+    Graph ``g`` keeps its ``max(1, ceil(ratio * N_g))`` highest-scoring
+    nodes; ties keep node order.  One stable ``np.lexsort`` sorts by
+    segment, then by descending score, so a node's rank within its graph
+    is its sorted position minus the segment's first row.
+
+    Returns:
+        (kept rows in ascending order, per-graph kept counts)
+    """
+    sizes = np.asarray(batch.sizes)
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.maximum(1, np.ceil(ratio * sizes).astype(np.int64))
+    order = np.lexsort((-scores, segment))
+    rank = np.arange(len(order)) - batch.offsets[segment]
+    return np.sort(order[rank < counts[segment]]), counts
+
+
+def segment_readout(rows, counts, mode):
+    """Readout (Eq. 3) of consecutive row segments of lengths ``counts``.
+
+    ``mode`` is ``max``, ``mean`` or ``sum``; returns one row per segment.
+    """
+    starts = np.cumsum(counts) - counts
     if mode == "max":
-        return x.max(axis=0)
+        return np.maximum.reduceat(rows, starts, axis=0)
+    out = np.add.reduceat(rows, starts, axis=0)
     if mode == "mean":
-        return x.mean(axis=0)
-    return x.sum(axis=0)
+        out /= counts[:, None]
+    return out
 
 
-def batched_forward(encoder, batch):
-    """Eval-mode forward pass over a :class:`GraphBatch`.
+def batched_forward(encoder, batch, masks=None, ctx=None):
+    """The model's forward pass over a :class:`GraphBatch`.
 
     Args:
         encoder: a :class:`~repro.core.hw2vec.HW2VEC` (weights are read
-            directly; the encoder's train/eval mode is ignored — dropout
-            is always off, matching ``embed``).
+            directly).
         batch: output of :func:`pack_prepared`.
+        masks: per-layer dropout masks from
+            :meth:`~repro.nn.layers.Dropout.masks`, or ``None`` for no
+            dropout (inference).
+        ctx: optional dict; filled with what :func:`batched_backward`
+            needs.
 
     Returns:
         ``(n_graphs, hidden)`` embedding matrix.
     """
     x = batch.features
-    for conv in encoder.convs:
-        x = batch.a_norm @ x @ conv.weight.data
+    layers = []
+    for index, conv in enumerate(encoder.convs):
+        ax = batch.a_norm @ x
+        x = ax @ conv.weight.data
         if conv.bias is not None:
             x = x + conv.bias.data
         np.maximum(x, 0.0, out=x)
+        layers.append((ax, x))
+        if masks is not None:
+            x = x * masks[index]
 
     score_layer = encoder.pool.score_layer
-    scores = batch.a_norm @ x @ score_layer.weight.data
+    ax_score = batch.a_norm @ x
+    scores = ax_score @ score_layer.weight.data
     if score_layer.bias is not None:
         scores = scores + score_layer.bias.data
     scores = scores.ravel()
 
-    ratio = encoder.pool.ratio
-    mode = encoder.readout.mode
-    out = np.empty((len(batch), encoder.hidden))
-    for index, size in enumerate(batch.sizes):
-        seg_x = batch.segment(x, index)
-        seg_scores = scores[batch.offsets[index]:batch.offsets[index + 1]]
-        kept = topk_nodes(seg_scores, size, ratio)
-        gate = np.tanh(seg_scores[kept])[:, None]
-        out[index] = _readout(seg_x[kept] * gate, mode)
+    kept, counts = segment_topk(scores, batch, encoder.pool.ratio)
+    gate = np.tanh(scores[kept])
+    gated = x[kept] * gate[:, None]
+    out = segment_readout(gated, counts, encoder.readout.mode)
+    if ctx is not None:
+        ctx.update(layers=layers, x=x, ax_score=ax_score, kept=kept,
+                   counts=counts, gate=gate, gated=gated, out=out)
     return out
 
 
-def batched_forward_tensor(encoder, batch):
-    """Autograd-capable forward pass over a :class:`GraphBatch`.
+def batched_backward(encoder, batch, masks, ctx, d_embeddings):
+    """Backpropagate ``d_embeddings`` through a :func:`batched_forward`.
 
-    The differentiable twin of :func:`batched_forward`: runs the GCN stack
-    as block-diagonal Tensor ops (building the gradient tape through the
-    encoder's weights), honours the encoder's train/eval mode for dropout,
-    and applies the SAGPool/readout tail per node segment with
-    differentiable gathers.  Dropout masks are drawn *per graph* in packed
-    order (graph-major, layer-minor) — the exact RNG consumption order of
-    per-graph :meth:`HW2VEC.forward` calls over the same graphs — so
-    batched training reproduces the per-graph loop bit-for-bit in its
-    randomness, not just in expectation.  Per-graph results match
-    :meth:`HW2VEC.forward` on the same mode to BLAS rounding, and — because
-    the blocks share no entries — the gradients accumulated by
-    ``backward()`` equal the sum of per-graph backward passes.
-
-    Returns:
-        ``(n_graphs, hidden)`` embedding Tensor.
+    Accumulates into each encoder parameter's ``.grad``.  ``masks`` and
+    ``ctx`` are the ones the forward pass got.  The steps mirror the
+    forward's in reverse: the readout sends each graph's gradient to its
+    kept rows (max splits it evenly among tied maxima), the ``tanh`` gate
+    splits it between the kept features and their scores, and every GCN
+    layer ``relu(A X W + b)`` passes ``A^T (dY W^T)`` down to its input.
     """
-    dropout = encoder.dropout
-    use_dropout = dropout.training and dropout.rate > 0.0
-    masks = None
-    if use_dropout:
-        layer_chunks = [[] for _ in encoder.convs]
-        for size in batch.sizes:
-            for chunks in layer_chunks:
-                chunks.append(dropout.draw_mask((size, encoder.hidden)))
-        masks = [Tensor(np.vstack(chunks)) for chunks in layer_chunks]
-
-    x = Tensor(batch.features)
-    for layer, conv in enumerate(encoder.convs):
-        x = conv(x, batch.a_norm).relu()
-        if use_dropout:
-            x = x * masks[layer]
-    scores = encoder.pool.score_layer(x, batch.a_norm)
-    scores = scores.reshape(scores.shape[0])
-
-    ratio = encoder.pool.ratio
-    # Top-k selection is data-dependent but not differentiated (exactly as
-    # in SAGPool), so the kept indices come from the raw score values.
-    kept_all = []
-    counts = []
-    for index, size in enumerate(batch.sizes):
-        start = batch.offsets[index]
-        kept = topk_nodes(scores.data[start:start + size], size, ratio)
-        kept_all.append(start + kept)
-        counts.append(len(kept))
-    kept_all = np.concatenate(kept_all)
-
-    gate = scores.index_select(kept_all).tanh().reshape(len(kept_all), 1)
-    gated = x.index_select(kept_all) * gate
-
+    x, kept, counts, gate = ctx["x"], ctx["kept"], ctx["counts"], ctx["gate"]
+    row_graph = np.repeat(np.arange(len(counts)), counts)
     mode = encoder.readout.mode
-    rows = []
-    offset = 0
-    for keep in counts:
-        segment = gated.index_select(np.arange(offset, offset + keep))
-        if mode == "max":
-            row = segment.max(axis=0)
-        elif mode == "mean":
-            row = segment.mean(axis=0)
-        else:
-            row = segment.sum(axis=0)
-        rows.append(row.reshape(1, encoder.hidden))
-        offset += keep
-    return concat(rows, axis=0)
+    if mode == "max":
+        share = (ctx["gated"] == ctx["out"][row_graph]).astype(np.float64)
+        ties = segment_readout(share, counts, "sum")
+        share /= np.maximum(ties, 1.0)[row_graph]
+        d_gated = share * d_embeddings[row_graph]
+    elif mode == "mean":
+        d_gated = (d_embeddings * (1.0 / counts)[:, None])[row_graph]
+    else:
+        d_gated = d_embeddings[row_graph]
+
+    d_x = np.zeros_like(x)
+    d_x[kept] = d_gated * gate[:, None]
+    d_scores = np.zeros((len(x), 1))
+    d_scores[kept, 0] = (d_gated * x[kept]).sum(axis=1) * (1.0 - gate ** 2)
+    d_x = d_x + _linear_backward(encoder.pool.score_layer, batch,
+                                 ctx["ax_score"], d_scores)
+
+    for index in reversed(range(len(encoder.convs))):
+        ax, activation = ctx["layers"][index]
+        if masks is not None:
+            d_x = d_x * masks[index]
+        d_x = d_x * (activation > 0)
+        d_x = _linear_backward(encoder.convs[index], batch, ax, d_x,
+                               needs_input=index > 0)
+
+
+def _linear_backward(conv, batch, ax, d_out, needs_input=True):
+    """Gradients of ``out = ax @ W + b`` with ``ax = A @ X``.
+
+    Accumulates ``W`` and ``b`` gradients and returns ``dX = A^T dax``
+    (``None`` when ``needs_input`` is false: the input is the features).
+    """
+    if conv.bias is not None:
+        conv.bias._accumulate(d_out.sum(axis=0))
+    conv.weight._accumulate(ax.T @ d_out)
+    if needs_input:
+        return batch.a_norm.T @ (d_out @ conv.weight.data.T)
+    return None
 
 
 def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,
@@ -202,8 +209,9 @@ def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,
     """Vectorized cosine-embedding loss (Eq. 7) over rows of a batch.
 
     Args:
-        embeddings: ``(m, hidden)`` Tensor (e.g. from
-            :func:`batched_forward_tensor`).
+        embeddings: ``(m, hidden)`` Tensor (the trainer wraps
+            :func:`batched_forward`'s output in a leaf whose ``.grad``
+            feeds :func:`batched_backward`).
         pairs: iterable of ``(i, j, label)`` row-index pairs with label in
             {+1, -1}.
         margin: the paper fixes this to 0.5.
@@ -246,9 +254,9 @@ def batched_embed(encoder, graphs, batch_size=64):
     through ``encoder.prepare`` once each.
 
     Splits the input into batches of at most ``batch_size`` graphs to bound
-    peak memory, packs each, and runs :func:`batched_forward`.  Results
-    match per-graph :meth:`HW2VEC.embed` calls to BLAS rounding (~1e-9
-    relative).
+    peak memory, packs each, and runs :func:`batched_forward`.  A graph's
+    embedding does not depend on the batch it rides in beyond BLAS
+    summation order (~1e-9 relative).
 
     Returns:
         ``(n, hidden)`` numpy array in input order.

@@ -114,22 +114,20 @@ class Linear(Module):
         return out
 
 
-def normalize_edges(rows, cols, num_nodes, weights=None,
-                    add_self_loops=True):
+def normalize_edges(rows, cols, num_nodes, add_self_loops=True):
     """Symmetric GCN normalization ``D^-1/2 (A + I) D^-1/2`` (CSR).
 
     The one normalization routine: it builds the whole matrix in a few
     array passes, so a batch's block-diagonal system is normalized as one
-    graph.  ``A`` is given as COO edge arrays; duplicate entries sum, as
-    they do in scipy, so an existing self-loop counts twice once ``I`` is
-    added.  Each entry is ``(inv[r] * a) * inv[c]`` with
-    ``inv = degree ** -1/2`` (0 where the degree is 0), and the result
-    has sorted column indices.
+    graph.  ``A`` is given as COO edge arrays of unit entries; duplicate
+    entries sum, as they do in scipy, so an existing self-loop counts
+    twice once ``I`` is added.  Each entry is ``(inv[r] * a) * inv[c]``
+    with ``inv = degree ** -1/2`` (0 where the degree is 0), and the
+    result has sorted column indices.
 
     Args:
         rows, cols: int arrays of the ``A`` entries' coordinates.
         num_nodes: matrix size N.
-        weights: entry values (default: 1 per entry).
         add_self_loops: add the identity (the paper's ``A + I``).
     """
     rows = np.asarray(rows, dtype=np.int64)
@@ -138,16 +136,9 @@ def normalize_edges(rows, cols, num_nodes, weights=None,
         loops = np.arange(num_nodes, dtype=np.int64)
         rows = np.concatenate([rows, loops])
         cols = np.concatenate([cols, loops])
-        if weights is not None:
-            weights = np.concatenate([weights, np.ones(num_nodes)])
-    keys = rows * num_nodes + cols
-    if weights is None:
-        # Unit entries: each value is how often its coordinate occurs.
-        keys, counts = np.unique(keys, return_counts=True)
-        values = counts.astype(np.float64)
-    else:
-        keys, inverse = np.unique(keys, return_inverse=True)
-        values = np.bincount(inverse, weights=weights, minlength=len(keys))
+    # Each value is how often its coordinate occurs.
+    keys, counts = np.unique(rows * num_nodes + cols, return_counts=True)
+    values = counts.astype(np.float64)
     rows, cols = np.divmod(keys, num_nodes)
     degree = np.bincount(rows, weights=values, minlength=num_nodes)
     inv_sqrt = np.zeros(num_nodes)
@@ -158,13 +149,6 @@ def normalize_edges(rows, cols, num_nodes, weights=None,
     np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
     return sparse.csr_matrix((data, cols, indptr),
                              shape=(num_nodes, num_nodes))
-
-
-def normalize_adjacency(adjacency, add_self_loops=True):
-    """:func:`normalize_edges` of a scipy sparse adjacency (N x N)."""
-    coo = adjacency.tocoo()
-    return normalize_edges(coo.row, coo.col, coo.shape[0], weights=coo.data,
-                           add_self_loops=add_self_loops)
 
 
 class GCNConv(Module):
@@ -194,7 +178,8 @@ class GCNConv(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
+    """Inverted dropout after each GCN layer, applied by the batched
+    forward pass through the masks :meth:`masks` draws."""
 
     def __init__(self, rate=0.1, rng=None):
         super().__init__()
@@ -203,18 +188,21 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng or np.random.default_rng(0)
 
-    def draw_mask(self, shape):
-        """Draw one inverted-dropout mask, consuming the module RNG.
+    def masks(self, sizes, width, layers):
+        """Masks for a packed batch: ``(layers, sum(sizes), width)``.
 
-        Exposed so the block-diagonal batched trainer can draw per-graph
-        masks in exactly the per-graph forward order, keeping batched and
-        per-graph training bit-compatible in their randomness.
+        Returns ``None`` at rate 0.  One RNG draw covers the batch and is
+        consumed graph-major, layer-minor -- graph ``g``'s draws form a
+        ``(layers, sizes[g], width)`` block -- so a seeded run draws the
+        same stream as masking one graph and one layer at a time.
         """
+        if self.rate == 0.0:
+            return None
+        sizes = np.asarray(sizes)
         keep = 1.0 - self.rate
-        mask = self._rng.random(shape) < keep
-        return mask.astype(np.float64) / keep
-
-    def forward(self, x):
-        if not self.training or self.rate == 0.0:
-            return x
-        return x * Tensor(self.draw_mask(x.shape))
+        draws = self._rng.random(layers * width * int(sizes.sum())) < keep
+        blocks = np.split(draws, np.cumsum(layers * width * sizes)[:-1])
+        stacked = np.concatenate(
+            [block.reshape(layers, size, width)
+             for block, size in zip(blocks, sizes)], axis=1)
+        return stacked.astype(np.float64) / keep

@@ -4,27 +4,11 @@ SAGPool (Lee et al. [28], as used by the paper's Graph_Pool layer): a GCN
 scoring layer predicts one attention value per node, the top ``ceil(ratio*N)``
 nodes are kept, and the surviving node features are gated by ``tanh`` of
 their scores.  Readout (Eq. 3) reduces node embeddings to one graph vector
-by max / mean / sum.
+by max / mean / sum.  These modules hold the parameters and settings; the
+computation is :func:`repro.nn.batch.batched_forward`.
 """
 
-import numpy as np
-
-from repro.nn.layers import GCNConv, Module, normalize_adjacency
-from repro.nn.tensor import Tensor
-
-
-def topk_nodes(scores, num_nodes, ratio):
-    """Indices of the kept nodes: top ``ceil(ratio * N)`` by score.
-
-    The single source of truth for SAGPool's selection semantics — stable
-    descending argsort (ties keep node order), at least one survivor, kept
-    indices re-sorted ascending.  Shared with the batched forward paths in
-    :mod:`repro.nn.batch`, whose bit-parity with per-graph pooling depends
-    on all call sites selecting identically.
-    """
-    keep = max(1, int(np.ceil(ratio * num_nodes)))
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:keep])
+from repro.nn.layers import GCNConv, Module
 
 
 class SAGPool(Module):
@@ -43,27 +27,6 @@ class SAGPool(Module):
         self.score_layer = self.register_module(
             "score", GCNConv(channels, 1, rng=rng))
 
-    def forward(self, x, a_norm, adjacency):
-        """Pool the graph.
-
-        Args:
-            x: (N, C) node embeddings.
-            a_norm: normalized adjacency used by the scoring GCN.
-            adjacency: raw (binary) adjacency, used to build the pooled
-                graph's adjacency.
-
-        Returns:
-            (x_pool, a_norm_pool, adj_pool, kept_indices)
-        """
-        num_nodes = x.shape[0]
-        scores = self.score_layer(x, a_norm).reshape(num_nodes)
-        kept = topk_nodes(scores.data, num_nodes, self.ratio)
-        gate = scores.index_select(kept).tanh().reshape(len(kept), 1)
-        x_pool = x.index_select(kept) * gate
-        adj_pool = adjacency[kept][:, kept]
-        a_norm_pool = normalize_adjacency(adj_pool)
-        return x_pool, a_norm_pool, adj_pool, kept
-
 
 _READOUTS = ("max", "mean", "sum")
 
@@ -76,15 +39,3 @@ class Readout(Module):
         if mode not in _READOUTS:
             raise ValueError(f"readout mode must be one of {_READOUTS}")
         self.mode = mode
-
-    def forward(self, x):
-        if self.mode == "max":
-            return x.max(axis=0)
-        if self.mode == "mean":
-            return x.mean(axis=0)
-        return x.sum(axis=0)
-
-
-def readout(x, mode="max"):
-    """Functional form of :class:`Readout`."""
-    return Readout(mode)(Tensor.ensure(x))

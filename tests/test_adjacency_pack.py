@@ -20,7 +20,6 @@ from repro.ir.frontends import get_frontend
 from repro.nn import (
     GraphBatch,
     batched_forward,
-    normalize_adjacency,
     normalize_edges,
     pack_prepared,
 )
@@ -118,12 +117,11 @@ class TestPackMatchesReference:
                               batched_forward(encoder, reference))
 
     def test_per_graph_forward_uses_same_matrix(self, netlist_parts):
-        encoder = HW2VEC(seed=1, featurizer="netlist").eval()
+        encoder = HW2VEC(seed=1, featurizer="netlist")
         for graph in netlist_parts[:4]:
-            prepared = encoder.prepare(graph)
-            one = pack_prepared([prepared])
+            one = pack_prepared([encoder.prepare(graph)])
             assert_csr_equal(one.a_norm, reference_block([graph]))
-            assert np.array_equal(encoder.forward(prepared).numpy(),
+            assert np.array_equal(encoder.embed(graph),
                                   batched_forward(encoder, one)[0])
 
 
@@ -144,7 +142,9 @@ class TestNormalizeAdjacency:
             "self_loops"])
     @pytest.mark.parametrize("loops", [True, False])
     def test_matches_old_function(self, matrix, loops):
-        assert_csr_equal(normalize_adjacency(matrix, add_self_loops=loops),
+        coo = matrix.tocoo()
+        assert_csr_equal(normalize_edges(coo.row, coo.col, coo.shape[0],
+                                         add_self_loops=loops),
                          reference_normalize(matrix, add_self_loops=loops))
 
     def test_existing_self_loop_counts_twice(self):

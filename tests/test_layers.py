@@ -4,17 +4,27 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.core import HW2VEC
+from repro.dataflow import dfg_from_verilog
+from repro.nn.batch import batched_forward, pack_prepared
 from repro.nn.layers import (
     Dropout,
     GCNConv,
     Linear,
     Module,
     glorot,
-    normalize_adjacency,
+    normalize_edges,
 )
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(7)
+
+
+def normalize_adjacency(adjacency, add_self_loops=True):
+    """:func:`normalize_edges` of a binary scipy adjacency."""
+    coo = adjacency.tocoo()
+    return normalize_edges(coo.row, coo.col, coo.shape[0],
+                           add_self_loops=add_self_loops)
 
 
 def chain_adjacency(n):
@@ -163,24 +173,40 @@ class TestGCNConv:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        drop = Dropout(0.5)
-        drop.eval()
-        x = Tensor(np.ones((10, 10)))
-        np.testing.assert_array_equal(drop(x).data, x.data)
+        """Inference passes no masks: dropout is the identity there."""
+        encoder = HW2VEC(seed=0, dropout=0.5)
+        graph = dfg_from_verilog(
+            "module m(input a, input b, output y); assign y = a & b; "
+            "endmodule")
+        batch = pack_prepared([encoder.prepare(graph)] * 2)
+        ones = np.ones((len(encoder.convs), batch.features.shape[0],
+                        encoder.hidden))
+        np.testing.assert_array_equal(batched_forward(encoder, batch),
+                                      batched_forward(encoder, batch, ones))
 
     def test_train_mode_zeroes_and_scales(self):
         drop = Dropout(0.5, rng=np.random.default_rng(0))
-        out = drop(Tensor(np.ones((100, 100)))).data
-        values = set(np.unique(np.round(out, 6)))
-        assert values <= {0.0, 2.0}
+        masks = drop.masks([40, 60], 100, 2)
+        assert masks.shape == (2, 100, 100)
+        assert set(np.unique(masks)) <= {0.0, 2.0}
         # roughly half survive
-        assert 0.35 < (out > 0).mean() < 0.65
+        assert 0.35 < (masks > 0).mean() < 0.65
+
+    def test_masks_follow_per_graph_stream(self):
+        """One draw, consumed graph-major then layer-minor."""
+        drop = Dropout(0.25, rng=np.random.default_rng(5))
+        masks = drop.masks([3, 1, 4], 5, 2)
+        rng = np.random.default_rng(5)
+        expected = [[], []]
+        for size in (3, 1, 4):
+            for layer in range(2):
+                expected[layer].append(rng.random((size, 5)) < 0.75)
+        for layer in range(2):
+            np.testing.assert_array_equal(
+                masks[layer], np.vstack(expected[layer]) / 0.75)
 
     def test_zero_rate_identity(self):
-        drop = Dropout(0.0)
-        x = Tensor(RNG.normal(size=(5, 5)))
-        np.testing.assert_array_equal(drop(x).data, x.data)
-
+        assert Dropout(0.0).masks([5], 5, 2) is None
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             Dropout(1.0)

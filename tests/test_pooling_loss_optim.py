@@ -2,58 +2,77 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.nn.layers import Linear, normalize_adjacency
+from repro.core import HW2VEC
+from repro.ir import GraphIR
+from repro.nn.batch import (
+    GraphBatch,
+    batched_backward,
+    batched_forward,
+    pack_prepared,
+    segment_readout,
+    segment_topk,
+)
+from repro.nn.layers import Linear
 from repro.nn.loss import cosine_embedding_loss, pairwise_cosine_loss
 from repro.nn.optim import SGD, Adam
-from repro.nn.pooling import Readout, SAGPool, readout
+from repro.nn.pooling import Readout, SAGPool
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(11)
 
 
-def ring_adjacency(n):
-    rows = list(range(n))
-    cols = [(i + 1) % n for i in range(n)]
-    matrix = sparse.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
-    return matrix.maximum(matrix.T)
+def ring(n):
+    graph = GraphIR(f"ring{n}")
+    for _ in range(n):
+        graph.add_node("signal", "wire")
+    for i in range(n):
+        graph.add_edge(i, (i + 1) % n)
+    return graph
+
+
+def sized_batch(sizes):
+    """A batch with these graph sizes (top-k reads only the segments)."""
+    return GraphBatch(np.zeros((sum(sizes), 1)), None, sizes)
+
+
+def kept_per_graph(kept, batch):
+    return [kept[(kept >= lo) & (kept < hi)] - lo
+            for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])]
 
 
 class TestSAGPool:
-    def make(self, n=8, channels=4, ratio=0.5):
-        pool = SAGPool(channels, ratio=ratio, rng=RNG)
-        adjacency = ring_adjacency(n)
-        a_norm = normalize_adjacency(adjacency)
-        x = Tensor(RNG.normal(size=(n, channels)), requires_grad=True)
-        return pool, x, a_norm, adjacency
+    SIZES = [8, 5, 1, 6, 2]
 
     def test_keeps_ceil_ratio_nodes(self):
-        pool, x, a_norm, adjacency = self.make(n=8, ratio=0.5)
-        x_pool, _, _, kept = pool(x, a_norm, adjacency)
-        assert len(kept) == 4
-        assert x_pool.shape == (4, 4)
+        batch = sized_batch(self.SIZES)
+        kept, counts = segment_topk(RNG.normal(size=sum(self.SIZES)), batch,
+                                    0.5)
+        np.testing.assert_array_equal(counts, [4, 3, 1, 3, 1])
+        assert [len(k) for k in kept_per_graph(kept, batch)] == [4, 3, 1, 3, 1]
+        assert np.all(np.diff(kept) > 0)
 
     def test_odd_count_rounds_up(self):
-        pool, x, a_norm, adjacency = self.make(n=5, ratio=0.5)
-        _, _, _, kept = pool(x, a_norm, adjacency)
-        assert len(kept) == 3
+        batch = sized_batch([5, 7])
+        _, counts = segment_topk(RNG.normal(size=12), batch, 0.5)
+        np.testing.assert_array_equal(counts, [3, 4])
 
     def test_at_least_one_node_kept(self):
-        pool, x, a_norm, adjacency = self.make(n=1, ratio=0.5)
-        _, _, _, kept = pool(x, a_norm, adjacency)
-        assert len(kept) == 1
+        batch = sized_batch([1, 3, 1])
+        kept, counts = segment_topk(RNG.normal(size=5), batch, 0.1)
+        np.testing.assert_array_equal(counts, [1, 1, 1])
+        assert [len(k) for k in kept_per_graph(kept, batch)] == [1, 1, 1]
 
     def test_ratio_one_keeps_all(self):
-        pool, x, a_norm, adjacency = self.make(n=6, ratio=1.0)
-        _, _, _, kept = pool(x, a_norm, adjacency)
-        assert len(kept) == 6
+        batch = sized_batch(self.SIZES)
+        kept, _ = segment_topk(RNG.normal(size=sum(self.SIZES)), batch, 1.0)
+        np.testing.assert_array_equal(kept, np.arange(sum(self.SIZES)))
 
-    def test_pooled_adjacency_is_submatrix(self):
-        pool, x, a_norm, adjacency = self.make()
-        _, _, adj_pool, kept = pool(x, a_norm, adjacency)
-        np.testing.assert_array_equal(
-            adj_pool.toarray(), adjacency.toarray()[kept][:, kept])
+    def test_ties_keep_node_order(self):
+        batch = sized_batch([4, 5])
+        scores = np.array([1.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        kept, _ = segment_topk(scores, batch, 0.5)
+        np.testing.assert_array_equal(kept, [1, 2, 4, 5, 6])
 
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -62,34 +81,54 @@ class TestSAGPool:
             SAGPool(4, ratio=1.5)
 
     def test_gradient_flows_through_gate(self):
-        pool, x, a_norm, adjacency = self.make()
-        x_pool, _, _, _ = pool(x, a_norm, adjacency)
-        x_pool.pow(2.0).sum().backward()
-        assert x.grad is not None
-        assert np.linalg.norm(x.grad) > 0
-        assert pool.score_layer.weight.grad is not None
+        encoder = HW2VEC(seed=3)
+        batch = pack_prepared([encoder.prepare(ring(n)) for n in (6, 3, 9)])
+        ctx = {}
+        out = batched_forward(encoder, batch, ctx=ctx)
+        batched_backward(encoder, batch, None, ctx, 2 * out)
+        for param in encoder.parameters():
+            assert param.grad is not None
+        assert np.linalg.norm(encoder.pool.score_layer.weight.grad) > 0
 
     def test_selection_follows_scores(self):
         """Nodes with the largest attention scores must be the kept ones."""
-        pool, x, a_norm, adjacency = self.make(n=6)
-        scores = pool.score_layer(x, a_norm).reshape(6).data
-        _, _, _, kept = pool(x, a_norm, adjacency)
-        expected = np.sort(np.argsort(-scores)[:3])
-        np.testing.assert_array_equal(kept, expected)
+        batch = sized_batch(self.SIZES)
+        scores = RNG.normal(size=sum(self.SIZES))
+        kept, counts = segment_topk(scores, batch, 0.5)
+        for index, local in enumerate(kept_per_graph(kept, batch)):
+            seg = scores[batch.offsets[index]:batch.offsets[index + 1]]
+            expected = np.sort(np.argsort(-seg, kind="stable")[:counts[index]])
+            np.testing.assert_array_equal(local, expected)
 
 
 class TestReadout:
+    ROWS = np.array([[1.0, 5.0], [3.0, 1.0], [0.0, 7.0]])
+    COUNTS = np.array([2, 1])
+
     def test_max(self):
-        x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(Readout("max")(x).data, [3.0, 5.0])
+        np.testing.assert_array_equal(
+            segment_readout(self.ROWS, self.COUNTS, "max"),
+            [[3.0, 5.0], [0.0, 7.0]])
 
     def test_mean(self):
-        x = Tensor(np.array([[1.0, 5.0], [3.0, 1.0]]))
-        np.testing.assert_array_equal(Readout("mean")(x).data, [2.0, 3.0])
+        np.testing.assert_array_equal(
+            segment_readout(self.ROWS, self.COUNTS, "mean"),
+            [[2.0, 3.0], [0.0, 7.0]])
 
     def test_sum(self):
-        x = Tensor(np.array([[1.0, 5.0], [3.0, 1.0]]))
-        np.testing.assert_array_equal(Readout("sum")(x).data, [4.0, 6.0])
+        np.testing.assert_array_equal(
+            segment_readout(self.ROWS, self.COUNTS, "sum"),
+            [[4.0, 6.0], [0.0, 7.0]])
+
+    @pytest.mark.parametrize("mode", ["max", "mean", "sum"])
+    def test_matches_per_segment_loop(self, mode):
+        counts = np.array([3, 1, 7, 2])
+        rows = RNG.normal(size=(counts.sum(), 5))
+        ends = np.cumsum(counts)
+        expected = [getattr(rows[end - count:end], mode)(axis=0)
+                    for count, end in zip(counts, ends)]
+        np.testing.assert_allclose(segment_readout(rows, counts, mode),
+                                   expected, rtol=1e-12, atol=0)
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -97,7 +136,8 @@ class TestReadout:
 
     def test_functional_form(self):
         np.testing.assert_array_equal(
-            readout(np.array([[1.0], [2.0]]), "sum").data, [3.0])
+            segment_readout(np.array([[1.0], [2.0]]), np.array([2]), "sum"),
+            [[3.0]])
 
 
 class TestCosineEmbeddingLoss:

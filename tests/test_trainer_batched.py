@@ -1,17 +1,19 @@
-"""Batched training: gradient equivalence, determinism, loss parity."""
+"""Training: the hand-derived backward, determinism, seeded trajectory."""
 
 import numpy as np
 import pytest
 
 from repro.core import GNN4IP, GraphRecord, Trainer, build_pair_dataset
 from repro.dataflow import dfg_from_verilog
-from repro.errors import ModelError
+from repro.designs import rtl_records
 from repro.nn.batch import (
-    batched_forward_tensor,
+    batched_backward,
+    batched_forward,
     batched_pair_loss,
     pack_prepared,
 )
 from repro.nn.loss import cosine_embedding_loss
+from repro.nn.tensor import Tensor
 
 XOR = """
 module x(input a, input b, output y);
@@ -46,45 +48,72 @@ def dataset():
     return build_pair_dataset(records, test_fraction=0.2, seed=1)
 
 
-def _grads(model):
-    return {name: param.grad.copy()
-            for name, param in model.encoder.named_parameters()}
+def numeric_grad(function, x, eps=1e-6):
+    """Central-difference gradient of scalar ``function`` at array ``x``."""
+    grad = np.zeros_like(x)
+    flat = x.ravel()
+    grad_flat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = function(x)
+        flat[i] = orig - eps
+        minus = function(x)
+        flat[i] = orig
+        grad_flat[i] = (plus - minus) / (2 * eps)
+    return grad
 
 
 class TestGradientEquivalence:
-    def test_batched_matches_per_pair_loop_to_1e8(self, dataset):
-        """Block-diagonal forward+backward == per-graph loop (dropout off)."""
-        model = GNN4IP(seed=0, dropout=0.0)
-        trainer = Trainer(model, seed=0, mode="loop")
-        trainer._prepare_all(dataset)
-        batch = dataset.train_pairs
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["no_dropout", "fixed_masks"])
+    @pytest.mark.parametrize("readout", ["max", "mean", "sum"])
+    def test_backward_matches_finite_differences(self, dataset, readout,
+                                                 masked):
+        """``batched_backward`` is the gradient of ``sum(weights * out)``."""
+        rng = np.random.default_rng(4)
+        encoder = GNN4IP(seed=0, readout=readout, dropout=0.5).encoder
+        for param in encoder.parameters():
+            param.data = rng.normal(size=param.data.shape)
+        batch = pack_prepared([encoder.prepare(r.graph)
+                               for r in dataset.records])
+        masks = (encoder.dropout.masks(batch.sizes, encoder.hidden,
+                                       len(encoder.convs))
+                 if masked else None)
+        weights = rng.normal(size=(len(batch), encoder.hidden))
 
-        loop_loss = trainer._step_loop(batch, weight=2.0)
-        model.encoder.zero_grad()
-        loop_loss.backward()
-        loop_grads = _grads(model)
+        def objective(_):
+            return float((batched_forward(encoder, batch, masks)
+                          * weights).sum())
 
-        batched = Trainer(model, seed=0, mode="batched")
-        batched._prepared = trainer._prepared
-        batched_loss = batched._step_batched(batch, weight=2.0)
-        model.encoder.zero_grad()
-        batched_loss.backward()
-        batched_grads = _grads(model)
+        ctx = {}
+        batched_forward(encoder, batch, masks, ctx)
+        encoder.zero_grad()
+        batched_backward(encoder, batch, masks, ctx, weights)
+        for name, param in encoder.named_parameters():
+            numeric = numeric_grad(objective, param.data)
+            np.testing.assert_allclose(param.grad, numeric, rtol=1e-5,
+                                       atol=1e-6, err_msg=name)
 
-        assert batched_loss.item() == pytest.approx(loop_loss.item(),
-                                                    abs=1e-10)
-        assert set(loop_grads) == set(batched_grads)
-        for name, grad in loop_grads.items():
-            np.testing.assert_allclose(batched_grads[name], grad,
-                                       rtol=1e-8, atol=1e-8,
-                                       err_msg=f"gradient mismatch: {name}")
+    def test_backward_accumulates(self, dataset):
+        encoder = GNN4IP(seed=0).encoder
+        batch = pack_prepared([encoder.prepare(r.graph)
+                               for r in dataset.records])
+        ctx = {}
+        batched_forward(encoder, batch, ctx=ctx)
+        d_out = np.ones((len(batch), encoder.hidden))
+        batched_backward(encoder, batch, None, ctx, d_out)
+        once = {name: p.grad.copy() for name, p in encoder.named_parameters()}
+        batched_backward(encoder, batch, None, ctx, d_out)
+        for name, param in encoder.named_parameters():
+            np.testing.assert_allclose(param.grad, 2 * once[name])
 
     def test_vectorized_pair_loss_matches_scalar(self, dataset):
         model = GNN4IP(seed=0, dropout=0.0)
-        model.encoder.eval()
         prepared = [model.encoder.prepare(r.graph) for r in dataset.records]
         packed = pack_prepared(prepared)
-        embeddings = batched_forward_tensor(model.encoder, packed)
+        embeddings = Tensor(batched_forward(model.encoder, packed),
+                            requires_grad=True)
         pairs = [(0, 1, 1), (0, 2, -1), (3, 4, -1), (2, 3, 1)]
         vec_loss, sims = batched_pair_loss(embeddings, pairs, margin=0.5,
                                            positive_weight=3.0)
@@ -100,8 +129,8 @@ class TestGradientEquivalence:
     def test_batched_pair_loss_rejects_empty(self):
         model = GNN4IP(seed=0)
         prepared = model.encoder.prepare(dfg_from_verilog(XOR))
-        embeddings = batched_forward_tensor(model.encoder,
-                                            pack_prepared([prepared]))
+        embeddings = Tensor(batched_forward(model.encoder,
+                                            pack_prepared([prepared])))
         with pytest.raises(ValueError):
             batched_pair_loss(embeddings, [])
 
@@ -127,32 +156,54 @@ class TestDeterminism:
                    for name in first)
 
 
+#: Epoch losses of three seeded epochs on ``small_corpus`` under the
+#: per-graph autograd forward this trainer replaced; the one forward and
+#: its hand-derived backward must stay on that trajectory.
+TRAJECTORY = {
+    0.0: [0.12393534125930501, 0.08667338905269403, 0.0784326040209903],
+    0.1: [0.4644260124971168, 0.6691847125648771, 0.7006579507213766],
+}
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    records = rtl_records(families=["adder8", "cmp8", "lfsr8", "mux8"],
+                          instances_per_design=3, seed=0)
+    return build_pair_dataset(records, seed=0)
+
+
 class TestBatchedTrainer:
-    def test_default_mode_is_batched(self):
-        assert Trainer(GNN4IP(seed=0)).mode == "batched"
-        with pytest.raises(ModelError):
-            Trainer(GNN4IP(seed=0), mode="turbo")
+    @pytest.mark.parametrize("dropout", sorted(TRAJECTORY))
+    def test_seeded_trajectory(self, small_corpus, dropout):
+        """Dropout-free and dropout runs keep the seeded trajectory: the
+        masks consume the RNG stream graph by graph, as before."""
+        trainer = Trainer(GNN4IP(seed=0, dropout=dropout), seed=0)
+        losses = [trainer.train_epoch(small_corpus, epoch)[0]
+                  for epoch in range(3)]
+        np.testing.assert_allclose(losses, TRAJECTORY[dropout], rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_reused_trainer_prepares_new_dataset(self, dataset):
+        """A second dataset of the same size is scored on its own graphs."""
+        other = build_pair_dataset(
+            [GraphRecord("and", f"a{k}", dfg_from_verilog(AND))
+             for k in range(2)]
+            + [GraphRecord("cnt", f"c{k}", dfg_from_verilog(COUNTER))
+               for k in range(3)], test_fraction=0.2, seed=1)
+        assert len(other.records) == len(dataset.records)
+        model = GNN4IP(seed=0)
+        reused = Trainer(model, seed=0)
+        reused.evaluate_pairs(dataset, dataset.train_pairs)
+        sims, _, _ = reused.evaluate_pairs(other, other.train_pairs)
+        fresh, _, _ = Trainer(model, seed=0).evaluate_pairs(
+            other, other.train_pairs)
+        assert sims == fresh
 
     def test_loss_decreases(self, dataset):
         trainer = Trainer(GNN4IP(seed=0, dropout=0.0), lr=0.01, seed=0)
         losses = [trainer.train_epoch(dataset, epoch)[0]
                   for epoch in range(15)]
         assert min(losses[5:]) <= losses[0] + 1e-9
-
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
-    def test_epoch_loss_matches_loop_mode(self, dataset, dropout):
-        """Same seed => identical epoch losses either way.
-
-        Holds even with dropout on: the batched path draws per-graph masks
-        in the per-graph forward order, so the RNG streams coincide.
-        """
-        loop = Trainer(GNN4IP(seed=0, dropout=dropout), seed=0, mode="loop")
-        batched = Trainer(GNN4IP(seed=0, dropout=dropout), seed=0,
-                          mode="batched")
-        for epoch in range(3):
-            loss_loop, _ = loop.train_epoch(dataset, epoch)
-            loss_batched, _ = batched.train_epoch(dataset, epoch)
-            assert loss_batched == pytest.approx(loss_loop, abs=1e-8)
 
     def test_evaluate_pairs_empty(self, dataset):
         trainer = Trainer(GNN4IP(seed=0), seed=0)
