@@ -2,9 +2,10 @@
 
 Builds a tiny index with the CLI, starts ``gnn4ip serve`` (via
 ``python -m repro``) as a real subprocess on an ephemeral port, checks
-that an empty design is refused with a 400 envelope, runs one
-multi-suspect ``/v1/query`` round trip plus a health check through
-:mod:`repro.client`, and shuts the server down cleanly.  CI runs this as
+that an empty design and a truncated gate-level source are each refused
+with a 400 envelope, runs one multi-suspect ``/v1/query`` round trip
+plus a health check through :mod:`repro.client`, and shuts the server
+down cleanly.  CI runs this as
 the server smoke job; it also works standalone::
 
     python examples/server_smoke.py
@@ -34,6 +35,9 @@ endmodule
 
 #: Lowers to a graph with no nodes: a per-request error, never a 500.
 EMPTY = "module m(); endmodule"
+
+#: Cut short inside a gate's argument list: a parse error, never a 500.
+TRUNCATED = "module m(input a, output y); and g (y,"
 
 
 def main():
@@ -73,14 +77,17 @@ def main():
             assert health["status"] == "ok", health
             assert health["designs"] == 2, health
 
-            try:
-                client.query(sources=[EMPTY], k=2)
-            except ServerError as exc:
-                assert exc.status == 400, (exc.status, exc.error_type)
-                assert exc.error_type == "GraphIRError", exc.error_type
-                print(f"empty design refused: {exc.status} {exc}")
-            else:
-                raise AssertionError("empty design was not refused")
+            for label, source, error_type in (
+                    ("empty design", EMPTY, "GraphIRError"),
+                    ("truncated source", TRUNCATED, "ParseError")):
+                try:
+                    client.query(sources=[source], k=2)
+                except ServerError as exc:
+                    assert exc.status == 400, (exc.status, exc.error_type)
+                    assert exc.error_type == error_type, exc.error_type
+                    print(f"{label} refused: {exc.status} {exc}")
+                else:
+                    raise AssertionError(f"{label} was not refused")
 
             out = client.query(sources=[ADDER, MUX],
                                labels=["adder.v", "mux.v"], k=2)

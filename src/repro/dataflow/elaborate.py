@@ -12,6 +12,8 @@ from repro.dataflow.consteval import evaluate_const, try_evaluate_const
 from repro.verilog import ast_nodes as ast
 
 _MAX_DEPTH = 64
+#: Items a flattening that renames nothing passes through as they are.
+_VERBATIM_ITEMS = (ast.Assign, ast.GateInstance, ast.Always)
 
 
 def rewrite_expr(expr, mapping):
@@ -125,7 +127,14 @@ def find_top_module(source, top=None):
 
 
 class Elaborator:
-    """Flattens a multi-module design into a single module."""
+    """Flattens a multi-module design into a single module.
+
+    Instance items are rebuilt under their instance prefix, but the top
+    module's own items are reused when flattening renames nothing (no
+    parameters), so the flat module may share nodes with the parsed
+    AST.  That is safe because nothing writes to an AST node once the
+    parser has returned it.
+    """
 
     def __init__(self, source):
         self._modules = source.module_map()
@@ -173,16 +182,26 @@ class Elaborator:
         if depth > _MAX_DEPTH:
             raise ElaborationError(
                 f"instantiation too deep at {module.name!r} (recursion?)")
-        mapping = {name: ast.IntConst(value)
-                   for name, value in param_env.items()}
-        for name in self._local_names(module):
-            mapping[name] = ast.Identifier(prefix + name)
+        # Flattening that renames nothing -- the top module, without
+        # parameters -- maps every name to itself, so its items are
+        # reused as they are.  A declared width is still rebuilt: that
+        # evaluates it to constants or raises.
+        renames = bool(prefix or param_env)
+        mapping = {}
+        if renames:
+            mapping = {name: ast.IntConst(value)
+                       for name, value in param_env.items()}
+            for name in self._local_names(module):
+                mapping[name] = ast.Identifier(prefix + name)
 
         items = []
         for item in module.items:
-            if isinstance(item, ast.ParamDecl):
+            if not renames and (isinstance(item, _VERBATIM_ITEMS) or (
+                    isinstance(item, ast.NetDecl) and item.width is None)):
+                items.append(item)
+            elif isinstance(item, ast.ParamDecl):
                 continue
-            if isinstance(item, ast.NetDecl):
+            elif isinstance(item, ast.NetDecl):
                 width = _rewrite_width(item.width, param_env)
                 names = [prefix + name for name in item.names]
                 items.append(ast.NetDecl(item.kind, names, width,

@@ -16,12 +16,11 @@ from repro.nn.tensor import Tensor, spmm
 
 
 class Module:
-    """Base class: parameter registration and train/eval mode."""
+    """Base class: parameter and submodule registration."""
 
     def __init__(self):
         self._parameters = {}
         self._modules = {}
-        self.training = True
 
     def register_parameter(self, name, tensor):
         tensor.requires_grad = True
@@ -50,18 +49,6 @@ class Module:
     def zero_grad(self):
         for param in self.parameters():
             param.zero_grad()
-
-    def train(self):
-        self.training = True
-        for module in self._modules.values():
-            module.train()
-        return self
-
-    def eval(self):
-        self.training = False
-        for module in self._modules.values():
-            module.eval()
-        return self
 
     def state_dict(self):
         """Copy of all parameter arrays, keyed by dotted name."""

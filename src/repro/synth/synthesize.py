@@ -148,7 +148,13 @@ class Synthesizer:
 
     def _synth_gate(self, item):
         inputs = []
+        widths = self._widths
         for arg in item.args[1:]:
+            # A declared one-bit signal is its own net: the general
+            # path would evaluate, fit and OR-reduce it to itself.
+            if type(arg) is ast.Identifier and widths.get(arg.name) == 1:
+                inputs.append(arg.name)
+                continue
             bits = self._eval(arg, {}, width_hint=1)
             inputs.append(self._logic.logic_value(bits))
         lhs_nets, _ = self._lhs_nets(item.args[0], {})

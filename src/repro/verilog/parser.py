@@ -5,7 +5,10 @@ non-ANSI headers), net/reg declarations with vector ranges, parameters,
 continuous assigns, always/initial blocks with if/case/for, gate primitives,
 and hierarchical module instantiation with parameter overrides.
 
-Expression parsing uses precedence climbing.
+Expression parsing uses precedence climbing.  The two statements most of a
+gate-level netlist consists of -- a one-name declaration and a named gate
+on bare identifiers -- are each taken in one step; every other shape goes
+through the general rules, which alone raise parse errors.
 """
 
 from repro.errors import ParseError
@@ -50,6 +53,7 @@ class Parser:
     def __init__(self, tokens):
         self._tokens = tokens
         self._pos = 0
+        self._anonymous_gates = 0
 
     # -- token helpers --------------------------------------------------
     # The stream ends in EOF and ``_advance`` never steps past it, so the
@@ -94,6 +98,7 @@ class Parser:
     def _parse_module(self):
         start = self._expect(KEYWORD, "module")
         name = self._expect(IDENT).value
+        self._anonymous_gates = 0
         params = []
         if self._accept(PUNCT, "#"):
             params = self._parse_param_port_list()
@@ -102,8 +107,12 @@ class Parser:
             ports = self._parse_port_list()
         self._expect(PUNCT, ";")
         items = []
-        while not self._check(KEYWORD, "endmodule"):
-            if self._check(EOF):
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            if token.kind == KEYWORD and token.value == "endmodule":
+                break
+            if token.kind == EOF:
                 self._error(f"unterminated module {name!r}")
             item = self._parse_module_item()
             if isinstance(item, list):
@@ -166,10 +175,13 @@ class Parser:
         token = self._peek()
         if token.kind == KEYWORD:
             value = token.value
-            if value in ("input", "output", "inout"):
-                return self._parse_port_declaration()
+            # Declarations and gates first: they are most netlist items.
             if value in _NET_KINDS:
                 return self._parse_net_declaration()
+            if value in GATE_PRIMITIVES:
+                return self._parse_gate_instances()
+            if value in ("input", "output", "inout"):
+                return self._parse_port_declaration()
             if value in ("parameter", "localparam"):
                 return self._parse_param_declaration()
             if value == "assign":
@@ -179,8 +191,6 @@ class Parser:
             if value == "initial":
                 self._advance()
                 return ast.Initial(self._parse_statement())
-            if value in GATE_PRIMITIVES:
-                return self._parse_gate_instances()
             if value in ("genvar",):
                 self._advance()
                 while not self._accept(PUNCT, ";"):
@@ -212,7 +222,21 @@ class Parser:
         return ports
 
     def _parse_net_declaration(self):
-        token = self._advance()
+        # ``wire NAME ;`` -- one name, no width, no initializer, the
+        # shape of every netlist declaration -- from a three-token
+        # lookahead.  The stream ends in EOF, so ``tokens[pos + 2]``
+        # exists once ``tokens[pos + 1]`` is an identifier.
+        tokens = self._tokens
+        pos = self._pos
+        token = tokens[pos]
+        name = tokens[pos + 1]
+        if name.kind == IDENT:
+            end = tokens[pos + 2]
+            if end.kind == PUNCT and end.value == ";":
+                self._pos = pos + 3
+                return ast.NetDecl(token.value, [name.value], None, False,
+                                   token.line)
+        self._advance()
         kind = token.value
         signed = bool(self._accept(KEYWORD, "signed"))
         width = self._parse_optional_width()
@@ -294,16 +318,19 @@ class Parser:
         return items
 
     def _parse_gate_instances(self):
+        instance = self._parse_plain_gate()
+        if instance is not None:
+            return instance
         token = self._advance()
         gate = token.value
         instances = []
-        index = 0
         while True:
-            name = ""
             if self._check(IDENT):
                 name = self._advance().value
             else:
-                name = f"{gate}_anon{index}"
+                # Numbered per module: instance names must be unique.
+                name = f"{gate}_anon{self._anonymous_gates}"
+                self._anonymous_gates += 1
             self._expect(PUNCT, "(")
             args = [self._parse_expression()]
             while self._accept(PUNCT, ","):
@@ -311,11 +338,48 @@ class Parser:
             self._expect(PUNCT, ")")
             instances.append(ast.GateInstance(gate=gate, name=name, args=args,
                                               line=token.line))
-            index += 1
             if not self._accept(PUNCT, ","):
                 break
         self._expect(PUNCT, ";")
         return instances if len(instances) > 1 else instances[0]
+
+    def _parse_plain_gate(self):
+        """``GATE NAME ( ID {, ID} ) ;`` -- one named instance on bare
+        identifiers, the shape of every netlist gate -- in one loop over
+        the tokens; ``None`` (nothing consumed) for any other shape.
+
+        Each index is read only after the token before it proved not to
+        be EOF, so the scan never runs off the stream's end.
+        """
+        tokens = self._tokens
+        pos = self._pos
+        name = tokens[pos + 1]
+        if name.kind != IDENT:
+            return None
+        token = tokens[pos + 2]
+        if token.kind != PUNCT or token.value != "(":
+            return None
+        args = []
+        pos += 3
+        while True:
+            arg = tokens[pos]
+            if arg.kind != IDENT:
+                return None
+            follow = tokens[pos + 1]
+            if follow.kind != PUNCT:
+                return None
+            args.append(ast.Identifier(arg.value))
+            pos += 2
+            if follow.value == ")":
+                break
+            if follow.value != ",":
+                return None
+        end = tokens[pos]
+        if end.kind != PUNCT or end.value != ";":
+            return None
+        gate = tokens[self._pos]
+        self._pos = pos + 1
+        return ast.GateInstance(gate.value, name.value, args, gate.line)
 
     def _parse_module_instances(self):
         token = self._advance()

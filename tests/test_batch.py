@@ -108,14 +108,6 @@ class TestBatchedForward:
         encoder = HW2VEC(seed=0)
         assert batched_embed(encoder, []).shape == (0, encoder.hidden)
 
-    def test_training_mode_ignored(self, graphs):
-        """Batched inference is eval-mode even on a training-mode model."""
-        encoder = HW2VEC(seed=0, dropout=0.5)
-        encoder.train()
-        batched = batched_embed(encoder, graphs)
-        single = np.stack([encoder.embed(g) for g in graphs])
-        assert_embeddings_close(batched, single)
-
     def test_embed_many_uses_batched_path(self, graphs):
         encoder = HW2VEC(seed=0)
         np.testing.assert_array_equal(

@@ -91,12 +91,6 @@ class TestHW2VEC:
         out = HW2VEC(seed=0).embed_many([xor_graph, and_graph])
         assert out.shape == (2, 16)
 
-    def test_embed_restores_training_mode(self, xor_graph):
-        encoder = HW2VEC(seed=0)
-        encoder.train()
-        encoder.embed(xor_graph)
-        assert encoder.training
-
     def test_num_layers_validated(self):
         with pytest.raises(ValueError):
             HW2VEC(num_layers=0)

@@ -139,6 +139,55 @@ endmodule
         assert "u1.o" in signal_names(flat)
 
 
+def node_ids(item):
+    """ids of every AST node in ``item``'s tree, ``item`` included."""
+    found = set()
+    stack = [item]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, ast.Node):
+            found.add(id(node))
+            stack.extend(vars(node).values())
+    return found
+
+
+class TestSharing:
+    def test_flat_module_reuses_its_items(self):
+        source = parse("""
+module m(input clk, input a, input b, output y, output z);
+  wire t;
+  reg q;
+  and g1 (t, a, b);
+  or (y, t, q);
+  assign z = t ^ q;
+  always @(posedge clk) q <= t;
+endmodule
+""")
+        parsed = source.modules[0]
+        flat = elaborate(source)
+        assert len(flat.items) == len(parsed.items)
+        assert all(got is want for got, want in zip(flat.items, parsed.items))
+
+    def test_instances_get_their_own_nodes(self):
+        source = parse(HIERARCHY)
+        top, leaf = source.modules
+        flat = elaborate(source)
+        inlined = [item for item in flat.items
+                   if not any(item is own for own in top.items)]
+        seen = set()
+        for item in inlined:
+            ids = node_ids(item)
+            assert not ids & seen
+            seen |= ids
+        assert not seen & set().union(*map(node_ids, leaf.items))
+        names = {item.lhs.name for item in inlined
+                 if isinstance(item, ast.Assign)
+                 and isinstance(item.lhs, ast.Identifier)}
+        assert {"u1.o", "u2.o"} <= names
+
+
 class TestParameters:
     def test_parameters_substituted(self):
         source = parse("""

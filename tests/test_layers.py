@@ -70,18 +70,6 @@ class TestModuleInfrastructure:
         with pytest.raises(KeyError):
             layer.load_state_dict({})
 
-    def test_train_eval_propagates(self):
-        class Net(Module):
-            def __init__(self):
-                super().__init__()
-                self.drop = self.register_module("d", Dropout(0.5))
-
-        net = Net()
-        net.eval()
-        assert not net.drop.training
-        net.train()
-        assert net.drop.training
-
     def test_zero_grad(self):
         layer = Linear(2, 2)
         out = layer(Tensor(np.ones((1, 2)))).sum()

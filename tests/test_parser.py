@@ -330,6 +330,100 @@ class TestIdentifierFastPath:
                   ast.Identifier("b")], line=1)]
 
 
+def _ids(*names):
+    return [ast.Identifier(name) for name in names]
+
+
+#: Statement -> the module items it parses to.  The one-name, no-width
+#: declaration and the named gate on bare identifiers take the parser's
+#: one-step paths; every other row is a shape next to them that must
+#: keep the general path's tree.
+STATEMENT_TREES = [
+    ("wire a;", [ast.NetDecl("wire", ["a"], line=1)]),
+    ("reg q;", [ast.NetDecl("reg", ["q"], line=1)]),
+    ("wire a, b;", [ast.NetDecl("wire", ["a", "b"], line=1)]),
+    ("wire [3:0] x;", [ast.NetDecl(
+        "wire", ["x"], ast.Width(ast.IntConst(3), ast.IntConst(0)),
+        line=1)]),
+    ("wire signed s;", [ast.NetDecl("wire", ["s"], signed=True, line=1)]),
+    ("wire x = a & b;", [
+        ast.NetDecl("wire", ["x"], line=1),
+        ast.Assign(ast.Identifier("x"),
+                   ast.BinaryOp("&", *_ids("a", "b")), line=1)]),
+    ("and g (y, a, b);",
+     [ast.GateInstance("and", "g", _ids("y", "a", "b"), line=1)]),
+    ("not (y, a);",
+     [ast.GateInstance("not", "not_anon0", _ids("y", "a"), line=1)]),
+    ("and g1 (y, a, b), g2 (z, c, d);", [
+        ast.GateInstance("and", "g1", _ids("y", "a", "b"), line=1),
+        ast.GateInstance("and", "g2", _ids("z", "c", "d"), line=1)]),
+    ("and g (y, 1'b0, b);", [ast.GateInstance(
+        "and", "g", [ast.Identifier("y"), ast.BasedConst(1, "b", "0"),
+                     ast.Identifier("b")], line=1)]),
+    ("and g (y, a[0], b);", [ast.GateInstance(
+        "and", "g", [ast.Identifier("y"),
+                     ast.BitSelect(ast.Identifier("a"), ast.IntConst(0)),
+                     ast.Identifier("b")], line=1)]),
+]
+
+
+class TestStatementTrees:
+    @pytest.mark.parametrize("statement,items", STATEMENT_TREES,
+                             ids=[row[0] for row in STATEMENT_TREES])
+    def test_statement_parses_to(self, statement, items):
+        module = parse_module(f"module m(); {statement} endmodule")
+        assert module.items == items
+
+    def test_anonymous_gates_numbered_per_module(self):
+        module = parse_module("module m(input a, input b, output y, "
+                              "output z); and (y, a, b); and (z, a, b); "
+                              "endmodule")
+        names = [item.name for item in module.items]
+        assert names == ["and_anon0", "and_anon1"]
+
+    def test_anonymous_gate_names_survive_netlist_round_trip(self):
+        from repro.netlist.verilog_io import read_netlist, write_netlist
+
+        netlist = read_netlist("module m(input a, input b, output y, "
+                               "output z); and (y, a, b); and (z, a, b); "
+                               "endmodule")
+        written = parse_module(write_netlist(netlist))
+        names = [item.name for item in written.items
+                 if isinstance(item, ast.GateInstance)]
+        assert len(names) == 2 and len(set(names)) == 2
+
+    def test_anonymous_numbering_restarts_per_module(self):
+        source = parse("module a(input i, output o); not (o, i); endmodule "
+                       "module b(input i, output o); not (o, i); endmodule")
+        assert [m.items[0].name for m in source.modules] == [
+            "not_anon0", "not_anon0"]
+
+
+#: Sources cut short inside a declaration or a gate -> the ParseError
+#: message and line the general path reports.  The one-step paths look
+#: ahead, and must stop at the EOF token rather than index past it.
+TRUNCATED = [
+    ("module m(); wire", "expected 'IDENT', found ''", 1),
+    ("module m(); and g (", "unexpected token '' in expression", 1),
+    ("module m(); and g (a,", "unexpected token '' in expression", 1),
+    ("module m(); and g (a) ", "expected ';', found ''", 1),
+    ("module m();\n  wire a\n", "expected ';', found ''", 3),
+    ("module m();\n  reg\n", "expected 'IDENT', found ''", 3),
+    ("module m();\n  and g (y, a\n  ", "expected ')', found ''", 3),
+    ("module m();\n  and g (y, a, b)\n", "expected ';', found ''", 3),
+]
+
+
+class TestTruncatedStatements:
+    @pytest.mark.parametrize("text,message,line", TRUNCATED,
+                             ids=[row[0] for row in TRUNCATED])
+    def test_truncated_source_is_a_parse_error(self, text, message, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert str(excinfo.value) == f"{message} at line {line}"
+        assert excinfo.value.line == line
+
+
 class TestErrors:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
