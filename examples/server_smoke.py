@@ -2,11 +2,11 @@
 
 Builds a tiny index with the CLI, starts ``gnn4ip serve`` (via
 ``python -m repro``) as a real subprocess on an ephemeral port, checks
-that an empty design and a truncated gate-level source are each refused
-with a 400 envelope, runs one multi-suspect ``/v1/query`` round trip
-plus a health check through :mod:`repro.client`, and shuts the server
-down cleanly.  CI runs this as
-the server smoke job; it also works standalone::
+that an empty design, a truncated gate-level source and a truncated
+``genvar`` declaration are each refused with a 400 envelope in time,
+runs one multi-suspect ``/v1/query`` round trip plus a health check
+through :mod:`repro.client`, and shuts the server down cleanly.  CI runs
+this as the server smoke job; it also works standalone::
 
     python examples/server_smoke.py
 """
@@ -38,6 +38,13 @@ EMPTY = "module m(); endmodule"
 
 #: Cut short inside a gate's argument list: a parse error, never a 500.
 TRUNCATED = "module m(input a, output y); and g (y,"
+
+#: Cut short inside a genvar declaration: a parse error, not a request
+#: that never returns.
+GENVAR = "module m; genvar i"
+
+#: Seconds a request may take before the smoke check fails.
+REQUEST_TIMEOUT_S = 10.0
 
 
 def main():
@@ -72,16 +79,20 @@ def main():
                     break
             assert port, "server never announced its port"
 
-            client = Client("127.0.0.1", port)
+            client = Client("127.0.0.1", port, timeout=REQUEST_TIMEOUT_S)
             health = client.healthz()
             assert health["status"] == "ok", health
             assert health["designs"] == 2, health
 
             for label, source, error_type in (
                     ("empty design", EMPTY, "GraphIRError"),
-                    ("truncated source", TRUNCATED, "ParseError")):
+                    ("truncated source", TRUNCATED, "ParseError"),
+                    ("truncated genvar", GENVAR, "ParseError")):
                 try:
                     client.query(sources=[source], k=2)
+                except TimeoutError:
+                    raise AssertionError(
+                        f"{label} got no reply in {REQUEST_TIMEOUT_S} s")
                 except ServerError as exc:
                     assert exc.status == 400, (exc.status, exc.error_type)
                     assert exc.error_type == error_type, exc.error_type

@@ -64,18 +64,23 @@ _MASTER = re.compile(r"[ \t\r\f]*(?:" + "|".join(
     )) + ")")
 
 
-def tokenize(text):
+def tokenize(text, pos=0, endpos=None, line=1, line_start=0):
     """Lex ``text`` and return the token list, terminated by one EOF token.
+
+    ``text[pos:endpos]`` alone is lexed, as if the text ended at
+    ``endpos``; ``line`` is the line ``pos`` is on and ``line_start`` the
+    offset that line starts at, so tokens carry their line and column in
+    the whole text.
 
     Raises:
         LexerError: at the first character sequence that is not a token.
     """
+    if endpos is None:
+        endpos = len(text)
     tokens = []
     append = tokens.append
     new = tuple.__new__  # Token(...) without the namedtuple's __new__
-    line = 1
-    line_start = 0
-    for match in _MASTER.finditer(text):
+    for match in _MASTER.finditer(text, pos, endpos):
         kind = match.lastgroup
         start, end = match.span(kind)
         if kind == "IDENT":
@@ -105,12 +110,12 @@ def tokenize(text):
             append(new(Token, (IDENT, text[start + 1:end], line,
                                start - line_start + 1)))
         else:
-            _raise(kind, text, match, line, line_start)
-    append(new(Token, (EOF, "", line, len(text) - line_start + 1)))
+            _raise(kind, text, endpos, match, line, line_start)
+    append(new(Token, (EOF, "", line, endpos - line_start + 1)))
     return tokens
 
 
-def _raise(kind, text, match, line, line_start):
+def _raise(kind, text, endpos, match, line, line_start):
     """Raise the :class:`LexerError` an error-group ``match`` stands for.
 
     Positions come from the ``kind`` group: the whole match also holds
@@ -118,16 +123,17 @@ def _raise(kind, text, match, line, line_start):
     """
     pos = match.end(kind)
     if kind == "OPEN_BLOCK_COMMENT":
-        message, pos = "unterminated block comment", len(text)
-        newlines = text.count("\n", match.start(kind))
+        message, pos = "unterminated block comment", endpos
+        newlines = text.count("\n", match.start(kind), endpos)
         if newlines:
             line += newlines
-            line_start = text.rindex("\n") + 1
+            line_start = text.rindex("\n", 0, endpos) + 1
     elif kind == "NO_DIGITS":
         message = "based literal has no digits"
     elif kind == "BAD_BASE":
-        message = f"invalid base character {text[pos:pos + 1]!r} in literal"
-        if pos == len(text) and text.endswith("'"):
+        found = text[pos:pos + 1] if pos < endpos else ""
+        message = f"invalid base character {found!r} in literal"
+        if pos == endpos and text.endswith("'", 0, endpos):
             # An apostrophe that ends the text is reported one column
             # past the end.
             pos += 1

@@ -5,11 +5,18 @@ non-ANSI headers), net/reg declarations with vector ranges, parameters,
 continuous assigns, always/initial blocks with if/case/for, gate primitives,
 and hierarchical module instantiation with parameter overrides.
 
-Expression parsing uses precedence climbing.  The two statements most of a
-gate-level netlist consists of -- a one-name declaration and a named gate
-on bare identifiers -- are each taken in one step; every other shape goes
-through the general rules, which alone raise parse errors.
+Expression parsing uses precedence climbing.  :func:`parse` reads module
+bodies statement by statement: the statements a gate-level netlist is made
+of (one-name declarations, named gates on names and one-bit constants, mux
+assigns) are each taken by one anchored regex match, straight from the
+text, and only the spans between them are tokenized and read by the
+recursive-descent :class:`Parser`.  A span that does not end inside a
+module at an item boundary sends the whole rest of the text to the general
+rules, which alone raise errors, so the scan gives the tree and the error
+``Parser(tokenize(text)).parse()`` gives.
 """
+
+import re
 
 from repro.errors import ParseError
 from repro.verilog import ast_nodes as ast
@@ -20,6 +27,7 @@ from repro.verilog.tokens import (
     GATE_PRIMITIVES,
     IDENT,
     KEYWORD,
+    KEYWORDS,
     NUMBER,
     PUNCT,
     STRING,
@@ -46,6 +54,32 @@ _NET_KINDS = frozenset({"wire", "reg", "integer", "supply0", "supply1"})
 #: Tokens that end an expression and bind to no operator.
 _EXPRESSION_ENDS = frozenset({",", ")", ";"})
 
+# The statement scan.  Blanks are the lexer's; a name is an identifier
+# token (a keyword is refused after the match) and an argument a name or
+# a one-bit constant.  Quantifiers are possessive, so a statement that
+# does not match fails in one pass over its text.
+_B = r"[ \t\r\f\n]*+"
+_NAME = r"[A-Za-z_$][A-Za-z0-9_$]*+"
+_ARG = rf"(?:{_NAME}|1'b[01])"
+_GATES = "|".join(sorted(GATE_PRIMITIVES))
+#: One statement of the shapes a gate-level netlist is made of, blanks
+#: before it included: ``wire|reg NAME ;``, ``GATE NAME ( ARG {, ARG} ) ;``
+#: and the mux ``assign NAME = NAME ? ARG : ARG ;``.
+_STATEMENT = re.compile(
+    rf"({_B})(?:"
+    rf"(?P<kind>wire|reg)[ \t\r\f\n]++(?P<net>{_NAME})"
+    rf"|(?P<gate>{_GATES})[ \t\r\f\n]++(?P<name>{_NAME}){_B}\({_B}"
+    rf"(?P<args>{_ARG}(?:{_B},{_B}{_ARG})*+){_B}\)"
+    rf"|assign[ \t\r\f\n]++(?P<lhs>{_NAME}){_B}={_B}(?P<cond>{_NAME})"
+    rf"{_B}\?{_B}(?P<high>{_ARG}){_B}:{_B}(?P<low>{_ARG})"
+    rf"){_B};")
+#: The arguments in the ``args`` group of a gate statement.
+_ARGUMENTS = re.compile(rf"1'b[01]|{_NAME}").findall
+#: A blank before a word that may start such a statement: a search with
+#: a fixed one-character head, so finding the next one stays linear.
+_STATEMENT_HEAD = re.compile(
+    rf"[ \t\r\f\n](?=(?:wire|reg|assign|{_GATES})[ \t\r\f\n])")
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.verilog.ast_nodes.SourceFile`."""
@@ -54,6 +88,9 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._anonymous_gates = 0
+        self._modules = []
+        #: The module whose items are being read, if any.
+        self._module = None
 
     # -- token helpers --------------------------------------------------
     # The stream ends in EOF and ``_advance`` never steps past it, so the
@@ -90,12 +127,122 @@ class Parser:
     # -- entry points ----------------------------------------------------
     def parse(self):
         """Parse a full source file (one or more modules)."""
-        modules = []
-        while not self._check(EOF):
-            modules.append(self._parse_module())
-        return ast.SourceFile(modules)
+        self._read()
+        return self._finish()
 
-    def _parse_module(self):
+    def _parse_text(self, text):
+        """Parse ``text``, taking module items :data:`_STATEMENT` matches
+        straight from the text and tokenizing only the spans between.
+
+        A span ends where the next statement the scan takes begins.  It
+        is read by the general rules, and must end inside a module at an
+        item boundary; otherwise (a boundary inside a comment, string or
+        unfinished item, or a real error) the state is put back and the
+        general rules read all the rest of the text, so every error and
+        every tree is the one :meth:`parse` gives for the whole stream.
+        """
+        match = _STATEMENT.match
+        count = text.count
+        end = len(text)
+        pos = 0
+        # ``line`` is the line offset ``counted`` is on, and ``line_start``
+        # the start of the line offset ``known`` is on; each is brought
+        # forward over text it has not yet seen, so the scan stays linear.
+        line = 1
+        counted = 0
+        line_start = 0
+        known = 0
+        while True:
+            if self._module is not None:
+                items = self._module.items
+                while True:
+                    statement = match(text, pos)
+                    if statement is None:
+                        break
+                    head = statement.end(1)
+                    line += count("\n", counted, head)
+                    counted = head
+                    item = _statement_item(statement, line)
+                    if item is None:
+                        pos = head
+                        break
+                    items.append(item)
+                    pos = statement.end()
+            line += count("\n", counted, pos)
+            counted = pos
+            newline = text.rfind("\n", known, pos)
+            if newline >= 0:
+                line_start = newline + 1
+            known = pos
+            span_end = _next_statement(text, pos)
+            # A line comment running into the span's end would be cut
+            # short there.
+            if span_end == end or text.find("//", pos, span_end) >= 0:
+                break
+            module = self._module
+            state = (len(self._modules), module and len(module.items),
+                     self._anonymous_gates)
+            try:
+                self._tokens = tokenize(text, pos, span_end, line, line_start)
+                self._pos = 0
+                self._read()
+                whole = self._module is not None
+            except Exception:  # the general rules below raise it again
+                whole = False
+            if not whole:
+                module_count, item_count, self._anonymous_gates = state
+                del self._modules[module_count:]
+                if module is not None:
+                    del module.items[item_count:]
+                self._module = module
+                break
+            eof = self._tokens[-1]
+            pos = counted = known = span_end
+            line = eof.line
+            line_start = span_end + 1 - eof.column
+        self._tokens = tokenize(text, pos, end, line, line_start)
+        self._pos = 0
+        self._read()
+        return self._finish()
+
+    def _read(self):
+        """Read modules and module items up to the stream's EOF.
+
+        A module still open at EOF stays in ``self._module``, so a stream
+        may stop at any item boundary and the next stream continue it.
+        """
+        tokens = self._tokens
+        while True:
+            module = self._module
+            if module is None:
+                if tokens[self._pos].kind == EOF:
+                    return
+                module = self._module = self._parse_module_header()
+            items = module.items
+            while True:
+                token = tokens[self._pos]
+                if token.kind == KEYWORD and token.value == "endmodule":
+                    break
+                if token.kind == EOF:
+                    return
+                item = self._parse_module_item()
+                if isinstance(item, list):
+                    items.extend(item)
+                elif item is not None:
+                    items.append(item)
+            self._pos += 1
+            self._modules.append(module)
+            self._module = None
+
+    def _finish(self):
+        """The source file once the last stream is read to its EOF."""
+        if self._module is not None:
+            self._error(f"unterminated module {self._module.name!r}")
+        for module in self._modules:
+            _merge_port_declarations(module)
+        return ast.SourceFile(self._modules)
+
+    def _parse_module_header(self):
         start = self._expect(KEYWORD, "module")
         name = self._expect(IDENT).value
         self._anonymous_gates = 0
@@ -106,24 +253,8 @@ class Parser:
         if self._accept(PUNCT, "("):
             ports = self._parse_port_list()
         self._expect(PUNCT, ";")
-        items = []
-        tokens = self._tokens
-        while True:
-            token = tokens[self._pos]
-            if token.kind == KEYWORD and token.value == "endmodule":
-                break
-            if token.kind == EOF:
-                self._error(f"unterminated module {name!r}")
-            item = self._parse_module_item()
-            if isinstance(item, list):
-                items.extend(item)
-            elif item is not None:
-                items.append(item)
-        self._expect(KEYWORD, "endmodule")
-        module = ast.Module(name=name, ports=ports, items=items,
-                            params=params, line=start.line)
-        _merge_port_declarations(module)
-        return module
+        return ast.Module(name=name, ports=ports, items=[], params=params,
+                          line=start.line)
 
     def _parse_param_port_list(self):
         """Parse ``#(parameter W = 8, ...)`` in a module header."""
@@ -175,7 +306,6 @@ class Parser:
         token = self._peek()
         if token.kind == KEYWORD:
             value = token.value
-            # Declarations and gates first: they are most netlist items.
             if value in _NET_KINDS:
                 return self._parse_net_declaration()
             if value in GATE_PRIMITIVES:
@@ -191,10 +321,11 @@ class Parser:
             if value == "initial":
                 self._advance()
                 return ast.Initial(self._parse_statement())
-            if value in ("genvar",):
+            if value == "genvar":
                 self._advance()
                 while not self._accept(PUNCT, ";"):
-                    self._advance()
+                    if self._advance().kind == EOF:
+                        self._error("unterminated genvar declaration")
                 return None
             if value in ("function", "generate"):
                 self._error(f"unsupported construct {value!r}")
@@ -222,21 +353,7 @@ class Parser:
         return ports
 
     def _parse_net_declaration(self):
-        # ``wire NAME ;`` -- one name, no width, no initializer, the
-        # shape of every netlist declaration -- from a three-token
-        # lookahead.  The stream ends in EOF, so ``tokens[pos + 2]``
-        # exists once ``tokens[pos + 1]`` is an identifier.
-        tokens = self._tokens
-        pos = self._pos
-        token = tokens[pos]
-        name = tokens[pos + 1]
-        if name.kind == IDENT:
-            end = tokens[pos + 2]
-            if end.kind == PUNCT and end.value == ";":
-                self._pos = pos + 3
-                return ast.NetDecl(token.value, [name.value], None, False,
-                                   token.line)
-        self._advance()
+        token = self._advance()
         kind = token.value
         signed = bool(self._accept(KEYWORD, "signed"))
         width = self._parse_optional_width()
@@ -318,9 +435,6 @@ class Parser:
         return items
 
     def _parse_gate_instances(self):
-        instance = self._parse_plain_gate()
-        if instance is not None:
-            return instance
         token = self._advance()
         gate = token.value
         instances = []
@@ -342,44 +456,6 @@ class Parser:
                 break
         self._expect(PUNCT, ";")
         return instances if len(instances) > 1 else instances[0]
-
-    def _parse_plain_gate(self):
-        """``GATE NAME ( ID {, ID} ) ;`` -- one named instance on bare
-        identifiers, the shape of every netlist gate -- in one loop over
-        the tokens; ``None`` (nothing consumed) for any other shape.
-
-        Each index is read only after the token before it proved not to
-        be EOF, so the scan never runs off the stream's end.
-        """
-        tokens = self._tokens
-        pos = self._pos
-        name = tokens[pos + 1]
-        if name.kind != IDENT:
-            return None
-        token = tokens[pos + 2]
-        if token.kind != PUNCT or token.value != "(":
-            return None
-        args = []
-        pos += 3
-        while True:
-            arg = tokens[pos]
-            if arg.kind != IDENT:
-                return None
-            follow = tokens[pos + 1]
-            if follow.kind != PUNCT:
-                return None
-            args.append(ast.Identifier(arg.value))
-            pos += 2
-            if follow.value == ")":
-                break
-            if follow.value != ",":
-                return None
-        end = tokens[pos]
-        if end.kind != PUNCT or end.value != ";":
-            return None
-        gate = tokens[self._pos]
-        self._pos = pos + 1
-        return ast.GateInstance(gate.value, name.value, args, gate.line)
 
     def _parse_module_instances(self):
         token = self._advance()
@@ -646,6 +722,48 @@ class Parser:
         return None
 
 
+def _next_statement(text, pos):
+    """Where the first statement at or after ``pos`` that the scan takes
+    begins (``len(text)`` if there is none)."""
+    search = _STATEMENT_HEAD.search
+    while True:
+        head = search(text, pos)
+        if head is None:
+            return len(text)
+        pos = head.end()
+        statement = _STATEMENT.match(text, pos)
+        if statement is not None and _statement_item(statement, 0):
+            return pos
+
+
+def _statement_item(statement, line):
+    """The module item a :data:`_STATEMENT` match stands for -- the node
+    the general rules build from its tokens -- or ``None`` when a name
+    in it is a keyword."""
+    _, kind, net, gate, name, args, lhs, cond, high, low = statement.groups()
+    if kind is not None:
+        if net in KEYWORDS:
+            return None
+        return ast.NetDecl(kind, [net], None, False, line)
+    if gate is not None:
+        args = _ARGUMENTS(args)
+        if name in KEYWORDS or not KEYWORDS.isdisjoint(args):
+            return None
+        return ast.GateInstance(gate, name, [_argument(arg) for arg in args],
+                                line)
+    if not KEYWORDS.isdisjoint((lhs, cond, high, low)):
+        return None
+    return ast.Assign(ast.Identifier(lhs), ast.Ternary(
+        ast.Identifier(cond), _argument(high), _argument(low)), line)
+
+
+def _argument(text):
+    """A matched argument (a name or a one-bit constant) as its node."""
+    if text[0] == "1":
+        return _parse_based_literal(text)
+    return ast.Identifier(text)
+
+
 def _parse_based_literal(text):
     """Convert lexer text like ``8'hFF`` into a :class:`BasedConst`."""
     size_text, _, rest = text.partition("'")
@@ -685,16 +803,16 @@ def parse(text):
     """Parse preprocessed Verilog source text into a SourceFile.
 
     Raises:
+        LexerError: for text that is not a token stream.
         ParseError: for malformed source, including nesting too deep
             for the recursive-descent parser (past Python's recursion
             limit), which is reported with its bracket depth instead of
             escaping as an untyped ``RecursionError``.
     """
-    tokens = tokenize(text)
     try:
-        return Parser(tokens).parse()
+        return Parser(None)._parse_text(text)
     except RecursionError:
-        depth, line = _deepest_nesting(tokens)
+        depth, line = _deepest_nesting(tokenize(text))
         message = "nesting too deep to parse"
         if depth:
             message += f" (brackets nest {depth} deep)"

@@ -135,6 +135,31 @@ class TestCommentsAndWhitespace:
                                                         (EOF, 200_002)]
 
 
+def _lexed(*args):
+    try:
+        return tokenize(*args)
+    except LexerError as error:
+        return str(error)
+
+
+class TestSlices:
+    TEXT = "a /* b\n */ 4'b1 \"s\" 8'h\n 'q\n  x /* open"
+
+    def test_endpos_lexes_as_if_the_text_ended_there(self):
+        for end in range(len(self.TEXT) + 1):
+            assert _lexed(self.TEXT, 0, end) == _lexed(self.TEXT[:end])
+
+    def test_pos_continues_the_whole_text_at_a_token(self):
+        text = "a /* b\n */ c\n  d \\e f"
+        tokens = tokenize(text)
+        lines = text.split("\n")
+        for index, token in enumerate(tokens[:-1]):
+            line_start = sum(len(line) + 1 for line in lines[:token.line - 1])
+            start = line_start + token.column - 1
+            assert tokenize(text, start, None, token.line,
+                            line_start) == tokens[index:]
+
+
 class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(LexerError):

@@ -1,10 +1,20 @@
 """Unit tests for the Verilog parser."""
 
-import pytest
+import json
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
-from repro.errors import ParseError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import LexerError, ParseError
 from repro.verilog import ast_nodes as ast
-from repro.verilog.parser import parse, parse_module
+from repro.verilog.lexer import tokenize
+from repro.verilog.parser import Parser, parse, parse_module
+from repro.verilog.tokens import GATE_PRIMITIVES
 
 
 class TestModuleHeaders:
@@ -335,9 +345,9 @@ def _ids(*names):
 
 
 #: Statement -> the module items it parses to.  The one-name, no-width
-#: declaration and the named gate on bare identifiers take the parser's
-#: one-step paths; every other row is a shape next to them that must
-#: keep the general path's tree.
+#: declaration and the named gate on names and one-bit constants are
+#: taken by the statement scan; every other row is a shape next to them
+#: that must keep the general path's tree.
 STATEMENT_TREES = [
     ("wire a;", [ast.NetDecl("wire", ["a"], line=1)]),
     ("reg q;", [ast.NetDecl("reg", ["q"], line=1)]),
@@ -400,8 +410,8 @@ class TestStatementTrees:
 
 
 #: Sources cut short inside a declaration or a gate -> the ParseError
-#: message and line the general path reports.  The one-step paths look
-#: ahead, and must stop at the EOF token rather than index past it.
+#: message and line the general path reports.  The statement scan leaves
+#: a statement it cannot match whole to the general path.
 TRUNCATED = [
     ("module m(); wire", "expected 'IDENT', found ''", 1),
     ("module m(); and g (", "unexpected token '' in expression", 1),
@@ -459,3 +469,229 @@ class TestErrors:
             parse(f"module m(input a, output y);\n"
                   f"assign y = {nested};\nendmodule")
         assert excinfo.value.line == 2
+
+
+def _within(seconds, fn, *args):
+    """``fn(*args)``, run in a daemon thread so that a call still running
+    after ``seconds`` fails the test instead of stalling the run."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn(*args)))
+        except Exception as error:  # re-raised in the test's thread
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
+
+
+class TestGenvar:
+    def test_genvar_declaration_is_skipped(self):
+        module = parse_module("module m(); genvar i, j; wire a; endmodule")
+        assert module.items == [ast.NetDecl("wire", ["a"], line=1)]
+
+    def test_truncated_genvar_is_a_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            _within(10, parse, "module m; genvar i")
+        assert str(excinfo.value) == ("unterminated genvar declaration "
+                                      "at line 1")
+
+    def test_genvar_at_end_of_text_is_a_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            _within(10, parse, "module m;\n  wire a;\n  genvar")
+        assert excinfo.value.line == 3
+
+
+def _outcome(fn, text):
+    """``fn(text)``, or the type, message and line of the error it
+    raises."""
+    try:
+        return fn(text)
+    except (LexerError, ParseError) as error:
+        return type(error), str(error), error.line
+
+
+def _general(text):
+    return Parser(tokenize(text)).parse()
+
+
+def _assert_scan_matches_general_path(*texts):
+    for text in texts:
+        assert _outcome(parse, text) == _outcome(_general, text)
+
+
+_WORD = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                  "0123456789_$")
+_SEPARATORS = st.sampled_from(["", " ", "  ", "\n", "\n  ", "\t", " \r\n",
+                               "\n\n\t  "])
+#: Plain names, then a few keyword and escaped ones (an escaped name
+#: ends at its blank).
+_NAMES = st.sampled_from(["a", "b", "y", "n1", "w_2", "$x"] * 4
+                         + ["and", "wire", "or", "\\esc.x ", "\\a;b "])
+_ARGS = st.one_of(_NAMES, st.sampled_from(["1'b0", "1'b1", "1'bx"]))
+
+
+@st.composite
+def _gate(draw):
+    tokens = [draw(st.sampled_from(sorted(GATE_PRIMITIVES)))]
+    for index in range(draw(st.integers(1, 2))):
+        if index:
+            tokens.append(",")
+        if draw(st.integers(0, 3)):
+            tokens.append(draw(_NAMES))
+        tokens.append("(")
+        for position in range(draw(st.integers(1, 3))):
+            if position:
+                tokens.append(",")
+            tokens.append(draw(_ARGS))
+        tokens.append(")")
+    return tokens + [";"]
+
+
+_STATEMENTS = st.one_of(
+    st.tuples(st.sampled_from(["wire", "reg"]), _NAMES).map(
+        lambda t: [*t, ";"]),
+    _gate(),
+    st.tuples(_NAMES, _NAMES, _ARGS, _ARGS).map(
+        lambda t: ["assign", t[0], "=", t[1], "?", t[2], ":", t[3], ";"]),
+    st.tuples(_NAMES, _ARGS).map(lambda t: ["assign", t[0], "=", t[1], ";"]),
+    st.tuples(_NAMES, _NAMES, _ARGS).map(
+        lambda t: ["assign", t[0], "=", t[1], "&", t[2], ";"]),
+    st.tuples(_NAMES, _NAMES, _ARGS, st.booleans()).map(
+        lambda t: ["always", "@", "(", "posedge", t[0], ")"]
+        + (["begin", t[1], "<=", t[2], ";", "end"] if t[3]
+           else [t[1], "<=", t[2], ";"])),
+)
+#: A genvar without its ``;`` runs on over the statement after it.
+_GENVARS = st.tuples(_NAMES, st.sampled_from(["wire", "reg"]), _NAMES).map(
+    lambda t: ["genvar", t[0], t[1], t[2], ";"])
+
+
+def _module(statements):
+    return st.lists(statements, max_size=8).map(
+        lambda items: ["module", "m", "(", "input", "a", ",", "output", "y",
+                       ")", ";"] + [t for item in items for t in item]
+        + ["endmodule"])
+
+
+@st.composite
+def _netlist_text(draw, statements=_STATEMENTS):
+    """A netlist-shaped source with random blank runs between tokens,
+    and the offsets where its tokens end."""
+    modules = draw(st.lists(_module(statements), min_size=1, max_size=2))
+    tokens = [t for module in modules for t in module]
+    text = ""
+    ends = []
+    for token in tokens:
+        separator = draw(_SEPARATORS)
+        if not separator and text[-1:] in _WORD and token[0] in _WORD:
+            separator = " "  # keep the two tokens apart
+        text += separator + token
+        ends.append(len(text))
+    return text + draw(_SEPARATORS), ends
+
+
+class TestStatementScan:
+    """The statement scan builds the tree, and raises the error, that the
+    general rules give for the whole token stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_netlist_text(st.one_of(_STATEMENTS, _GENVARS)))
+    def test_scan_matches_general_path(self, netlist):
+        text, _ = netlist
+        _within(10, _assert_scan_matches_general_path, text)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_netlist_text())
+    def test_truncations_match_general_path(self, netlist):
+        text, ends = netlist
+        _within(30, _assert_scan_matches_general_path,
+                *[text[:end] for end in ends])
+
+    def test_line_numbers_follow_blank_runs(self):
+        text = ("module m(input a, output y);\n\n  wire\n n;\r\n"
+                "  and g (y,\n a, n);  assign n\n=a?a:1'b1;\nendmodule\n")
+        assert parse(text) == _general(text)
+        lines = [item.line for item in parse(text).modules[0].items]
+        assert lines == [3, 5, 6]
+
+    def test_span_cut_inside_an_item_is_read_again(self):
+        # The span before ``wire x;`` ends inside the genvar, which runs
+        # on to the next ``;``: the items and the anonymous gate count
+        # the span had read are put back before the rest is read again.
+        text = ("module m(input a, output y);\n  wire n;\n  and (y, a);\n"
+                "  genvar i\n  wire x;\n  and (y, n);\nendmodule\n")
+        module = parse_module(text)
+        assert parse(text) == _general(text)
+        assert [item.name for item in module.items[1:]] == [
+            "and_anon0", "and_anon1"]
+
+    def test_comment_across_a_statement_is_skipped(self):
+        text = ("module m(input a, output y);\n  and g1 (y, a); // wire x;\n"
+                "  always @(posedge a) y <= a; // and g2 (y, a);\n"
+                "  /* wire z; */ wire w;\nendmodule")
+        assert parse(text) == _general(text)
+        assert [item.line for item in parse(text).modules[0].items] == [
+            2, 3, 4]
+
+
+#: Netlist statements, as tokens: the shapes the scan takes, then shapes
+#: it leaves to the general rules.
+_LONG_BLANK_SHAPES = [
+    ["wire", "a", ";"],
+    ["reg", "q", ";"],
+    ["and", "g", "(", "y", ",", "a", ",", "1'b0", ")", ";"],
+    ["assign", "y", "=", "s", "?", "a", ":", "1'b1", ";"],
+    ["wire", "[", "3", ":", "0", "]", "x", ";"],
+    ["and", "(", "y", ",", "a", ")", ";"],
+    ["assign", "y", "=", "a", "&", "b", ";"],
+    ["always", "@", "(", "posedge", "c", ")", "q", "<=", "d", ";"],
+]
+
+
+def _slowest_long_blank_parse(shape):
+    """Parse ``shape`` with a 200,000-blank run at each of its token
+    boundaries in turn; check each outcome against the general path's
+    and return the slowest parse time in seconds."""
+    slowest = 0.0
+    for boundary in range(len(shape) + 1):
+        tokens = list(shape)
+        tokens.insert(boundary, " \t" * 100_000)
+        text = ("module m(input a, output y);\n  wire n;\n  "
+                + " ".join(tokens) + "\n  wire z;\nendmodule\n")
+        start = time.perf_counter()
+        outcome = _outcome(parse, text)
+        slowest = max(slowest, time.perf_counter() - start)
+        assert outcome == _outcome(_general, text), boundary
+    return slowest
+
+
+class TestLongBlankRuns:
+    """A long blank run at any token boundary of a statement is read in
+    linear time: finding where the next statement starts must not retry
+    the run from each of its blanks."""
+
+    def test_long_blank_runs_parse_in_linear_time(self):
+        # In a child process: a search gone quadratic is one regex call
+        # that holds the interpreter lock, so only a kill stops it.
+        here = Path(__file__).parent
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import json\n"
+             "from test_parser import _LONG_BLANK_SHAPES as shapes\n"
+             "from test_parser import _slowest_long_blank_parse as slowest\n"
+             "print(json.dumps([slowest(shape) for shape in shapes]))\n"],
+            env={"PYTHONPATH": f"{here.parent / 'src'}:{here}",
+                 "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        times = dict(zip(map(" ".join, _LONG_BLANK_SHAPES),
+                         json.loads(child.stdout)))
+        assert max(times.values()) < 1.0, times

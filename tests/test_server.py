@@ -7,6 +7,7 @@ no external processes, no third-party test plugins.
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -66,6 +67,25 @@ def serve(session, scenario, **server_kwargs):
             await server.stop()
 
     asyncio.run(runner())
+
+
+def serve_within(seconds, session, scenario, **server_kwargs):
+    """:func:`serve` in a daemon thread that must finish in ``seconds``:
+    a request that stalls the server fails the test, not the run."""
+    errors = []
+
+    def run():
+        try:
+            serve(session, scenario, **server_kwargs)
+        except BaseException as error:  # re-raised in the test's thread
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"server still busy after {seconds} s"
+    if errors:
+        raise errors[0]
 
 
 async def expect_error(coro, status, error_type=None):
@@ -260,6 +280,20 @@ class TestMicroBatching:
 
         serve(session, scenario, batch_window_s=0.05)
 
+    def test_truncated_genvar_fails_only_its_request(self, session):
+        # A source the parser once looped on forever, stalling the
+        # extraction thread for every later request.
+        async def scenario(server, client):
+            first, bad = await asyncio.gather(
+                client.query(sources=[ADDER], k=1),
+                expect_error(client.query(sources=["module m; genvar i"]),
+                             400, "ParseError"))
+            assert first["results"][0]["matches"][0]["design"] == "adder"
+            assert "genvar" in str(bad)
+            second = await client.query(sources=[MUX], k=1)
+            assert second["results"][0]["matches"][0]["design"] == "mux"
+
+        serve_within(60, session, scenario, batch_window_s=0.05)
 
     @pytest.mark.parametrize("fixture", ["session", "netlist_session"])
     def test_empty_design_fails_only_its_request(self, request, fixture):
