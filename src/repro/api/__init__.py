@@ -27,13 +27,11 @@ from repro.api.types import (
     Fingerprint,
     Match,
     QueryResult,
-    matches_from_hits,
 )
 
 __all__ = [
     "DetectorConfig", "IngestConfig", "walk_sources",
     "Detector", "Corpus", "Session",
     "Comparison", "Fingerprint", "Match", "QueryResult",
-    "matches_from_hits",
     "ORIGIN_CACHE", "ORIGIN_EXTRACTED", "ORIGIN_INDEX",
 ]

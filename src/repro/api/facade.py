@@ -37,7 +37,6 @@ from repro.api.types import (
     Comparison,
     Fingerprint,
     QueryResult,
-    matches_from_hits,
 )
 from repro.calib import ARTIFACT_NAME, Calibration
 from repro.core.gnn4ip import GNN4IP
@@ -523,7 +522,7 @@ class Corpus:
         if labels is None:
             labels = [getattr(s, "name", None) or f"suspect[{i}]"
                       for i, s in enumerate(suspects)]
-        results = [QueryResult(label=label, matches=matches_from_hits(hits))
+        results = [QueryResult(label=label, matches=hits)
                    for label, hits in zip(labels, hit_lists)]
         artifact = self.calibration()
         if artifact is not None:

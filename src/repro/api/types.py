@@ -6,11 +6,16 @@ the whole surface: the HTTP server's response bodies, the CLI's
 ``--json`` output, and library consumers all read the same shapes, so a
 script that parses ``gnn4ip compare --json`` also parses a
 ``POST /v1/compare`` response.
+
+:class:`Match` lives beside the query engine that builds it
+(:mod:`repro.index.match`) and is re-exported here unchanged.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.index.match import Match  # noqa: F401  (public re-export)
 
 #: Where a fingerprint's embedding came from (cheapest first): reused
 #: straight from the index's stored rows, rebuilt from the on-disk graph
@@ -109,81 +114,6 @@ class Comparison:
 
 
 @dataclass
-class Match:
-    """One ranked corpus hit for a query design.
-
-    The last four fields are locality evidence from chunk-level
-    aggregation (format-v4 indexes): *which region* of the stored
-    design matched (``region``), which region of the suspect matched it
-    (``query_region``), whether the winning row was a whole design or a
-    chunk (``via``), and the fraction of the design's stored rows
-    scoring above delta (``coverage``).  They keep their defaults on a
-    chunk-less index.
-
-    ``struct`` is the structural reverse-containment score from rank
-    fusion (``None`` outside fused queries).  When the session has a
-    calibration artifact bound, ``probability`` carries the calibrated
-    piracy probability for this match with its bootstrap confidence
-    band in ``confidence_low``/``confidence_high``; ``verdict`` then
-    reflects the calibrated operating point.  Raw ``score`` and
-    ``is_piracy`` (the delta cut) are unchanged for compatibility.
-    """
-
-    rank: int
-    name: str
-    path: str
-    design: str
-    score: float
-    is_piracy: bool
-    via: str = "design"
-    region: dict = None
-    query_region: dict = None
-    coverage: float = None
-    struct: float = None
-    probability: float = None
-    confidence_low: float = None
-    confidence_high: float = None
-    calibrated_piracy: bool = None
-
-    @property
-    def flagged(self):
-        """The effective decision: calibrated operating point when a
-        calibration is attached, the raw delta cut otherwise."""
-        return (self.is_piracy if self.calibrated_piracy is None
-                else self.calibrated_piracy)
-
-    @property
-    def verdict(self):
-        """Calibrated verdict when a probability is attached, the raw
-        delta cut otherwise."""
-        return "PIRACY" if self.flagged else "no piracy"
-
-    def as_dict(self):
-        return {
-            "rank": int(self.rank),
-            "name": self.name,
-            "path": self.path,
-            "design": self.design,
-            "score": float(self.score),
-            "is_piracy": bool(self.is_piracy),
-            "via": self.via,
-            "region": self.region,
-            "query_region": self.query_region,
-            "coverage": (None if self.coverage is None
-                         else float(self.coverage)),
-            "struct": (None if self.struct is None
-                       else float(self.struct)),
-            "probability": (None if self.probability is None
-                            else float(self.probability)),
-            "confidence_low": (None if self.confidence_low is None
-                               else float(self.confidence_low)),
-            "confidence_high": (None if self.confidence_high is None
-                                else float(self.confidence_high)),
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
 class QueryResult:
     """Ranked matches for one suspect in a query batch."""
 
@@ -204,15 +134,3 @@ class QueryResult:
             "label": self.label,
             "matches": [m.as_dict() for m in self.matches],
         }
-
-
-def matches_from_hits(hits):
-    """Convert engine :class:`~repro.index.engine.QueryHit` rows to
-    ranked :class:`Match` objects (ranks are 1-based)."""
-    return [Match(rank=rank, name=hit.name, path=hit.path,
-                  design=hit.design, score=hit.score,
-                  is_piracy=hit.is_piracy, via=hit.via,
-                  region=hit.region, query_region=hit.query_region,
-                  coverage=hit.coverage,
-                  struct=getattr(hit, "struct", None))
-            for rank, hit in enumerate(hits, 1)]

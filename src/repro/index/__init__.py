@@ -16,7 +16,7 @@ clusters and re-ranks candidates exactly.
 from repro.index.ann import IVFIndex
 from repro.index.cache import CacheStats, DFGCache, content_key
 from repro.index.chunks import ChunkConfig, extract_chunks
-from repro.index.engine import QueryEngine, QueryHit
+from repro.index.engine import QueryEngine
 from repro.index.ingest import (
     IngestConfig,
     default_jobs,
@@ -33,7 +33,7 @@ __all__ = [
     "ChunkConfig", "extract_chunks",
     "default_jobs",
     "EmbeddingService", "model_fingerprint",
-    "FingerprintIndex", "IngestConfig", "QueryEngine", "QueryHit",
+    "FingerprintIndex", "IngestConfig", "QueryEngine",
     "IVFIndex", "ShardStore", "SignatureScorer",
     "ingest_corpus", "migrate_index", "migrate_v2",
     "walk_sources", "wl_colors",

@@ -6,7 +6,8 @@ with **one query path**: every query is scatter-gather.  The worker half
 scores a subset of the shard files and returns mergeable partials; the
 gather half (:meth:`~QueryEngine.merge_many` /
 :meth:`~QueryEngine.merge_groups`) reduces disjoint partials to ranked
-hits.  The in-process entry points are that pipeline over a single
+hits (:class:`~repro.index.match.Match` rows, built once with their
+ranks).  The in-process entry points are that pipeline over a single
 partition holding every shard — ``query_many(v)`` is
 ``merge_many([partial_many(v)])`` and ``query_groups`` is
 ``merge_groups([partial_groups(...)])`` — so single-process and
@@ -26,16 +27,18 @@ multi-worker serving agree bit for bit by construction.
   rows first keep their ``k`` best score blocks.  Ties order by a total
   key (lower row / parent id) *including* at the top-k boundary, so a
   partition's top-k always contains every row of the global top-k it
-  owns — the property merging relies on.
+  owns — the property merging relies on.  A partial is therefore
+  already ranked under the merge's order: the one-partition merge
+  behind ``query_many`` turns it into hits without selecting again.
 - **IVF pre-filter** — with a fitted :class:`~repro.index.ann.IVFIndex`,
   only the rows in the ``nprobe`` best clusters are scored (exact dot
   products, so scores are never approximated — only the candidate pool
   is).  The inverted lists carry their vectors: the first IVF pass over
   a shard subset gathers that partition's rows once into cluster order
   (``rows x hidden`` float32, one resident copy per partition), and
-  every later pass scores the probed clusters as contiguous slices of
-  it.  ``exact=True`` is the escape hatch that bypasses the quantizer
-  entirely.
+  every later pass gathers the batch's probed clusters from it once and
+  scores each query against its own slice.  ``exact=True`` is the
+  escape hatch that bypasses the quantizer entirely.
 - **Chunk aggregation** — a v4 index stores extra rows for subgraph
   chunks (:mod:`repro.index.chunks`), each carrying a parent-design
   back-pointer.  ``query_groups`` scores a *group* of query parts (the
@@ -53,8 +56,8 @@ multi-worker serving agree bit for bit by construction.
   reduction pays ``np.unique`` plus scatter (``ufunc.at``) passes over
   every candidate row and builds coverage evidence nobody reads.
   Routed through it, a 32-vector, k=10 IVF pass over a 50k-row,
-  4-shard chunk-less index took about 23 ms instead of 2.6 ms (one
-  Xeon core).
+  4-shard chunk-less index takes about 33 ms instead of 2.9 ms (one
+  Xeon core, BLAS on one thread).
 - **Structural rank fusion** — when the caller also supplies per-group
   structural scores (:mod:`repro.index.wlsig` reverse-containment, one
   score per parent design), parents are ranked by the *better of their
@@ -85,6 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import IndexStoreError
+from repro.index.match import Match
 
 #: Row-segment width for two-stage exact top-k: a long row first keeps
 #: its k best segments by maximum (the top-k elements of a row always
@@ -116,43 +120,6 @@ class InvertedLists(NamedTuple):
     rows: np.ndarray
     vectors: np.ndarray
     starts: np.ndarray
-
-
-@dataclass
-class QueryHit:
-    """One ranked index entry for a query design.
-
-    The last four fields are locality evidence from chunk aggregation
-    (:meth:`QueryEngine.query_groups`); they keep their defaults on a
-    chunk-less index, so v3-style consumers never see them change.
-
-    Attributes:
-        via: ``"design"`` when the whole-design row scored best,
-            ``"chunk"`` when a stored subgraph chunk did.
-        region: stored region descriptor of the best-matching chunk row
-            (``None`` for whole-design matches).
-        query_region: region descriptor of the suspect part that
-            produced the best score (``None`` for the whole suspect).
-        coverage: fraction of the design's stored rows scoring above
-            delta for this query (``None`` outside chunk aggregation).
-
-    Under structural rank fusion ``score`` is always the whole-suspect
-    vs whole-design cosine (the only pairing comparable to ``delta``),
-    even when a chunk pairing is the evidence ``via`` points at; the
-    design's structural reverse-containment score rides along in
-    ``struct`` (``None`` outside fusion) as calibration evidence.
-    """
-
-    name: str
-    path: str
-    design: str
-    score: float
-    is_piracy: bool
-    via: str = "design"
-    region: dict = None
-    query_region: dict = None
-    coverage: float = None
-    struct: float = None
 
 
 @dataclass
@@ -321,9 +288,9 @@ class QueryEngine:
             # negating (copying) the score row.
             pos = np.argpartition(scores, n - k)[n - k:]
         boundary = scores[pos].min()
-        strict = np.nonzero(scores > boundary)[0]
-        tied = np.nonzero(scores == boundary)[0]
-        if len(strict) + len(tied) > k:
+        if np.count_nonzero(scores >= boundary) > k:
+            strict = np.nonzero(scores > boundary)[0]
+            tied = np.nonzero(scores == boundary)[0]
             order = np.lexsort(tuple(key[tied] for key in ties))
             pos = np.concatenate([strict, tied[order[:k - len(strict)]]])
         order = np.lexsort(tuple(key[pos] for key in ties)
@@ -374,7 +341,7 @@ class QueryEngine:
                 channel rank (see the module docstring).
 
         Returns:
-            One :class:`QueryHit` list per group — at most ``k`` parent
+            One :class:`Match` list per group — at most ``k`` parent
             designs; without fusion, ranked by best part-vs-row score,
             ties broken by higher coverage, then lower parent id.
         """
@@ -492,13 +459,16 @@ class QueryEngine:
         counts = (end - begin).sum(axis=1)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         cand_rows = lists.rows[pos]
-        cand_scores = np.einsum("ij,ij->i",
-                                np.take(lists.vectors, pos, axis=0),
-                                np.repeat(queries, counts, axis=0))
+        # One gather for the whole batch; each query scores only its own
+        # slice.  einsum's per-row reduction does not depend on how many
+        # rows sit beside it, so a row scores the same bits whichever
+        # probe or partition put it in the slice.
+        cand_vectors = np.take(lists.vectors, pos, axis=0)
         out = []
-        for i in range(len(queries)):
+        for i, query in enumerate(queries):
             lo, hi = int(offsets[i]), int(offsets[i + 1])
-            rows, scores = cand_rows[lo:hi], cand_scores[lo:hi]
+            rows = cand_rows[lo:hi]
+            scores = np.einsum("ij,j->i", cand_vectors[lo:hi], query)
             sel = self._top_sel(scores, k, rows)
             out.append(PartialTopK(rows=rows[sel], scores=scores[sel]))
         return out
@@ -697,17 +667,32 @@ class QueryEngine:
     def merge_many(self, partials, k=5, delta=0.0):
         """Hit lists from per-partition ``partial_many`` results.
 
+        A single partition's partials are already ranked top-k lists
+        under the merge's own total order, so they become hits without a
+        second selection.
+
         Args:
             partials: one ``partial_many`` result per partition, all
                 for the same query batch over disjoint shard subsets.
+
+        Raises:
+            IndexStoreError: when the partitions' partials disagree on
+                the query count.
         """
         if not partials:
             return []
+        n = len(partials[0])
+        if any(len(p) != n for p in partials):
+            raise IndexStoreError(
+                "partition partials disagree on the query count")
         if self.chunked:
-            n = len(partials[0])
             offsets = np.arange(n + 1, dtype=np.int64)
             return self.merge_groups(partials, offsets, [None] * n,
                                      k=k, delta=delta)
+        if len(partials) == 1:
+            top = max(int(k), 0)
+            return [self._hits(p.rows[:top], p.scores[:top], delta)
+                    for p in partials[0]]
         results = []
         for per_query in zip(*partials):
             rows = np.concatenate([p.rows for p in per_query])
@@ -852,31 +837,32 @@ class QueryEngine:
 
     # -- hits ----------------------------------------------------------------
     def _hits(self, rows, scores, delta):
-        """Hit objects for ranked rows with their (rank-aligned) scores."""
+        """Ranked :class:`Match` rows for ranked row ids with their
+        (rank-aligned) scores."""
+        entries, delta = self._entries, float(delta)
         hits = []
-        for rank, row in enumerate(rows.tolist()):
-            score = float(scores[rank])
-            entry = self._entries[row]
-            hits.append(QueryHit(name=entry["name"], path=entry["path"],
-                                 design=entry["design"], score=score,
-                                 is_piracy=bool(score > delta)))
+        for rank, (row, score) in enumerate(zip(rows.tolist(),
+                                                scores.tolist()), 1):
+            entry = entries[row]
+            hits.append(Match(rank, entry["name"], entry["path"],
+                              entry["design"], score, score > delta))
         return hits
 
     def _parent_hits(self, parents, rows, parts, scores, coverage,
                      group_regions, delta, struct=None):
-        """Hit objects for ranked parents; every other array is
-        rank-aligned evidence (best row, best query part, score,
-        coverage, and the structural score under fusion)."""
+        """Ranked :class:`Match` rows for ranked parents; every other
+        array is rank-aligned evidence (best row, best query part,
+        score, coverage, and the structural score under fusion)."""
         parent_row = self._parent_arrays()[1]
         hits = []
         for rank, parent in enumerate(parents.tolist()):
             row_entry = self._entries[int(rows[rank])]
             parent_entry = self._entries[int(parent_row[parent])]
             score = float(scores[rank])
-            hits.append(QueryHit(
-                name=parent_entry["name"], path=parent_entry["path"],
-                design=parent_entry["design"], score=score,
-                is_piracy=bool(score > delta),
+            hits.append(Match(
+                rank=rank + 1, name=parent_entry["name"],
+                path=parent_entry["path"], design=parent_entry["design"],
+                score=score, is_piracy=bool(score > delta),
                 via=("chunk" if row_entry.get("kind") == "chunk"
                      else "design"),
                 region=row_entry.get("region"),

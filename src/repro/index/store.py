@@ -57,7 +57,7 @@ from repro.errors import IndexStoreError
 from repro.index.ann import IVF_NAME, IVFIndex, ivf_filename, ivf_plan
 from repro.index.cache import DFGCache
 from repro.index.chunks import ChunkConfig, chunk_parts, extract_chunks
-from repro.index.engine import QueryEngine, QueryHit  # noqa: F401
+from repro.index.engine import QueryEngine
 from repro.index.service import EmbeddingService
 from repro.index.shards import (
     ShardStore,

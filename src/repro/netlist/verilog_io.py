@@ -2,11 +2,12 @@
 
 The writer emits one flat module using gate primitives; ``mux`` cells
 become ternary assigns (which the synthesizer lowers straight back to a
-mux cell) and ``dff`` cells become instances of a ``DFF_POS`` library
-module whose definition is appended, so the emitted file is
-self-contained, flows straight through the DFG pipeline, and
-re-synthesizes gate-for-gate.  The reader also accepts the retired
-``MUX2`` library-instance form older files used for mux cells.
+mux cell) and ``dff`` cells become nonblocking ``q <= d;`` assigns in
+one native ``always @(posedge clk)`` block per clock, so the emitted
+file needs no library modules, flows straight through the DFG
+pipeline, and re-synthesizes gate-for-gate.  The reader also accepts
+the retired ``MUX2`` and ``DFF_POS`` library-instance forms older files
+used for mux and flop cells.
 """
 
 from repro.errors import NetlistError
@@ -83,8 +84,9 @@ def _expr_net(expr):
 def read_netlist(text, name=None):
     """Parse structural Verilog (as written by :func:`write_netlist`).
 
-    Only single-bit nets, gate primitives, and the MUX2/DFF_POS library
-    modules are accepted.
+    Only single-bit nets, gate primitives, ternary mux assigns,
+    single-clock ``always @(posedge clk)`` flop blocks, and the retired
+    MUX2/DFF_POS library modules are accepted.
     """
     source = parse(text)
     modules = {m.name: m for m in source.modules}

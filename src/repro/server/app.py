@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import __version__
-from repro.api.types import QueryResult, matches_from_hits
+from repro.api.types import QueryResult
 from repro.errors import IndexStoreError, ReproError
 from repro.server.batcher import BacklogFull, MicroBatcher
 from repro.server.http import (
@@ -67,6 +67,12 @@ def error_envelope(exc, status=None):
         message = str(exc)
     return {"error": {"type": type(exc).__name__, "message": message,
                       "status": status}}, status
+
+
+def _is_int(value):
+    """True for a JSON integer: ``bool`` is an ``int`` subclass, but
+    ``true``/``false`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -390,10 +396,9 @@ class ReproServer:
         k = payload.get("k", 5)
         nprobe = payload.get("nprobe")
         exact = bool(payload.get("exact", False))
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise HttpError(400, "'k' must be a non-negative integer")
-        if nprobe is not None and (not isinstance(nprobe, int)
-                                   or nprobe < 1):
+        if nprobe is not None and (not _is_int(nprobe) or nprobe < 1):
             raise HttpError(400, "'nprobe' must be a positive integer")
         if vectors is not None:
             try:
@@ -567,10 +572,9 @@ class ReproServer:
                 count = len(offsets_by_job[idx]) - 1
                 per_suspect = hit_lists[cursor:cursor + count]
                 cursor += count
-                results = [
-                    QueryResult(label=label,
-                                matches=matches_from_hits(hits))
-                    for label, hits in zip(jobs[idx].labels, per_suspect)]
+                results = [QueryResult(label=label, matches=hits)
+                           for label, hits in zip(jobs[idx].labels,
+                                                  per_suspect)]
                 if calibration is not None:
                     for result in results:
                         calibration.annotate_matches(result.matches)

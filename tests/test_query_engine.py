@@ -24,6 +24,7 @@ from repro.index import (
     migrate_v2,
 )
 from repro.index import service as service_mod
+from repro.index.match import Match
 from repro.index.shards import unit_rows_f32
 
 ADDER = """
@@ -416,6 +417,35 @@ class TestResidentLists:
                    for s in shard_sets]
         assert sharded.merge_groups(grouped, offsets, k=6) == \
             single.query_groups(queries, offsets, k=6, nprobe=nprobe)
+
+    def test_merge_refuses_partials_of_other_batches(self, layout):
+        """Partials that disagree on the query count come from
+        different batches; merging them must not drop queries."""
+        _, sharded, queries = layout
+        whole = sharded.partial_many(queries, k=5, shards=[0, 1])
+        short = sharded.partial_many(queries[:4], k=5, shards=[2, 3])
+        with pytest.raises(IndexStoreError, match="disagree on the query"):
+            sharded.merge_many([whole, short], k=5)
+        with pytest.raises(IndexStoreError, match="disagree on the query"):
+            sharded.merge_many([short, whole], k=5)
+
+    def test_one_partition_merge_is_its_ranking(self, layout):
+        """A lone partial is already ranked, so its merge keeps its
+        first k hits, for any k."""
+        single, _, queries = layout
+        partial = single.partial_many(queries, k=10, nprobe=8)
+        for k in (-1, 0, 4, 10, 20):
+            assert single.merge_many([partial], k=k) == \
+                single.query_many(queries, k=min(max(k, 0), 10), nprobe=8)
+
+    def test_hits_are_ranked_matches(self, layout):
+        single, _, queries = layout
+        per_row = single.query_many(queries, k=7)
+        grouped = single.query_groups(queries, [0, 1, 4, 9], k=6)
+        for hits in per_row + grouped:
+            assert all(isinstance(hit, Match) for hit in hits)
+            assert [hit.rank for hit in hits] == \
+                list(range(1, len(hits) + 1))
 
     def test_partitions_see_empty_slices(self, layout):
         """The layouts above really exercise empty list slices: some

@@ -61,9 +61,11 @@ def serve(session, scenario, **server_kwargs):
     async def runner():
         server = ReproServer(session, port=0, **server_kwargs)
         await server.start()
+        client = AsyncClient("127.0.0.1", server.port)
         try:
-            await scenario(server, AsyncClient("127.0.0.1", server.port))
+            await scenario(server, client)
         finally:
+            await client.close()
             await server.stop()
 
     asyncio.run(runner())
@@ -433,6 +435,23 @@ class TestErrorEnvelopes:
             error = await expect_error(
                 client.query(sources=["module oops(endmodule"]), 400)
             assert error.error_type in ("ParseError", "LexerError")
+
+        serve(session, scenario)
+
+    @pytest.mark.parametrize("field", ["k", "nprobe"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_counts_400(self, session, field, flag):
+        """JSON ``true``/``false`` are not counts, though Python's
+        ``bool`` is an ``int``: ``"k": true`` must not serve as k=1."""
+        vector = session.fingerprint(ADDER).vector
+
+        async def scenario(server, client):
+            payload = {"suspects": [{"vector": [float(v) for v in vector]}],
+                       field: flag}
+            error = await expect_error(
+                client.request("POST", "/v1/query", payload), 400,
+                "HttpError")
+            assert repr(field) in str(error)
 
         serve(session, scenario)
 
