@@ -5,12 +5,16 @@ Builds a tiny index with the CLI, starts ``gnn4ip serve`` (via
 that an empty design, a truncated gate-level source and a truncated
 ``genvar`` declaration are each refused with a 400 envelope in time,
 runs one multi-suspect ``/v1/query`` round trip plus a health check
-through :mod:`repro.client`, and shuts the server down cleanly.  CI runs
-this as the server smoke job; it also works standalone::
+through :mod:`repro.client`, checks that a raw ``/v1/query`` body with a
+non-ASCII label is exactly ``json.dumps`` of what it decodes to, and
+shuts the server down cleanly.  CI runs this as the server smoke job; it
+also works standalone::
 
     python examples/server_smoke.py
 """
 
+import http.client
+import json
 import re
 import signal
 import subprocess
@@ -45,6 +49,21 @@ GENVAR = "module m; genvar i"
 
 #: Seconds a request may take before the smoke check fails.
 REQUEST_TIMEOUT_S = 10.0
+
+
+def raw_query_body(port, payload):
+    """The undecoded body of one ``POST /v1/query`` (status must be 200)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port,
+                                            timeout=REQUEST_TIMEOUT_S)
+    try:
+        connection.request("POST", "/v1/query", body=json.dumps(payload),
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        body = response.read()
+    finally:
+        connection.close()
+    assert response.status == 200, (response.status, body[:200])
+    return body
 
 
 def main():
@@ -109,6 +128,15 @@ def main():
             assert mux_result["matches"][0]["design"] == "mux", out
             print(f"round trip ok: {len(out['results'])} suspects ranked "
                   f"({out['serving']})")
+
+            # The reply is written without json.dumps; its bytes must
+            # still be exactly what json.dumps makes of its content.
+            label = 'añadido "α" ✓'
+            body = raw_query_body(port, {
+                "suspects": [{"source": ADDER, "label": label}], "k": 2})
+            assert body == json.dumps(json.loads(body)).encode(), body
+            assert json.loads(body)["results"][0]["label"] == label, body
+            print(f"raw reply ok: {len(body)} bytes, json.dumps-exact")
         finally:
             server.send_signal(signal.SIGTERM)
             try:

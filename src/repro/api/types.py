@@ -5,7 +5,10 @@ JSON-compatible data.  These serializers are the single wire format for
 the whole surface: the HTTP server's response bodies, the CLI's
 ``--json`` output, and library consumers all read the same shapes, so a
 script that parses ``gnn4ip compare --json`` also parses a
-``POST /v1/compare`` response.
+``POST /v1/compare`` response.  :class:`QueryResult` and
+:class:`Match` also write themselves as JSON text (``as_json()``),
+byte-identical to ``json.dumps`` of their ``as_dict()``: the server's
+``/v1/query`` replies are built from that text.
 
 :class:`Match` lives beside the query engine that builds it
 (:mod:`repro.index.match`) and is re-exported here unchanged.
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.index.match import Match  # noqa: F401  (public re-export)
+from repro.index.match import encode_json
 
 #: Where a fingerprint's embedding came from (cheapest first): reused
 #: straight from the index's stored rows, rebuilt from the on-disk graph
@@ -134,3 +138,10 @@ class QueryResult:
             "label": self.label,
             "matches": [m.as_dict() for m in self.matches],
         }
+
+    def as_json(self):
+        """``json.dumps(self.as_dict())``, written from
+        :meth:`Match.as_json` without building the dicts."""
+        return '{"label": %s, "matches": [%s]}' % (
+            encode_json(self.label),
+            ", ".join([m.as_json() for m in self.matches]))

@@ -3,12 +3,96 @@
 :class:`~repro.index.engine.QueryEngine` builds these directly, with
 their 1-based ranks, and every consumer reads the same objects: the
 public facade (re-exported as :class:`repro.api.Match`), the HTTP
-server's reply bodies through :meth:`Match.as_dict`, and calibration,
-which annotates them in place.  The module imports nothing from the
+server's reply bodies, and calibration, which annotates them in
+place.  The module imports nothing from the
 rest of the package, so the engine and the API can both depend on it.
+
+A match has two wire forms built from one key list, :data:`KEYS`:
+:meth:`Match.as_dict` (the CLI's ``--json``, library callers) and
+:meth:`Match.as_json`, the same object as JSON text, byte-identical to
+``json.dumps(match.as_dict())``.  The HTTP server writes ``/v1/query``
+replies from the text form without building the dicts.
 """
 
+import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+
+#: A match's wire keys, in wire order.  ``as_dict`` and ``as_json``
+#: both follow this list, so their key sets and orders cannot differ.
+KEYS = (
+    "rank",
+    "name",
+    "path",
+    "design",
+    "score",
+    "is_piracy",
+    "via",
+    "region",
+    "query_region",
+    "coverage",
+    "struct",
+    "probability",
+    "confidence_low",
+    "confidence_high",
+    "verdict",
+)
+
+#: Locality evidence and calibration fields: all ``None`` for a plain
+#: vector query on an uncalibrated index, the common served case.
+EVIDENCE = (
+    "region",
+    "query_region",
+    "coverage",
+    "struct",
+    "probability",
+    "confidence_low",
+    "confidence_high",
+)
+
+
+def encode_json(value):
+    """``json.dumps(value)``, with the scalar types a reply holds written
+    directly: ``null``/``true``/``false``, ``float.__repr__`` for finite
+    floats, ``NaN``/``Infinity``/``-Infinity`` otherwise, and
+    ``encode_basestring_ascii`` for strings.  Anything else (region
+    dicts) goes through ``json.dumps``."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _template(nulls=()):
+    """A ``%``-format string for one match object: every key of
+    :data:`KEYS` written as a literal, followed by a ``%s`` slot for its
+    value or by ``null`` for the keys in ``nulls``."""
+    return "{%s}" % ", ".join(
+        f"{json.dumps(key)}: {'null' if key in nulls else '%s'}" for key in KEYS
+    )
+
+
+_TEMPLATE = _template()
+#: The template with every :data:`EVIDENCE` field already ``null``.
+_PLAIN_TEMPLATE = _template(EVIDENCE)
+
+
+def _float_or_none(value):
+    return None if value is None else float(value)
 
 
 @dataclass
@@ -53,8 +137,9 @@ class Match:
     def flagged(self):
         """The effective decision: calibrated operating point when a
         calibration is attached, the raw delta cut otherwise."""
-        return (self.is_piracy if self.calibrated_piracy is None
-                else self.calibrated_piracy)
+        return (
+            self.is_piracy if self.calibrated_piracy is None else self.calibrated_piracy
+        )
 
     @property
     def verdict(self):
@@ -62,26 +147,58 @@ class Match:
         delta cut otherwise."""
         return "PIRACY" if self.flagged else "no piracy"
 
+    def _wire_values(self):
+        """The wire values in :data:`KEYS` order."""
+        return (
+            int(self.rank),
+            self.name,
+            self.path,
+            self.design,
+            float(self.score),
+            bool(self.is_piracy),
+            self.via,
+            self.region,
+            self.query_region,
+            _float_or_none(self.coverage),
+            _float_or_none(self.struct),
+            _float_or_none(self.probability),
+            _float_or_none(self.confidence_low),
+            _float_or_none(self.confidence_high),
+            self.verdict,
+        )
+
     def as_dict(self):
-        return {
-            "rank": int(self.rank),
-            "name": self.name,
-            "path": self.path,
-            "design": self.design,
-            "score": float(self.score),
-            "is_piracy": bool(self.is_piracy),
-            "via": self.via,
-            "region": self.region,
-            "query_region": self.query_region,
-            "coverage": (None if self.coverage is None
-                         else float(self.coverage)),
-            "struct": (None if self.struct is None
-                       else float(self.struct)),
-            "probability": (None if self.probability is None
-                            else float(self.probability)),
-            "confidence_low": (None if self.confidence_low is None
-                               else float(self.confidence_low)),
-            "confidence_high": (None if self.confidence_high is None
-                                else float(self.confidence_high)),
-            "verdict": self.verdict,
-        }
+        return dict(zip(KEYS, self._wire_values()))
+
+    def as_json(self):
+        """``json.dumps(self.as_dict())``, written without the dict.
+
+        A hit with every :data:`EVIDENCE` field ``None``, a finite score
+        and string names fills the constant plain template; any other
+        hit encodes each value by JSON's rules (:func:`encode_json`).
+        """
+        score = float(self.score)
+        if (
+            self.region is None
+            and self.query_region is None
+            and self.coverage is None
+            and self.struct is None
+            and self.probability is None
+            and self.confidence_low is None
+            and self.confidence_high is None
+            and math.isfinite(score)
+        ):
+            try:
+                return _PLAIN_TEMPLATE % (
+                    int(self.rank),
+                    encode_basestring_ascii(self.name),
+                    encode_basestring_ascii(self.path),
+                    encode_basestring_ascii(self.design),
+                    float.__repr__(score),
+                    "true" if self.is_piracy else "false",
+                    encode_basestring_ascii(self.via),
+                    encode_basestring_ascii(self.verdict),
+                )
+            except TypeError:  # a name, path, design or via that is no str
+                pass
+        return _TEMPLATE % tuple(map(encode_json, self._wire_values()))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import __version__
-from repro.api.types import QueryResult
+from repro.api.types import QueryResult, encode_json
 from repro.errors import IndexStoreError, ReproError
 from repro.server.batcher import BacklogFull, MicroBatcher
 from repro.server.http import (
@@ -100,7 +100,10 @@ def _parse_suspects(payload):
         if not isinstance(suspect, dict):
             raise HttpError(400, f"suspects[{i}] must be an object or a "
                                  f"source string")
-        labels.append(suspect.get("label") or f"suspect[{i}]")
+        label = suspect.get("label")
+        if label is not None and not isinstance(label, str):
+            raise HttpError(400, f"suspects[{i}].label must be a string")
+        labels.append(label or f"suspect[{i}]")
         if "vector" in suspect:
             vectors.append(suspect["vector"])
         elif "source" in suspect:
@@ -395,7 +398,9 @@ class ReproServer:
         sources, vectors, labels = _parse_suspects(payload)
         k = payload.get("k", 5)
         nprobe = payload.get("nprobe")
-        exact = bool(payload.get("exact", False))
+        exact = payload.get("exact", False)
+        if not isinstance(exact, bool):
+            raise HttpError(400, "'exact' must be a boolean")
         if not _is_int(k) or k < 0:
             raise HttpError(400, "'k' must be a non-negative integer")
         if nprobe is not None and (not _is_int(nprobe) or nprobe < 1):
@@ -413,11 +418,13 @@ class ReproServer:
             results = await self.batcher.submit(job)
         except BacklogFull as exc:
             raise HttpError(429, f"server is at capacity: {exc}") from exc
-        return {
-            "results": [result.as_dict() for result in results],
-            "serving": self.session.serving_description(nprobe=nprobe,
-                                                        exact=exact),
-        }
+        # The reply is json.dumps of {"results": [QueryResult.as_dict()],
+        # "serving": ...}, written straight from the hits.
+        serving = self.session.serving_description(nprobe=nprobe,
+                                                   exact=exact)
+        return ('{"results": [%s], "serving": %s}' % (
+            ", ".join([result.as_json() for result in results]),
+            encode_json(serving))).encode()
 
     # -- the batch processor (runs in the executor) --------------------------
     def _process_query_jobs(self, jobs):

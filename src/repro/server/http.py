@@ -107,7 +107,8 @@ async def read_request(reader):
 
 
 def response_bytes(status, payload, keep_alive=False, extra_headers=None):
-    """A complete HTTP response for a JSON-serializable payload.
+    """A complete HTTP response for a JSON-serializable payload, or for
+    a body the caller already encoded as JSON (``bytes``).
 
     ``keep_alive`` controls the ``Connection`` header: the handler loop
     passes ``True`` when it will read another request from the same
@@ -116,7 +117,8 @@ def response_bytes(status, payload, keep_alive=False, extra_headers=None):
     can no longer be trusted).  ``extra_headers`` appends literal
     ``name: value`` pairs (e.g. ``Retry-After`` on a 429).
     """
-    body = json.dumps(payload).encode("utf-8")
+    body = (payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8"))
     reason = REASONS.get(status, "Unknown")
     connection = "keep-alive" if keep_alive else "close"
     head = (f"HTTP/1.1 {status} {reason}\r\n"

@@ -455,6 +455,49 @@ class TestErrorEnvelopes:
 
         serve(session, scenario)
 
+    def test_exact_takes_only_a_boolean(self, session):
+        """``"exact"`` is a JSON boolean: a string such as ``"false"``,
+        a list, a number or null is refused, not read as truthy."""
+        vector = [float(v) for v in session.fingerprint(ADDER).vector]
+
+        async def scenario(server, client):
+            for exact in ("false", "true", [0], [], 1, 0, None, {}):
+                payload = {"suspects": [{"vector": vector}], "exact": exact}
+                error = await expect_error(
+                    client.request("POST", "/v1/query", payload), 400,
+                    "HttpError")
+                assert "'exact'" in str(error), exact
+            for exact in (True, False):
+                out = await client.request(
+                    "POST", "/v1/query",
+                    {"suspects": [{"vector": vector}], "exact": exact})
+                assert out["results"][0]["matches"][0]["design"] == "adder"
+
+        serve(session, scenario)
+
+    def test_label_takes_only_a_string(self, session):
+        """A suspect label is a string, null or absent; any other JSON
+        value is refused instead of echoed back."""
+        vector = [float(v) for v in session.fingerprint(ADDER).vector]
+
+        async def scenario(server, client):
+            for label in (5, 0, 1.5, True, {"a": [1, 2]}, ["x"]):
+                payload = {"suspects": [{"vector": vector},
+                                        {"vector": vector, "label": label}]}
+                error = await expect_error(
+                    client.request("POST", "/v1/query", payload), 400,
+                    "HttpError")
+                assert "suspects[1].label" in str(error), label
+            payload = {"suspects": [{"vector": vector, "label": 'α "β"'},
+                                    {"vector": vector, "label": None},
+                                    {"vector": vector, "label": ""},
+                                    {"vector": vector}]}
+            out = await client.request("POST", "/v1/query", payload)
+            assert [r["label"] for r in out["results"]] == [
+                'α "β"', "suspect[1]", "suspect[2]", "suspect[3]"]
+
+        serve(session, scenario)
+
     def test_wrong_vector_width_409(self, session):
         async def scenario(server, client):
             await expect_error(
