@@ -8,7 +8,7 @@ implementation layers mirror the paper's pipeline:
 * :mod:`repro.verilog` — Verilog front-end (preprocess / lex / parse).
 * :mod:`repro.dataflow` — data-flow graph extraction (Fig. 2 pipeline).
 * :mod:`repro.ir` — unified GraphIR + extraction frontends.
-* :mod:`repro.nn` — numpy autograd + GNN layers.
+* :mod:`repro.nn` — numpy GNN layers, forward and hand-derived backward.
 * :mod:`repro.core` — ``hw2vec`` encoder and ``GNN4IP`` pair model.
 * :mod:`repro.index` — corpus-scale fingerprint index + query engine.
 * :mod:`repro.designs` — synthetic hardware-design corpus generators.

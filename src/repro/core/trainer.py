@@ -8,10 +8,11 @@ propagated once instead of k times.
 Each step packs the minibatch's unique graphs into one block-diagonal
 system (:mod:`repro.nn.batch`) and runs the model's one forward pass,
 :func:`~repro.nn.batch.batched_forward`, with this batch's dropout masks.
-The pair losses are one vectorized cosine computation on the autograd
-tape, over a leaf that holds the embeddings; the leaf's gradient then
-goes through the hand-derived :func:`~repro.nn.batch.batched_backward`
-into the encoder's parameters.
+The pair losses are one vectorized cosine computation,
+:func:`~repro.nn.batch.batched_pair_loss`, which also returns the
+closed-form gradient with respect to the embeddings; that gradient goes
+through the hand-derived :func:`~repro.nn.batch.batched_backward` into
+the encoder's parameters.
 """
 
 import time
@@ -28,7 +29,6 @@ from repro.nn.batch import (
     pack_prepared,
 )
 from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor
 
 
 class Trainer:
@@ -103,16 +103,14 @@ class Trainer:
         masks = encoder.dropout.masks(packed.sizes, encoder.hidden,
                                       len(encoder.convs))
         ctx = {}
-        embeddings = Tensor(batched_forward(encoder, packed, masks, ctx),
-                            requires_grad=True)
-        loss, _ = batched_pair_loss(
+        embeddings = batched_forward(encoder, packed, masks, ctx)
+        loss, _, d_embeddings = batched_pair_loss(
             embeddings, [(row[i], row[j], label) for i, j, label in batch],
             self.margin, positive_weight=weight)
         self.optimizer.zero_grad()
-        loss.backward()
-        batched_backward(encoder, packed, masks, ctx, embeddings.grad)
+        batched_backward(encoder, packed, masks, ctx, d_embeddings)
         self.optimizer.step()
-        return loss.item()
+        return loss
 
     def train_epoch(self, dataset, epoch=0, extra_pairs=None):
         """One pass over the train pairs; returns (mean_loss, seconds).

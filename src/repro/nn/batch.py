@@ -20,15 +20,15 @@ rows (:func:`segment_readout`).
 
 Inference passes no dropout masks.  Training passes the masks of
 :meth:`~repro.nn.layers.Dropout.masks` and a ``ctx`` dict, scores the
-embeddings with the taped :func:`batched_pair_loss`, and hands the
-embedding gradient to :func:`batched_backward`, which propagates it by
-hand into each parameter's ``.grad``.
+embeddings with :func:`batched_pair_loss`, which also returns the loss's
+closed-form gradient with respect to the embedding rows, and hands that
+gradient to :func:`batched_backward`, which propagates it by hand into
+each parameter's ``.grad``.
 """
 
 import numpy as np
 
 from repro.nn.layers import normalize_edges
-from repro.nn.tensor import Tensor
 
 
 class GraphBatch:
@@ -193,57 +193,96 @@ def batched_backward(encoder, batch, masks, ctx, d_embeddings):
 def _linear_backward(conv, batch, ax, d_out, needs_input=True):
     """Gradients of ``out = ax @ W + b`` with ``ax = A @ X``.
 
-    Accumulates ``W`` and ``b`` gradients and returns ``dX = A^T dax``
-    (``None`` when ``needs_input`` is false: the input is the features).
+    Adds the ``W`` and ``b`` gradients into their ``.grad`` and returns
+    ``dX = A^T dax`` (``None`` when ``needs_input`` is false: the input is
+    the features).
     """
     if conv.bias is not None:
-        conv.bias._accumulate(d_out.sum(axis=0))
-    conv.weight._accumulate(ax.T @ d_out)
+        _add_grad(conv.bias, d_out.sum(axis=0))
+    _add_grad(conv.weight, ax.T @ d_out)
     if needs_input:
         return batch.a_norm.T @ (d_out @ conv.weight.data.T)
     return None
 
 
+def _add_grad(param, grad):
+    param.grad = grad if param.grad is None else param.grad + grad
+
+
 def batched_pair_loss(embeddings, pairs, margin=0.5, positive_weight=1.0,
                       eps=1e-12):
-    """Vectorized cosine-embedding loss (Eq. 7) over rows of a batch.
+    """Mean cosine-embedding loss (Eq. 7) over row pairs, with its gradient.
+
+    With ``s`` the cosine of a pair (Eq. 6, norms stabilized by ``eps``),
+    a similar pair costs ``positive_weight * (1 - s)`` and a dissimilar
+    one ``max(0, s - margin)``; the loss is their mean.
+
+    The gradient is in closed form, evaluated in a fixed order: each
+    pair's ``d loss / d s`` goes to the dot product (``/ den``) and to the
+    norm product ``den`` (``-dots / den**2``), and through each norm
+    ``n = a ** 0.5``, ``a = |x|**2 + eps``, back to the row, where the
+    norm term enters twice.  The left and right rows are scattered into
+    separate buffers and added.  Seeded training trajectories and
+    ``tests/data/pair_loss_golden.json`` pin the rounding this order gives.
 
     Args:
-        embeddings: ``(m, hidden)`` Tensor (the trainer wraps
-            :func:`batched_forward`'s output in a leaf whose ``.grad``
-            feeds :func:`batched_backward`).
+        embeddings: ``(m, hidden)`` array, e.g. :func:`batched_forward`'s
+            output.
         pairs: iterable of ``(i, j, label)`` row-index pairs with label in
             {+1, -1}.
         margin: the paper fixes this to 0.5.
         positive_weight: loss weight for similar pairs (class balancing).
 
     Returns:
-        (mean loss Tensor, ``(n_pairs,)`` numpy similarity array) — both
-        matching a per-pair :func:`~repro.nn.loss.cosine_embedding_loss`
-        loop to summation-order rounding.
+        ``(loss, sims, grad)``: the mean loss as a float, the
+        ``(n_pairs,)`` cosines, and the ``(m, hidden)`` gradient of the
+        loss with respect to ``embeddings``.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no pairs given")
-    left = embeddings.index_select([i for i, _, _ in pairs])
-    right = embeddings.index_select([j for _, j, _ in pairs])
+    labels = {label for _, _, label in pairs}
+    if not labels <= {1, -1}:
+        raise ValueError(f"labels must be +1 or -1, got {sorted(labels)}")
+    left_rows = np.array([i for i, _, _ in pairs], dtype=np.int64)
+    right_rows = np.array([j for _, j, _ in pairs], dtype=np.int64)
+    positive = np.array([label == 1 for _, _, label in pairs])
+    left, right = embeddings[left_rows], embeddings[right_rows]
     dots = (left * right).sum(axis=1)
-    norms_l = ((left * left).sum(axis=1) + eps).sqrt()
-    norms_r = ((right * right).sum(axis=1) + eps).sqrt()
-    sims = dots / (norms_l * norms_r)
+    sq_l = (left * left).sum(axis=1) + eps
+    sq_r = (right * right).sum(axis=1) + eps
+    norm_l, norm_r = np.power(sq_l, 0.5), np.power(sq_r, 0.5)
+    den = norm_l * norm_r
+    sims = dots / den
 
-    labels = np.array([label for _, _, label in pairs])
-    positive = np.flatnonzero(labels == 1)
-    negative = np.flatnonzero(labels != 1)
-    total = Tensor(0.0)
-    if len(positive):
-        pos_loss = (1.0 - sims.index_select(positive)).sum()
+    scale = 1.0 / len(pairs)
+    hinge = sims[~positive] + (-margin)
+    active = hinge > 0
+    loss = 0.0
+    d_sims = np.empty(len(pairs))
+    if positive.any():
+        pos_loss = (1.0 + (-sims[positive])).sum()
         if positive_weight != 1.0:
             pos_loss = pos_loss * positive_weight
-        total = total + pos_loss
-    if len(negative):
-        total = total + (sims.index_select(negative) - margin).relu().sum()
-    return total * (1.0 / len(pairs)), sims.data.copy()
+        loss = loss + pos_loss
+        d_sims[positive] = -(scale * positive_weight)
+    if not positive.all():
+        loss = loss + (hinge * active).sum()
+        d_sims[~positive] = scale * active
+
+    d_dots = d_sims / den
+    d_den = (-d_sims * dots) / den ** 2
+    d_sq_l = (d_den * norm_r * 0.5) * np.power(sq_l, -0.5)
+    d_sq_r = (d_den * norm_l * 0.5) * np.power(sq_r, -0.5)
+    d_left = (d_dots[:, None] * right + d_sq_l[:, None] * left) \
+        + d_sq_l[:, None] * left
+    d_right = (d_dots[:, None] * left + d_sq_r[:, None] * right) \
+        + d_sq_r[:, None] * right
+    grad_left = np.zeros_like(embeddings)
+    grad_right = np.zeros_like(embeddings)
+    np.add.at(grad_left, left_rows, d_left)
+    np.add.at(grad_right, right_rows, d_right)
+    return float(loss * scale), sims, grad_left + grad_right
 
 
 def batched_embed(encoder, graphs, batch_size=64):

@@ -1,18 +1,30 @@
-"""Neural-network modules: Linear, GCN convolution, dropout.
+"""Neural-network modules: parameters, GCN convolution, dropout.
 
 The GCN layer implements Eq. 5 of the paper:
 
     X' = sigma( D^-1/2 (A + I) D^-1/2 X W )
 
 The normalized adjacency is computed once per packed batch (it is
-constant) with :func:`normalize_edges`; the layer then only does
-sparse @ dense @ W.
+constant) with :func:`normalize_edges`; the forward pass then only does
+sparse @ dense @ W (:func:`repro.nn.batch.batched_forward`).
 """
 
 import numpy as np
 from scipy import sparse
 
-from repro.nn.tensor import Tensor, spmm
+
+class Parameter:
+    """A trainable float64 array and the gradient summed into it.
+
+    ``grad`` is ``None`` until the first backward pass adds to it, and
+    again after ``zero_grad``.
+    """
+
+    __slots__ = ("data", "grad")
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
 
 
 class Module:
@@ -22,54 +34,50 @@ class Module:
         self._parameters = {}
         self._modules = {}
 
-    def register_parameter(self, name, tensor):
-        tensor.requires_grad = True
-        self._parameters[name] = tensor
-        return tensor
+    def register_parameter(self, name, param):
+        self._parameters[name] = param
+        return param
 
     def register_module(self, name, module):
         self._modules[name] = module
         return module
 
     def parameters(self):
-        """All trainable tensors, depth-first."""
+        """All trainable parameters, depth-first."""
         params = list(self._parameters.values())
         for module in self._modules.values():
             params.extend(module.parameters())
         return params
 
     def named_parameters(self, prefix=""):
-        """(name, tensor) pairs, depth-first."""
-        items = [(prefix + name, tensor)
-                 for name, tensor in self._parameters.items()]
+        """(name, parameter) pairs, depth-first."""
+        items = [(prefix + name, param)
+                 for name, param in self._parameters.items()]
         for mod_name, module in self._modules.items():
             items.extend(module.named_parameters(f"{prefix}{mod_name}."))
         return items
 
     def zero_grad(self):
         for param in self.parameters():
-            param.zero_grad()
+            param.grad = None
 
     def state_dict(self):
         """Copy of all parameter arrays, keyed by dotted name."""
-        return {name: tensor.data.copy()
-                for name, tensor in self.named_parameters()}
+        return {name: param.data.copy()
+                for name, param in self.named_parameters()}
 
     def load_state_dict(self, state):
         named = dict(self.named_parameters())
         missing = set(named) - set(state)
         if missing:
             raise KeyError(f"state dict missing parameters: {sorted(missing)}")
-        for name, tensor in named.items():
+        for name, param in named.items():
             value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != tensor.data.shape:
+            if value.shape != param.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "
-                    f"{value.shape} vs {tensor.data.shape}")
-            tensor.data = value.copy()
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
+                    f"{value.shape} vs {param.data.shape}")
+            param.data = value.copy()
 
 
 def glorot(shape, rng):
@@ -77,28 +85,6 @@ def glorot(shape, rng):
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-class Linear(Module):
-    """Affine layer ``y = x W + b``."""
-
-    def __init__(self, in_features, out_features, bias=True, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = self.register_parameter(
-            "weight", Tensor(glorot((in_features, out_features), rng)))
-        self.bias = None
-        if bias:
-            self.bias = self.register_parameter(
-                "bias", Tensor(np.zeros(out_features)))
-
-    def forward(self, x):
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
 
 
 def normalize_edges(rows, cols, num_nodes, add_self_loops=True):
@@ -139,11 +125,8 @@ def normalize_edges(rows, cols, num_nodes, add_self_loops=True):
 
 
 class GCNConv(Module):
-    """Graph convolution (Kipf & Welling), Eq. 5 of the paper.
-
-    ``forward(x, a_norm)`` expects the *pre-normalized* adjacency so that the
-    normalization cost is paid once per graph, not once per layer call.
-    """
+    """Graph convolution (Kipf & Welling), Eq. 5 of the paper: holds
+    ``W`` and ``b`` of ``A_norm X W + b``."""
 
     def __init__(self, in_features, out_features, bias=True, rng=None):
         super().__init__()
@@ -151,17 +134,11 @@ class GCNConv(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = self.register_parameter(
-            "weight", Tensor(glorot((in_features, out_features), rng)))
+            "weight", Parameter(glorot((in_features, out_features), rng)))
         self.bias = None
         if bias:
             self.bias = self.register_parameter(
-                "bias", Tensor(np.zeros(out_features)))
-
-    def forward(self, x, a_norm):
-        out = spmm(a_norm, x) @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+                "bias", Parameter(np.zeros(out_features)))
 
 
 class Dropout(Module):

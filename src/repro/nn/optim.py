@@ -4,7 +4,7 @@ import numpy as np
 
 
 class Optimizer:
-    """Base optimizer over a list of parameter Tensors."""
+    """Base optimizer over a list of :class:`~repro.nn.layers.Parameter`."""
 
     def __init__(self, parameters, lr):
         if lr <= 0:
@@ -14,7 +14,7 @@ class Optimizer:
 
     def zero_grad(self):
         for param in self.parameters:
-            param.zero_grad()
+            param.grad = None
 
     def step(self):
         raise NotImplementedError

@@ -104,6 +104,9 @@ def _parse_suspects(payload):
         if label is not None and not isinstance(label, str):
             raise HttpError(400, f"suspects[{i}].label must be a string")
         labels.append(label or f"suspect[{i}]")
+        if "vector" in suspect and "source" in suspect:
+            raise HttpError(400, f"suspects[{i}] carries both a 'source' "
+                                 f"and a 'vector'; send one")
         if "vector" in suspect:
             vectors.append(suspect["vector"])
         elif "source" in suspect:
@@ -115,6 +118,14 @@ def _parse_suspects(payload):
         raise HttpError(400, "cannot mix 'source' and 'vector' suspects "
                              "in one request")
     return sources or None, vectors or None, labels
+
+
+def _top_of(payload):
+    """The request's ``top`` module option: a name string, or null."""
+    top = payload.get("top")
+    if top is not None and not isinstance(top, str):
+        raise HttpError(400, "'top' must be a module name string or null")
+    return top
 
 
 class ReproServer:
@@ -253,20 +264,21 @@ class ReproServer:
                         payload, status = await self._dispatch(request)
                     except Exception as exc:  # every failure -> an envelope
                         payload, status = error_envelope(exc)
-                    seconds = (time.perf_counter() - started
-                               if started is not None else 0.0)
                     keep_alive = (request is not None
                                   and request.headers.get("connection", "")
                                   .strip().lower() != "close")
                     self.requests += 1
                     if status >= 400:
                         self.errors += 1
-                    self.request_seconds.observe(seconds)
                     extra = {"Retry-After": "1"} if status == 429 else None
                     writer.write(response_bytes(status, payload,
                                                 keep_alive=keep_alive,
                                                 extra_headers=extra))
                     await writer.drain()
+                    # The clock covers encoding the reply and writing it.
+                    seconds = (time.perf_counter() - started
+                               if started is not None else 0.0)
+                    self.request_seconds.observe(seconds)
                     if self.log_json:
                         self._access_log(writer, request, status, seconds)
                 finally:
@@ -367,10 +379,11 @@ class ReproServer:
         source = payload.get("source")
         if not isinstance(source, str):
             raise HttpError(400, "body must carry Verilog text in 'source'")
+        top = _top_of(payload)
         loop = asyncio.get_running_loop()
         fingerprint = await loop.run_in_executor(
             None, lambda: self.session.fingerprint(
-                source, top=payload.get("top"),
+                source, top=top,
                 label=payload.get("label"), allow_paths=False))
         return fingerprint.as_dict()
 
@@ -385,10 +398,10 @@ class ReproServer:
                                      f"'{side}' (string or "
                                      f"{{'source': ...}})")
             sides.append(suspect)
+        top = _top_of(payload)
         loop = asyncio.get_running_loop()
         comparison = await loop.run_in_executor(
-            None, lambda: self.session.compare(sides[0], sides[1],
-                                               top=payload.get("top"),
+            None, lambda: self.session.compare(sides[0], sides[1], top=top,
                                                allow_paths=False))
         return comparison.as_dict()
 
@@ -396,6 +409,7 @@ class ReproServer:
         if self.session.corpus is None:
             raise HttpError(400, "this server has no corpus bound")
         sources, vectors, labels = _parse_suspects(payload)
+        top = _top_of(payload)
         k = payload.get("k", 5)
         nprobe = payload.get("nprobe")
         exact = payload.get("exact", False)
@@ -412,8 +426,7 @@ class ReproServer:
                 raise HttpError(400, f"malformed vector suspects: {exc}") \
                     from exc
         job = _QueryJob(sources=sources, vectors=vectors, labels=labels,
-                        k=k, nprobe=nprobe, exact=exact,
-                        top=payload.get("top"))
+                        k=k, nprobe=nprobe, exact=exact, top=top)
         try:
             results = await self.batcher.submit(job)
         except BacklogFull as exc:

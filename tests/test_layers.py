@@ -1,4 +1,4 @@
-"""Tests for nn layers: Module, Linear, GCNConv, Dropout, normalization."""
+"""Tests for nn layers: Module, Parameter, GCNConv, Dropout, normalization."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,15 @@ from scipy import sparse
 
 from repro.core import HW2VEC
 from repro.dataflow import dfg_from_verilog
-from repro.nn.batch import batched_forward, pack_prepared
+from repro.ir import GraphIR
+from repro.nn.batch import batched_backward, batched_forward, pack_prepared
 from repro.nn.layers import (
     Dropout,
     GCNConv,
-    Linear,
     Module,
     glorot,
     normalize_edges,
 )
-from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(7)
 
@@ -40,8 +39,8 @@ class TestModuleInfrastructure:
         class Net(Module):
             def __init__(self):
                 super().__init__()
-                self.layer_a = self.register_module("a", Linear(2, 3))
-                self.layer_b = self.register_module("b", Linear(3, 1))
+                self.layer_a = self.register_module("a", GCNConv(2, 3))
+                self.layer_b = self.register_module("b", GCNConv(3, 1))
 
         net = Net()
         assert len(net.parameters()) == 4  # two weights, two biases
@@ -53,46 +52,31 @@ class TestModuleInfrastructure:
         assert "bias" in names
 
     def test_state_dict_roundtrip(self):
-        layer = Linear(3, 2, rng=RNG)
+        layer = GCNConv(3, 2, rng=RNG)
         state = layer.state_dict()
-        clone = Linear(3, 2, rng=np.random.default_rng(99))
+        clone = GCNConv(3, 2, rng=np.random.default_rng(99))
         clone.load_state_dict(state)
         np.testing.assert_array_equal(layer.weight.data, clone.weight.data)
 
     def test_load_state_dict_shape_mismatch(self):
-        layer = Linear(3, 2)
+        layer = GCNConv(3, 2)
         bad = {name: np.zeros((1, 1)) for name, _ in layer.named_parameters()}
         with pytest.raises(ValueError):
             layer.load_state_dict(bad)
 
     def test_load_state_dict_missing_key(self):
-        layer = Linear(3, 2)
+        layer = GCNConv(3, 2)
         with pytest.raises(KeyError):
             layer.load_state_dict({})
 
     def test_zero_grad(self):
-        layer = Linear(2, 2)
-        out = layer(Tensor(np.ones((1, 2)))).sum()
-        out.backward()
-        assert layer.weight.grad is not None
-        layer.zero_grad()
-        assert layer.weight.grad is None
-
-
-class TestLinear:
-    def test_forward_shape(self):
-        layer = Linear(4, 3, rng=RNG)
-        assert layer(Tensor(np.ones((5, 4)))).shape == (5, 3)
-
-    def test_no_bias(self):
-        layer = Linear(4, 3, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
-    def test_glorot_bounds(self):
-        weights = glorot((100, 50), RNG)
-        limit = np.sqrt(6.0 / 150)
-        assert np.all(np.abs(weights) <= limit)
+        encoder, batch = encoder_and_batch(ring(4))
+        ctx = {}
+        out = batched_forward(encoder, batch, ctx=ctx)
+        batched_backward(encoder, batch, None, ctx, np.ones_like(out))
+        assert all(p.grad is not None for p in encoder.parameters())
+        encoder.zero_grad()
+        assert all(p.grad is None for p in encoder.parameters())
 
 
 class TestNormalizeAdjacency:
@@ -126,37 +110,74 @@ class TestNormalizeAdjacency:
         assert normalized.diagonal().sum() == 0
 
 
+def ring(n, edges=True):
+    graph = GraphIR(f"ring{n}")
+    for _ in range(n):
+        graph.add_node("signal", "wire")
+    if edges:
+        for i in range(n):
+            graph.add_edge(i, (i + 1) % n)
+    return graph
+
+
+def encoder_and_batch(*graphs):
+    encoder = HW2VEC(seed=2, num_layers=1)
+    return encoder, pack_prepared([encoder.prepare(g) for g in graphs])
+
+
+def first_layer(encoder, batch, features=None):
+    """``(A X, relu(A X W + b))`` of the first GCN layer of the forward."""
+    if features is not None:
+        batch.features = features
+    ctx = {}
+    batched_forward(encoder, batch, ctx=ctx)
+    return ctx["layers"][0]
+
+
 class TestGCNConv:
     def test_forward_shape(self):
-        conv = GCNConv(6, 4, rng=RNG)
-        a_norm = normalize_adjacency(chain_adjacency(5))
-        out = conv(Tensor(np.ones((5, 6))), a_norm)
-        assert out.shape == (5, 4)
+        encoder, batch = encoder_and_batch(ring(5), ring(3))
+        ax, out = first_layer(encoder, batch)
+        assert ax.shape == batch.features.shape
+        assert out.shape == (8, encoder.hidden)
 
     def test_propagation_mixes_neighbors(self):
         """A node's output must depend on its neighbor's features."""
-        conv = GCNConv(2, 2, bias=False, rng=RNG)
-        a_norm = normalize_adjacency(chain_adjacency(2))
-        x0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        x1 = np.array([[1.0, 0.0], [5.0, 0.0]])
-        out0 = conv(Tensor(x0), a_norm).data
-        out1 = conv(Tensor(x1), a_norm).data
-        assert not np.allclose(out0[0], out1[0])
+        encoder, batch = encoder_and_batch(ring(3))
+        x0 = batch.features.copy()
+        x1 = x0.copy()
+        x1[1] = RNG.normal(size=x1.shape[1])
+        ax0, _ = first_layer(encoder, batch, x0)
+        ax1, _ = first_layer(encoder, batch, x1)
+        assert not np.allclose(ax0[0], ax1[0])
 
     def test_isolated_graph_is_dense_linear(self):
         """With no edges, GCN reduces to a plain linear layer."""
-        conv = GCNConv(3, 2, bias=False, rng=RNG)
-        a_norm = normalize_adjacency(sparse.csr_matrix((4, 4)))
-        x = RNG.normal(size=(4, 3))
-        out = conv(Tensor(x), a_norm).data
-        np.testing.assert_allclose(out, x @ conv.weight.data)
+        encoder, batch = encoder_and_batch(ring(4, edges=False))
+        conv = encoder.convs[0]
+        x = RNG.normal(size=batch.features.shape)
+        ax, out = first_layer(encoder, batch, x)
+        np.testing.assert_array_equal(ax, x)
+        np.testing.assert_allclose(
+            out, np.maximum(x @ conv.weight.data + conv.bias.data, 0.0))
 
     def test_gradient_reaches_weight(self):
-        conv = GCNConv(3, 2, rng=RNG)
-        a_norm = normalize_adjacency(chain_adjacency(4))
-        conv(Tensor(RNG.normal(size=(4, 3))), a_norm).pow(2.0).sum().backward()
-        assert conv.weight.grad is not None
-        assert np.linalg.norm(conv.weight.grad) > 0
+        encoder, batch = encoder_and_batch(ring(4))
+        ctx = {}
+        out = batched_forward(encoder, batch, ctx=ctx)
+        batched_backward(encoder, batch, None, ctx, 2 * out)
+        assert encoder.convs[0].weight.grad is not None
+        assert np.linalg.norm(encoder.convs[0].weight.grad) > 0
+
+    def test_no_bias(self):
+        conv = GCNConv(4, 3, bias=False)
+        assert conv.bias is None
+        assert len(conv.parameters()) == 1
+
+    def test_glorot_bounds(self):
+        weights = glorot((100, 50), RNG)
+        limit = np.sqrt(6.0 / 150)
+        assert np.all(np.abs(weights) <= limit)
 
 
 class TestDropout:

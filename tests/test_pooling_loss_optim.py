@@ -9,15 +9,14 @@ from repro.nn.batch import (
     GraphBatch,
     batched_backward,
     batched_forward,
+    batched_pair_loss,
     pack_prepared,
     segment_readout,
     segment_topk,
 )
-from repro.nn.layers import Linear
-from repro.nn.loss import cosine_embedding_loss, pairwise_cosine_loss
+from repro.nn.layers import Parameter
 from repro.nn.optim import SGD, Adam
 from repro.nn.pooling import Readout, SAGPool
-from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(11)
 
@@ -140,79 +139,72 @@ class TestReadout:
             [[3.0]])
 
 
+def pair_loss(a, b, label, margin=0.5):
+    """Eq. 7 loss and cosine of one pair of 1-D embeddings."""
+    loss, sims, _ = batched_pair_loss(np.array([a, b], dtype=np.float64),
+                                      [(0, 1, label)], margin)
+    return loss, sims[0]
+
+
 class TestCosineEmbeddingLoss:
     def test_similar_pair_loss_is_one_minus_sim(self):
-        a = Tensor(np.array([1.0, 0.0]))
-        b = Tensor(np.array([0.0, 1.0]))
-        loss, sim = cosine_embedding_loss(a, b, 1)
-        assert loss.item() == pytest.approx(1.0 - sim.item())
+        loss, sim = pair_loss([1.0, 0.0], [0.0, 1.0], 1)
+        assert loss == pytest.approx(1.0 - sim)
 
     def test_identical_similar_pair_zero_loss(self):
-        a = Tensor(np.array([1.0, 2.0, 3.0]))
-        loss, _ = cosine_embedding_loss(a, a, 1)
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        loss, _ = pair_loss([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1)
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_dissimilar_below_margin_zero_loss(self):
-        a = Tensor(np.array([1.0, 0.0]))
-        b = Tensor(np.array([-1.0, 0.0]))
-        loss, _ = cosine_embedding_loss(a, b, -1, margin=0.5)
-        assert loss.item() == 0.0
+        loss, _ = pair_loss([1.0, 0.0], [-1.0, 0.0], -1, margin=0.5)
+        assert loss == 0.0
 
     def test_dissimilar_above_margin_penalized(self):
-        a = Tensor(np.array([1.0, 0.1]))
-        b = Tensor(np.array([1.0, 0.0]))
-        loss, sim = cosine_embedding_loss(a, b, -1, margin=0.5)
-        assert loss.item() == pytest.approx(sim.item() - 0.5)
+        loss, sim = pair_loss([1.0, 0.1], [1.0, 0.0], -1, margin=0.5)
+        assert loss == pytest.approx(sim - 0.5)
 
     def test_margin_is_paper_default(self):
         import inspect
-        signature = inspect.signature(cosine_embedding_loss)
+        signature = inspect.signature(batched_pair_loss)
         assert signature.parameters["margin"].default == 0.5
 
     def test_invalid_label_rejected(self):
-        a = Tensor(np.ones(2))
         with pytest.raises(ValueError):
-            cosine_embedding_loss(a, a, 0)
+            pair_loss([1.0, 1.0], [1.0, 1.0], 0)
 
     def test_pairwise_mean(self):
-        embeddings = [Tensor(np.array([1.0, 0.0])),
-                      Tensor(np.array([1.0, 0.0])),
-                      Tensor(np.array([0.0, 1.0]))]
-        loss, sims = pairwise_cosine_loss(
-            embeddings, [(0, 1, 1), (0, 2, -1)])
+        embeddings = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        loss, sims, _ = batched_pair_loss(embeddings, [(0, 1, 1), (0, 2, -1)])
         assert len(sims) == 2
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_pairwise_empty_rejected(self):
         with pytest.raises(ValueError):
-            pairwise_cosine_loss([], [])
+            batched_pair_loss(np.ones((2, 2)), [])
 
     def test_loss_pulls_similar_pairs_together(self):
-        """A few SGD steps on the loss must increase pair similarity."""
+        """A few Adam steps down the loss gradient must increase pair
+        similarity."""
         rng = np.random.default_rng(3)
-        layer = Linear(4, 4, rng=rng)
-        x1 = Tensor(rng.normal(size=(1, 4)))
-        x2 = Tensor(rng.normal(size=(1, 4)))
-        optimizer = Adam(layer.parameters(), lr=0.05)
+        embeddings = Parameter(rng.normal(size=(2, 4)))
+        optimizer = Adam([embeddings], lr=0.05)
         history = []
         for _ in range(30):
-            h1 = layer(x1).reshape(4)
-            h2 = layer(x2).reshape(4)
-            loss, sim = cosine_embedding_loss(h1, h2, 1)
-            history.append(sim.item())
             optimizer.zero_grad()
-            loss.backward()
+            _, sims, embeddings.grad = batched_pair_loss(embeddings.data,
+                                                         [(0, 1, 1)])
+            history.append(sims[0])
             optimizer.step()
         assert history[-1] > history[0]
 
 
 class TestOptimizers:
     def quadratic_step(self, optimizer_cls, **kwargs):
-        x = Tensor(np.array([5.0]), requires_grad=True)
+        x = Parameter(np.array([5.0]))
         optimizer = optimizer_cls([x], **kwargs)
         for _ in range(200):
             optimizer.zero_grad()
-            (x * x).backward()
+            x.grad = 2 * x.data  # d(x^2)/dx
             optimizer.step()
         return abs(x.data[0])
 
@@ -230,7 +222,7 @@ class TestOptimizers:
             SGD([], lr=0.0)
 
     def test_step_skips_missing_grad(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
+        x = Parameter(np.array([1.0]))
         optimizer = Adam([x], lr=0.1)
         optimizer.step()  # no backward yet: must not crash or move x
         np.testing.assert_array_equal(x.data, [1.0])

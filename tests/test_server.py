@@ -498,6 +498,45 @@ class TestErrorEnvelopes:
 
         serve(session, scenario)
 
+    @pytest.mark.parametrize("endpoint", ["fingerprint", "compare",
+                                          "query"])
+    def test_top_takes_only_a_string_or_null(self, session, endpoint):
+        """``"top"`` names a module or is null; any other JSON value is
+        a 400 on every endpoint that extracts, not a 500 from inside
+        extraction."""
+        bodies = {"fingerprint": {"source": ADDER},
+                  "compare": {"a": ADDER, "b": ADDER},
+                  "query": {"suspects": [ADDER], "k": 1}}
+
+        async def scenario(server, client):
+            path = f"/v1/{endpoint}"
+            for top in (["x"], 5, {"m": 1}, True):
+                error = await expect_error(
+                    client.request("POST", path,
+                                   dict(bodies[endpoint], top=top)),
+                    400, "HttpError")
+                assert "'top'" in str(error), top
+            for top in (None, "adder"):
+                await client.request("POST", path,
+                                     dict(bodies[endpoint], top=top))
+
+        serve(session, scenario)
+
+    def test_suspect_with_source_and_vector_400(self, session):
+        """A suspect is a source or a vector; one carrying both is
+        refused by index instead of served as a vector."""
+        vector = [float(v) for v in session.fingerprint(ADDER).vector]
+
+        async def scenario(server, client):
+            payload = {"suspects": [{"vector": vector},
+                                    {"vector": vector, "source": MUX}]}
+            error = await expect_error(
+                client.request("POST", "/v1/query", payload), 400,
+                "HttpError")
+            assert "suspects[1]" in str(error)
+
+        serve(session, scenario)
+
     def test_wrong_vector_width_409(self, session):
         async def scenario(server, client):
             await expect_error(
@@ -616,6 +655,41 @@ class TestServingOps:
                 sync.close()
 
         serve(session, scenario)
+
+    def test_request_seconds_include_reply_encoding(self, session,
+                                                    monkeypatch):
+        """The request clock stops after the reply is encoded and
+        written: a slow ``response_bytes`` shows in ``/v1/stats``
+        ``request_seconds`` and in the access log."""
+        import io
+        import time
+
+        from repro.server import app
+
+        delay = 0.05
+        encode = app.response_bytes
+
+        def slow_response_bytes(*args, **kwargs):
+            time.sleep(delay)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(app, "response_bytes", slow_response_bytes)
+        stream = io.StringIO()
+
+        async def scenario(server, client):
+            await client.healthz()
+            await client.fingerprint(ADDER)
+            stats = await client.stats()
+            timed = stats["request_seconds"]
+            assert timed["count"] == 2
+            assert timed["sum"] >= 2 * delay
+            assert timed["max"] >= delay
+
+        serve(session, scenario, log_json=True, log_stream=stream)
+        seconds = [json.loads(line)["seconds"]
+                   for line in stream.getvalue().splitlines()]
+        assert len(seconds) == 3
+        assert all(value >= delay for value in seconds)
 
     def test_backpressure_cap_rejects_with_429(self, session):
         async def scenario(server, client):

@@ -12,8 +12,6 @@ from repro.nn.batch import (
     batched_pair_loss,
     pack_prepared,
 )
-from repro.nn.loss import cosine_embedding_loss
-from repro.nn.tensor import Tensor
 
 XOR = """
 module x(input a, input b, output y);
@@ -109,30 +107,46 @@ class TestGradientEquivalence:
             np.testing.assert_allclose(param.grad, 2 * once[name])
 
     def test_vectorized_pair_loss_matches_scalar(self, dataset):
+        """Loss and cosines equal a per-pair loop over Eq. 6 and Eq. 7."""
         model = GNN4IP(seed=0, dropout=0.0)
         prepared = [model.encoder.prepare(r.graph) for r in dataset.records]
-        packed = pack_prepared(prepared)
-        embeddings = Tensor(batched_forward(model.encoder, packed),
-                            requires_grad=True)
+        embeddings = batched_forward(model.encoder, pack_prepared(prepared))
         pairs = [(0, 1, 1), (0, 2, -1), (3, 4, -1), (2, 3, 1)]
-        vec_loss, sims = batched_pair_loss(embeddings, pairs, margin=0.5,
-                                           positive_weight=3.0)
+        vec_loss, sims, _ = batched_pair_loss(embeddings, pairs, margin=0.5,
+                                              positive_weight=3.0)
         total = 0.0
         for (i, j, label), sim in zip(pairs, sims):
-            row_i = embeddings.index_select([i]).reshape(model.encoder.hidden)
-            row_j = embeddings.index_select([j]).reshape(model.encoder.hidden)
-            loss, scalar_sim = cosine_embedding_loss(row_i, row_j, label, 0.5)
-            assert sim == pytest.approx(scalar_sim.item(), abs=1e-12)
-            total += loss.item() * (3.0 if label == 1 else 1.0)
-        assert vec_loss.item() == pytest.approx(total / len(pairs), abs=1e-12)
+            a, b = embeddings[i], embeddings[j]
+            cosine = a @ b / (np.sqrt(a @ a + 1e-12) * np.sqrt(b @ b + 1e-12))
+            assert sim == pytest.approx(cosine, abs=1e-12)
+            total += (3.0 * (1.0 - cosine) if label == 1
+                      else max(0.0, cosine - 0.5))
+        assert vec_loss == pytest.approx(total / len(pairs), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", [1.0, 3.0])
+    def test_pair_loss_gradient_matches_finite_differences(self, weight):
+        """The closed-form gradient is the loss's derivative, for repeated
+        pairs, self pairs, and active and inactive hinges alike."""
+        rng = np.random.default_rng(9)
+        embeddings = rng.normal(size=(6, 5))
+        embeddings[4] = embeddings[0] + 0.1 * rng.normal(size=5)
+        pairs = [(0, 1, 1), (0, 1, 1), (2, 2, 1), (0, 4, -1), (4, 0, -1),
+                 (1, 3, -1), (3, 5, 1), (5, 2, -1), (2, 5, -1)]
+        _, sims, grad = batched_pair_loss(embeddings, pairs,
+                                          positive_weight=weight)
+        hinges = [s - 0.5 for s, (_, _, label) in zip(sims, pairs)
+                  if label == -1]
+        assert min(hinges) < -1e-3 and max(hinges) > 1e-3
+
+        def objective(x):
+            return batched_pair_loss(x, pairs, positive_weight=weight)[0]
+
+        np.testing.assert_allclose(grad, numeric_grad(objective, embeddings),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_batched_pair_loss_rejects_empty(self):
-        model = GNN4IP(seed=0)
-        prepared = model.encoder.prepare(dfg_from_verilog(XOR))
-        embeddings = Tensor(batched_forward(model.encoder,
-                                            pack_prepared([prepared])))
         with pytest.raises(ValueError):
-            batched_pair_loss(embeddings, [])
+            batched_pair_loss(np.ones((2, 4)), [])
 
 
 class TestDeterminism:
