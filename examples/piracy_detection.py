@@ -9,9 +9,11 @@ suspect against every owned IP.
 Run:  python examples/piracy_detection.py
 """
 
-from repro.core import GNN4IP, IPMatcher, Trainer, build_pair_dataset
+from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.dataflow import dfg_from_verilog
 from repro.designs import get_family, rtl_records
+from repro.index import QueryEngine
+from repro.index.shards import unit_rows_f32
 from repro.obfuscate import make_rtl_variant
 
 CORPUS_FAMILIES = ("adder8", "cmp8", "mux8", "counter8", "lfsr8", "crc8",
@@ -46,16 +48,25 @@ def main():
           f"({len(suspect)} DFG nodes)")
 
     # --- 3. Sweep the IP library for matches -----------------------------
-    matcher = IPMatcher(model)
-    matcher.add_records(records)
+    library = unit_rows_f32(model.encoder.embed_many(
+        [record.graph for record in records]))
+    entries = [{"name": record.instance, "path": record.instance,
+                "design": record.design} for record in records]
+    engine = QueryEngine([library], entries)
+    hits = engine.query_many(model.encoder.embed(suspect), k=len(records),
+                             delta=model.delta)[0]
+    # Hits are ranked, so each design's first hit is its best instance.
+    report = {}
+    for hit in hits:
+        report.setdefault(hit.design, hit)
     print(f"\n{'owned design':16s} {'best instance':28s} {'score':>8s}"
           f"  verdict")
-    for match in matcher.piracy_report(suspect):
-        verdict = "PIRACY" if match.is_piracy else "-"
-        print(f"{match.design:16s} {match.instance:28s} "
-              f"{match.score:+8.4f}  {verdict}")
+    for hit in report.values():
+        verdict = "PIRACY" if hit.is_piracy else "-"
+        print(f"{hit.design:16s} {hit.name:28s} {hit.score:+8.4f}  "
+              f"{verdict}")
 
-    best_name, best_score = matcher.best_design(suspect)
+    best_name, best_score = hits[0].design, hits[0].score
     print(f"\nbest match: {best_name} (score {best_score:+.4f})")
     if best_name == "rs232":
         print("the stolen UART was correctly traced to its source IP")

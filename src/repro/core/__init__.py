@@ -22,7 +22,6 @@ from repro.core.features import (
 )
 from repro.core.gnn4ip import GNN4IP, cosine_similarity_np
 from repro.core.hw2vec import HW2VEC, GraphSlice, PreparedGraph
-from repro.core.matcher import IPMatcher, Match
 from repro.core.metrics import ConfusionMatrix, confusion_from_scores
 from repro.core.persist import load_model, save_model
 from repro.core.trainer import Trainer, train_model
@@ -35,7 +34,6 @@ __all__ = [
     "label_index", "one_hot_features",
     "GNN4IP", "cosine_similarity_np",
     "HW2VEC", "GraphSlice", "PreparedGraph",
-    "IPMatcher", "Match",
     "ConfusionMatrix", "confusion_from_scores",
     "load_model", "save_model",
     "Trainer", "train_model",

@@ -11,7 +11,6 @@ from repro.dataflow.consteval import evaluate_const, try_evaluate_const, width_b
 from repro.dataflow.elaborate import Elaborator, elaborate, find_top_module
 from repro.dataflow.graph import DFG, DFGNode, KIND_CONST, KIND_OP, KIND_SIGNAL
 from repro.dataflow.pipeline import DFGPipeline, dfg_from_verilog
-from repro.dataflow.serialize import dfg_from_dict, dfg_to_dict
 from repro.dataflow.trim import collapse_pass_through, prune_unreachable, trim
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "KIND_SIGNAL",
     "DFGPipeline",
     "dfg_from_verilog",
-    "dfg_from_dict",
-    "dfg_to_dict",
     "collapse_pass_through",
     "prune_unreachable",
     "trim",

@@ -4,8 +4,7 @@ The format is zlib-compressed JSON of a flat dict — deterministic for a
 given graph, safe to load from untrusted bytes (no pickling of arbitrary
 objects), and versioned so stale cache entries from an incompatible format
 are rejected instead of misread.  It is the codec the fingerprint index's
-content-addressed graph cache uses for every level (RTL and netlist); the
-legacy DFG-only codec lives in :mod:`repro.dataflow.serialize`.
+content-addressed graph cache uses for every level (RTL and netlist).
 """
 
 import json

@@ -1,4 +1,4 @@
-"""Gate-level netlist infrastructure: cells, container, builder, Verilog I/O."""
+"""Gate-level netlist infrastructure: cells, container, builder, Verilog writer."""
 
 from repro.netlist.cells import CELLS, DFF, PRIMITIVE_GATES, Cell, cell
 from repro.netlist.netlist import (
@@ -8,10 +8,10 @@ from repro.netlist.netlist import (
     Netlist,
     NetlistBuilder,
 )
-from repro.netlist.verilog_io import read_netlist, write_netlist
+from repro.netlist.verilog_io import write_netlist
 
 __all__ = [
     "CELLS", "DFF", "PRIMITIVE_GATES", "Cell", "cell",
     "CONST0", "CONST1", "Gate", "Netlist", "NetlistBuilder",
-    "read_netlist", "write_netlist",
+    "write_netlist",
 ]

@@ -379,12 +379,14 @@ class ReproServer:
         source = payload.get("source")
         if not isinstance(source, str):
             raise HttpError(400, "body must carry Verilog text in 'source'")
+        label = payload.get("label")
+        if label is not None and not isinstance(label, str):
+            raise HttpError(400, "'label' must be a string")
         top = _top_of(payload)
         loop = asyncio.get_running_loop()
         fingerprint = await loop.run_in_executor(
             None, lambda: self.session.fingerprint(
-                source, top=top,
-                label=payload.get("label"), allow_paths=False))
+                source, top=top, label=label, allow_paths=False))
         return fingerprint.as_dict()
 
     async def _compare(self, payload):

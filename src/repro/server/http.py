@@ -47,14 +47,18 @@ class Request:
     body: bytes = b""
 
     def json(self):
-        """Decoded JSON body (HttpError 400 on malformed payloads)."""
+        """Decoded JSON object body (HttpError 400 on malformed payloads
+        and on any JSON value that is not an object)."""
         if not self.body:
             return {}
         try:
-            return json.loads(self.body.decode("utf-8"))
+            payload = json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") \
                 from exc
+        if not isinstance(payload, dict):
+            raise HttpError(400, "request body must be a JSON object")
+        return payload
 
 
 async def read_request(reader):

@@ -35,7 +35,6 @@ from repro.calib import (
 from repro.client import AsyncClient
 from repro.core.dataset import GraphRecord
 from repro.core.gnn4ip import GNN4IP
-from repro.core.matcher import IPMatcher
 from repro.designs import rtl_records
 from repro.errors import CalibrationError
 from repro.index.shards import unit_rows_f32, write_shard
@@ -404,32 +403,6 @@ class TestHardNegatives:
         assert mine_hard_negatives(records, model, per_record=0) == []
         with pytest.raises(CalibrationError, match="at least two"):
             mine_hard_negatives(records[:1], model)
-
-
-# -- satellite: IPMatcher lazy row stacking ----------------------------------
-
-class TestMatcherLazyStack:
-    def test_interleaved_add_match(self):
-        records = _tiny_records()
-        model = GNN4IP(seed=SEED)
-        matcher = IPMatcher(model)
-        matcher.add_records(records[:2])
-        first = matcher.match(records[0].graph)
-        assert len(first) == 2
-        assert first[0].score == pytest.approx(1.0)
-        # Adds after a match must land in the next match's matrix.
-        matcher.add_records(records[2:])
-        second = matcher.match(records[0].graph)
-        assert len(second) == len(records)
-        baseline = IPMatcher(model)
-        baseline.add_records(records)
-        expected = baseline.match(records[0].graph)
-        assert [(m.instance, m.score) for m in second] \
-            == [(m.instance, m.score) for m in expected]
-
-    def test_empty_still_raises(self):
-        with pytest.raises(Exception, match="empty"):
-            IPMatcher(GNN4IP(seed=SEED)).match(_tiny_records()[0].graph)
 
 
 # -- trainer hook: extra_pairs off must stay bit-identical -------------------

@@ -8,8 +8,7 @@ import pytest
 
 from repro.core import GNN4IP, cosine_similarity_np
 from repro.dataflow import DFGPipeline, dfg_from_verilog
-from repro.dataflow.serialize import dfg_from_dict, dfg_to_dict, dumps, loads
-from repro.errors import DataflowError, IndexStoreError
+from repro.errors import GraphIRError, IndexStoreError
 from repro.index import (
     DFGCache,
     EmbeddingService,
@@ -84,25 +83,27 @@ def graph_signature(graph):
 
 
 class TestSerialize:
+    """DFGs go through the one graph codec, :mod:`repro.ir.serialize`."""
+
     def test_round_trip(self):
         graph = dfg_from_verilog(ADDER)
-        again = dfg_from_dict(dfg_to_dict(graph))
+        again = ir_serialize.from_dict(ir_serialize.to_dict(graph))
         assert graph_signature(again) == graph_signature(graph)
 
     def test_bytes_round_trip(self):
         graph = dfg_from_verilog(MUX)
-        assert graph_signature(loads(dumps(graph))) == \
-            graph_signature(graph)
+        blob = ir_serialize.dumps(graph)
+        assert graph_signature(ir_serialize.loads(blob)) == graph_signature(graph)
 
     def test_corrupt_bytes_raise(self):
-        with pytest.raises(DataflowError):
-            loads(b"not a dfg blob")
+        with pytest.raises(GraphIRError, match="corrupt"):
+            ir_serialize.loads(b"not a dfg blob")
 
     def test_bad_version_raises(self):
-        payload = dfg_to_dict(dfg_from_verilog(ADDER))
+        payload = ir_serialize.to_dict(dfg_from_verilog(ADDER))
         payload["version"] = 999
-        with pytest.raises(DataflowError):
-            dfg_from_dict(payload)
+        with pytest.raises(GraphIRError, match="version"):
+            ir_serialize.from_dict(payload)
 
 
 class TestContentKey:

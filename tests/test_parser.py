@@ -392,11 +392,12 @@ class TestStatementTrees:
         assert names == ["and_anon0", "and_anon1"]
 
     def test_anonymous_gate_names_survive_netlist_round_trip(self):
-        from repro.netlist.verilog_io import read_netlist, write_netlist
+        from repro.netlist import write_netlist
+        from repro.synth import synthesize_verilog
 
-        netlist = read_netlist("module m(input a, input b, output y, "
-                               "output z); and (y, a, b); and (z, a, b); "
-                               "endmodule")
+        netlist = synthesize_verilog("module m(input a, input b, output y, "
+                                     "output z); and (y, a, b); "
+                                     "and (z, a, b); endmodule")
         written = parse_module(write_netlist(netlist))
         names = [item.name for item in written.items
                  if isinstance(item, ast.GateInstance)]

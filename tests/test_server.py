@@ -476,8 +476,9 @@ class TestErrorEnvelopes:
         serve(session, scenario)
 
     def test_label_takes_only_a_string(self, session):
-        """A suspect label is a string, null or absent; any other JSON
-        value is refused instead of echoed back."""
+        """A suspect label (on ``/v1/query`` and ``/v1/fingerprint``) is
+        a string, null or absent; any other JSON value is refused
+        instead of echoed back."""
         vector = [float(v) for v in session.fingerprint(ADDER).vector]
 
         async def scenario(server, client):
@@ -488,6 +489,16 @@ class TestErrorEnvelopes:
                     client.request("POST", "/v1/query", payload), 400,
                     "HttpError")
                 assert "suspects[1].label" in str(error), label
+                error = await expect_error(
+                    client.request("POST", "/v1/fingerprint",
+                                   {"source": ADDER, "label": label}),
+                    400, "HttpError")
+                assert "'label'" in str(error), label
+            for label in (None, "a.v"):
+                out = await client.request(
+                    "POST", "/v1/fingerprint",
+                    {"source": ADDER, "label": label})
+                assert out["label"] == label
             payload = {"suspects": [{"vector": vector, "label": 'α "β"'},
                                     {"vector": vector, "label": None},
                                     {"vector": vector, "label": ""},
@@ -495,6 +506,20 @@ class TestErrorEnvelopes:
             out = await client.request("POST", "/v1/query", payload)
             assert [r["label"] for r in out["results"]] == [
                 'α "β"', "suspect[1]", "suspect[2]", "suspect[3]"]
+
+        serve(session, scenario)
+
+    @pytest.mark.parametrize("endpoint", ["fingerprint", "compare",
+                                          "query"])
+    def test_non_object_body_400(self, session, endpoint):
+        """A JSON body that is not an object is a 400 on every route
+        that reads one, not a 500 from looking fields up in it."""
+        async def scenario(server, client):
+            for body in ([1, 2], "x", 3):
+                error = await expect_error(
+                    client.request("POST", f"/v1/{endpoint}", body), 400,
+                    "HttpError")
+                assert "JSON object" in str(error), body
 
         serve(session, scenario)
 
