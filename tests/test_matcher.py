@@ -1,11 +1,15 @@
-"""Tests for the IP library matcher."""
+"""Matching a suspect design against an in-memory IP library.
+
+The library is a :class:`QueryEngine` over embedding rows held in memory,
+as in ``examples/piracy_detection.py``: no index directory on disk.
+"""
 
 import pytest
 
-from repro.core import GNN4IP, GraphRecord
-from repro.core.matcher import IPMatcher, Match
+from repro.core import GNN4IP
 from repro.dataflow import dfg_from_verilog
-from repro.errors import ModelError
+from repro.index import QueryEngine
+from repro.index.shards import unit_rows_f32
 
 XOR = "module a(input x, input y, output z); assign z = x ^ y; endmodule"
 ADD = ("module b(input [3:0] x, input [3:0] y, output [4:0] z); "
@@ -19,69 +23,59 @@ module c(input clk, input rst, output reg [1:0] s);
 endmodule
 """
 
+LIBRARY = (("xor_ip", "xor_0", XOR), ("adder_ip", "add_0", ADD),
+           ("fsm_ip", "fsm_0", FSM))
+
 
 @pytest.fixture(scope="module")
 def library_matcher():
     model = GNN4IP(seed=0, delta=0.95)
-    matcher = IPMatcher(model)
-    matcher.add_records([
-        GraphRecord("xor_ip", "xor_0", dfg_from_verilog(XOR)),
-        GraphRecord("adder_ip", "add_0", dfg_from_verilog(ADD)),
-        GraphRecord("fsm_ip", "fsm_0", dfg_from_verilog(FSM)),
-    ])
-    return model, matcher
+    graphs = [dfg_from_verilog(text) for _, _, text in LIBRARY]
+    rows = unit_rows_f32(model.encoder.embed_many(graphs))
+    entries = [{"name": instance, "path": instance, "design": design}
+               for design, instance, _ in LIBRARY]
+    engine = QueryEngine([rows], entries)
+
+    def match(text, top_k=len(LIBRARY)):
+        vector = model.encoder.embed(dfg_from_verilog(text))
+        return engine.query_many(vector, k=top_k, delta=model.delta)[0]
+
+    return model, engine, match
 
 
 class TestIPMatcher:
     def test_len(self, library_matcher):
-        _, matcher = library_matcher
-        assert len(matcher) == 3
+        _, engine, _ = library_matcher
+        assert len(engine) == 3
 
     def test_exact_copy_scores_one(self, library_matcher):
-        model, matcher = library_matcher
-        matches = matcher.match(dfg_from_verilog(XOR))
-        assert matches[0].design == "xor_ip"
-        assert matches[0].score == pytest.approx(1.0)
-        assert matches[0].is_piracy
+        _, _, match = library_matcher
+        hits = match(XOR)
+        assert hits[0].design == "xor_ip"
+        assert hits[0].score == pytest.approx(1.0, abs=1e-6)
+        assert hits[0].is_piracy
 
     def test_sorted_descending(self, library_matcher):
-        _, matcher = library_matcher
-        matches = matcher.match(dfg_from_verilog(ADD))
-        scores = [m.score for m in matches]
+        _, _, match = library_matcher
+        scores = [hit.score for hit in match(ADD)]
+        assert len(scores) == 3
         assert scores == sorted(scores, reverse=True)
 
     def test_top_k(self, library_matcher):
-        _, matcher = library_matcher
-        assert len(matcher.match(dfg_from_verilog(XOR), top_k=2)) == 2
+        _, _, match = library_matcher
+        assert len(match(XOR, top_k=2)) == 2
 
     def test_best_design(self, library_matcher):
-        _, matcher = library_matcher
-        design, score = matcher.best_design(dfg_from_verilog(FSM))
-        assert design == "fsm_ip"
-        assert score == pytest.approx(1.0)
+        _, _, match = library_matcher
+        best = match(FSM, top_k=1)[0]
+        assert best.design == "fsm_ip"
+        assert best.score == pytest.approx(1.0, abs=1e-6)
 
     def test_match_scores_agree_with_model(self, library_matcher):
-        model, matcher = library_matcher
-        suspect = dfg_from_verilog(ADD)
-        matches = {m.instance: m.score for m in matcher.match(suspect)}
-        direct = model.similarity(suspect, dfg_from_verilog(XOR))
-        # cosine_similarity_np stabilizes each norm with an epsilon, the
-        # matcher normalizes exactly: agreement is to ~1e-8.
-        assert matches["xor_0"] == pytest.approx(direct, abs=1e-6)
-
-    def test_piracy_report_one_row_per_design(self, library_matcher):
-        model, matcher = library_matcher
-        matcher.add("xor_ip", "xor_1", dfg_from_verilog(XOR))
-        report = matcher.piracy_report(dfg_from_verilog(XOR))
-        designs = [m.design for m in report]
-        assert len(designs) == len(set(designs))
-
-    def test_empty_index_rejected(self):
-        matcher = IPMatcher(GNN4IP(seed=0))
-        with pytest.raises(ModelError):
-            matcher.match(dfg_from_verilog(XOR))
-
-    def test_match_dataclass(self):
-        match = Match("d", "i", 0.9, True)
-        assert match.design == "d"
-        assert match.is_piracy
+        model, _, match = library_matcher
+        scores = {hit.name: hit.score for hit in match(ADD)}
+        direct = model.similarity(dfg_from_verilog(ADD),
+                                  dfg_from_verilog(XOR))
+        # Library rows are stored as float32 unit vectors, the model
+        # scores in float64: agreement is to float32 precision.
+        assert scores["xor_0"] == pytest.approx(direct, abs=1e-6)

@@ -223,30 +223,6 @@ class TestExactBatched:
         with pytest.raises(IndexStoreError, match="finite"):
             index.query_many([index.matrix[1], vector], exact=True)
 
-    def test_in_memory_library_ranks_by_model_cosine(self):
-        """An engine over in-memory embedding rows ranks a design
-        library by the model's cosine: an exact copy is the top hit."""
-        model = GNN4IP(seed=0, delta=0.95)
-        graphs = [dfg_from_verilog(text) for text in SOURCES.values()]
-        library = unit_rows_f32(model.encoder.embed_many(graphs))
-        entries = [
-            {"name": name, "path": name, "design": name[:-2]} for name in SOURCES
-        ]
-        engine = QueryEngine([library], entries)
-        assert len(engine) == len(SOURCES)
-        for graph, entry in zip(graphs, entries):
-            hits = engine.query_many(
-                model.encoder.embed(graph), k=len(graphs), delta=model.delta
-            )[0]
-            assert hits[0].design == entry["design"]
-            assert hits[0].score == pytest.approx(1.0, abs=1e-6)
-            assert hits[0].is_piracy
-            for hit in hits:
-                other = graphs[list(SOURCES).index(hit.name)]
-                assert hit.score == pytest.approx(
-                    model.similarity(graph, other), abs=1e-6
-                )
-
     def test_tied_survivors_ordered_by_row(self):
         """Among the selected top-k, equal scores order by lower row id.
 
