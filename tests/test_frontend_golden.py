@@ -3,9 +3,10 @@
 ``tests/data/frontend_golden.json`` pins one digest per extraction: the
 node kinds, labels and names plus both adjacency lists of the GraphIR
 that preprocess -> parse -> elaborate -> analyze / synthesize produces.
-It covers every synthesizable design family at the RTL and netlist
-levels, and gate-level obfuscations of them written out as structural
-Verilog (the shape of a pirated suspect), at both levels too.  Any
+It covers every design family at the RTL level, every synthesizable
+family at the netlist level too, and gate-level obfuscations of the
+synthesizable families written out as structural Verilog (the shape of
+a pirated suspect), at both levels.  Any
 front-end change that moves a node or an edge -- a parser fast path, an
 elaboration shortcut, a synthesis shortcut -- shows up as a digest
 mismatch naming the extraction.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.designs.base import family_names
 from repro.designs.corpus import SYNTHESIZABLE_FAMILIES, canonical_variant
 from repro.ir.frontends import get_frontend
 from repro.netlist.verilog_io import write_netlist
@@ -38,6 +40,10 @@ LEVELS = ("rtl", "netlist")
 PIPELINES = (("decompose", "inverter_pairs"), ("demorgan",),
              ("buffers", "duplicate"), ("inverter_pairs", "demorgan"))
 OBFUSCATION_SEEDS = (1, 3)
+#: Families that stay RTL-only (processors, protocols, sequential
+#: controllers): the training corpora extract them at the RTL level.
+RTL_ONLY_FAMILIES = tuple(name for name in family_names()
+                          if name not in SYNTHESIZABLE_FAMILIES)
 
 
 def graph_digest(graph):
@@ -51,9 +57,9 @@ def graph_digest(graph):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def family_sources():
+def family_sources(names=SYNTHESIZABLE_FAMILIES):
     """``(key, verilog, top)`` for each family's canonical RTL."""
-    for name in SYNTHESIZABLE_FAMILIES:
+    for name in names:
         variant = canonical_variant(name)
         yield f"family/{name}", variant.verilog, variant.top
 
@@ -81,6 +87,9 @@ def current_digests():
             for level in LEVELS:
                 graph = frontends[level].extract(verilog, top=top)
                 digests[f"{level}:{key}"] = graph_digest(graph)
+    for key, verilog, top in family_sources(RTL_ONLY_FAMILIES):
+        graph = frontends["rtl"].extract(verilog, top=top)
+        digests[f"rtl:{key}"] = graph_digest(graph)
     return digests
 
 
@@ -105,6 +114,8 @@ def test_golden_covers_every_family_at_both_levels():
         for level in LEVELS:
             assert f"{level}:family/{name}" in golden
             assert f"{level}:netlist/{name}/base" in golden
+    for name in family_names():
+        assert f"rtl:family/{name}" in golden
 
 
 if __name__ == "__main__":

@@ -202,6 +202,19 @@ class TestFrontends:
         assert rtl.schema_fingerprint() != net.schema_fingerprint()
         assert rtl.content_key(ADDER) != net.content_key(ADDER)
 
+    def test_content_keys_are_pinned(self):
+        # Every cached graph and stored embedding is addressed by these
+        # keys; a drift makes existing indexes miss and re-embed.
+        expected = {
+            "rtl": "6ff50e1f71f8b9537787144ce6a4e9c9"
+                   "b29d4c3c19d17d776d2499a6a9584bbf",
+            "netlist": "e780b7417a8a0b442e186730cfe23104"
+                       "0b4d4e752fde1d2ffca34fb77f6518ed",
+        }
+        for level, key in expected.items():
+            frontend = get_frontend(level)
+            assert frontend.content_key(frontend.preprocess_text(ADDER)) == key
+
 
 class TestSchemaAwareCache:
     def test_schema_changes_key(self):
