@@ -35,10 +35,10 @@ import numpy as np
 import pytest
 
 from conftest import FULL, OUT_DIR, report
-from repro.dataflow import dfg_from_verilog
 from repro.designs import materialize_corpus
 from repro.index import IngestConfig, ingest_corpus
 from repro.index.ingest import CHECKPOINT_NAME
+from repro.ir.frontends import get_frontend
 
 N_DESIGNS = int(os.environ.get("REPRO_BENCH_INGEST_N",
                                20_000 if FULL else 1200))
@@ -286,7 +286,7 @@ def bench_ingest_kill_and_resume(corpus, tmp_path_factory):
                 for i in range(0, n_kill, max(1, n_kill // 5))][:5]
     max_delta = 0.0
     for text in suspects:
-        graph = dfg_from_verilog(text)
+        graph = get_frontend("rtl").extract(text)
         got = resumed_index.query_graph(graph, model, k=10)
         want = uninterrupted.query_graph(graph, model, k=10)
         assert [h.name for h in got] == [h.name for h in want]

@@ -14,8 +14,8 @@ The shape that must hold: case2 >> case3 >> case1.
 import numpy as np
 
 from conftest import report
-from repro.designs import get_family, rtl_records
-from repro.dataflow import dfg_from_verilog
+from repro.designs import get_family
+from repro.ir.frontends import get_frontend
 
 
 def _graphs_for(family_name, count, seed=0):
@@ -31,7 +31,8 @@ def _graphs_for(family_name, count, seed=0):
     for index in range(count):
         variant = family.generate(seed=seed + index,
                                   style=styles[index % len(styles)])
-        graph = dfg_from_verilog(variant.verilog, top=variant.top)
+        graph = get_frontend("rtl").extract(variant.verilog,
+                                            top=variant.top)
         graph.name = variant.instance
         graphs.append(graph)
     return graphs

@@ -13,8 +13,8 @@ import tempfile
 from pathlib import Path
 
 from repro.core import GNN4IP, Trainer, build_pair_dataset
-from repro.dataflow import DFGPipeline
 from repro.designs import default_rtl_families, rtl_records
+from repro.ir.frontends import get_frontend
 
 DEMO_A = """
 // A small checksum engine.
@@ -55,9 +55,9 @@ def main(argv):
         path_b.write_text(DEMO_B)
         print(f"no files given; using demo designs in {tmp}\n")
 
-    pipeline = DFGPipeline()
-    graph_a = pipeline.extract_file(path_a)
-    graph_b = pipeline.extract_file(path_b)
+    frontend = get_frontend("rtl")
+    graph_a = frontend.extract_file(path_a)
+    graph_b = frontend.extract_file(path_b)
     print(f"{path_a.name}: {len(graph_a)} DFG nodes")
     print(f"{path_b.name}: {len(graph_b)} DFG nodes")
 

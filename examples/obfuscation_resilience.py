@@ -49,19 +49,20 @@ def main():
     print(f"  held-out accuracy: {result['accuracy'] * 100:.2f}%")
 
     # --- 3. Score the fresh obfuscated instances ------------------------
-    from repro.dataflow import dfg_from_verilog
+    from repro.ir.frontends import get_frontend
     from repro.netlist import write_netlist
 
-    base_graph = dfg_from_verilog(write_netlist(base))
+    frontend = get_frontend("rtl")
+    base_graph = frontend.extract(write_netlist(base))
     print(f"\nc880 vs its obfuscated instances "
           f"(delta = {model.delta:+.3f}):")
     for index, variant in enumerate(variants):
-        graph = dfg_from_verilog(write_netlist(variant))
+        graph = frontend.extract(write_netlist(variant))
         score = model.similarity(base_graph, graph)
         verdict = "same IP" if score > model.delta else "different"
         print(f"  instance #{index}: score {score:+.4f} -> {verdict}")
 
-    other = dfg_from_verilog(write_netlist(iscas_netlist("c432")))
+    other = frontend.extract(write_netlist(iscas_netlist("c432")))
     cross = model.similarity(base_graph, other)
     print(f"\nc880 vs c432 (different design): {cross:+.4f} -> "
           f"{'same IP' if cross > model.delta else 'different'}")

@@ -10,10 +10,10 @@ Run:  python examples/piracy_detection.py
 """
 
 from repro.core import GNN4IP, Trainer, build_pair_dataset
-from repro.dataflow import dfg_from_verilog
 from repro.designs import get_family, rtl_records
 from repro.index import QueryEngine
 from repro.index.shards import unit_rows_f32
+from repro.ir.frontends import get_frontend
 from repro.obfuscate import make_rtl_variant
 
 CORPUS_FAMILIES = ("adder8", "cmp8", "mux8", "counter8", "lfsr8", "crc8",
@@ -43,7 +43,7 @@ def main():
     original = get_family("rs232").generate(seed=99, style="counter_fsm",
                                             rewrite=False)
     stolen_text = make_rtl_variant(original.verilog, seed=1234)
-    suspect = dfg_from_verilog(stolen_text, top=original.top)
+    suspect = get_frontend("rtl").extract(stolen_text, top=original.top)
     print("\nsuspect design: reworked copy of the UART TX "
           f"({len(suspect)} DFG nodes)")
 

@@ -7,8 +7,8 @@ third, unrelated circuit.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import GNN4IP, GraphRecord, Trainer, build_pair_dataset
-from repro.dataflow import dfg_from_verilog
+from repro.core import GNN4IP, GraphRecord, Trainer
+from repro.ir.frontends import get_frontend
 
 ADDER_BEHAVIORAL = """
 module ADDER(input Num1, input Num2, input Cin,
@@ -49,9 +49,10 @@ endmodule
 
 def main():
     # 1. Extract DFGs (preprocess -> parse -> analyze -> merge -> trim).
-    adder_a = dfg_from_verilog(ADDER_BEHAVIORAL)
-    adder_b = dfg_from_verilog(ADDER_STRUCTURAL)
-    mux = dfg_from_verilog(UNRELATED_MUX)
+    frontend = get_frontend("rtl")
+    adder_a = frontend.extract(ADDER_BEHAVIORAL)
+    adder_b = frontend.extract(ADDER_STRUCTURAL)
+    mux = frontend.extract(UNRELATED_MUX)
     for graph, title in ((adder_a, "behavioral adder"),
                          (adder_b, "structural adder"),
                          (mux, "unrelated mux")):

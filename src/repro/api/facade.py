@@ -43,6 +43,7 @@ from repro.core.gnn4ip import GNN4IP
 from repro.core.persist import load_model
 from repro.errors import IndexStoreError, ModelError
 from repro.index.cache import DFGCache
+from repro.index.engine import ZERO_VECTOR_MESSAGE
 from repro.index.ingest import ingest_corpus
 from repro.index.service import EmbeddingService
 from repro.index.shards import assign_partitions
@@ -513,7 +514,14 @@ class Corpus:
 
     def query_vectors(self, vectors, k=5, delta=0.0, nprobe=None,
                       exact=False, labels=None):
-        """Rank the corpus against precomputed embedding vectors."""
+        """Rank the corpus against precomputed embedding vectors.
+
+        Raises:
+            IndexStoreError: when a vector is all zero.
+        """
+        rows = np.asarray(vectors, dtype=np.float64)
+        if rows.size and not np.atleast_2d(rows).any(axis=-1).all():
+            raise IndexStoreError(ZERO_VECTOR_MESSAGE)
         hit_lists = self._index.query_many(vectors, k=k, delta=delta,
                                            nprobe=nprobe, exact=exact)
         return self._wrap_results(hit_lists, vectors, labels)

@@ -50,7 +50,6 @@ from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.index.ingest import CHECKPOINT_NAME, walk_sources
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.core.persist import load_model, save_model  # noqa: F401 - re-export
-from repro.dataflow import dfg_from_verilog
 from repro.designs import (
     default_rtl_families,
     family_names,
@@ -59,18 +58,18 @@ from repro.designs import (
     rtl_records,
 )
 from repro.errors import ReproError
+from repro.ir import KIND_SIGNAL
+from repro.ir.frontends import get_frontend
 
 
 def _cmd_extract(args):
-    with open(args.file) as handle:
-        text = handle.read()
-    graph = dfg_from_verilog(text, top=args.top)
-    stats = graph.stats()
-    print(f"design: {stats['name']}")
-    print(f"nodes:  {stats['nodes']}")
-    print(f"edges:  {stats['edges']}")
-    print(f"roots (outputs): {stats['roots']}")
-    print(f"leaves (inputs): {stats['leaves']}")
+    graph = get_frontend("rtl").extract_file(args.file, top=args.top)
+    roles = [n.label for n in graph.nodes if n.kind == KIND_SIGNAL]
+    print(f"design: {graph.name}")
+    print(f"nodes:  {len(graph)}")
+    print(f"edges:  {graph.num_edges}")
+    print(f"roots (outputs): {roles.count('output')}")
+    print(f"leaves (inputs): {roles.count('input')}")
     if args.labels:
         for label, count in sorted(graph.label_counts().items()):
             print(f"  {label:12s} {count}")

@@ -103,7 +103,7 @@ class OneHotFeaturizer:
                 f"--level {self.level} or load a {level} model")
 
     def features(self, graph):
-        """(N, dim) one-hot feature matrix for a GraphIR/DFG.
+        """(N, dim) one-hot feature matrix for a GraphIR.
 
         Raises:
             ModelError: when the graph comes from a different level.
@@ -167,7 +167,7 @@ def label_index(label):
 
 
 def one_hot_features(graph):
-    """(N, FEATURE_DIM) one-hot feature matrix for an RTL DFG.
+    """(N, FEATURE_DIM) one-hot feature matrix for an RTL graph.
 
     Kept as the RTL fast path for existing callers; equivalent to
     ``RTL_FEATURIZER.features(graph)``.

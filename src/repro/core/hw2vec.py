@@ -10,11 +10,12 @@ one batched forward pass, :func:`repro.nn.batch.batched_forward` (with its
 hand-derived backward for training).  A single graph is a batch of one.
 
 The encoder consumes :class:`~repro.ir.graphir.GraphIR` through a pluggable
-featurizer (see :mod:`repro.core.features`): RTL DFGs and gate-level
-netlist graphs flow through the same layers, differing only in the node
-vocabulary their featurizer one-hot encodes.  The featurizer is part of the
-model's identity — it is recorded in ``config`` so persistence and the
-fingerprint index can refuse graphs from the wrong frontend.
+featurizer (see :mod:`repro.core.features`): RTL dataflow graphs and
+gate-level netlist graphs, both GraphIR, flow through the same layers,
+differing only in the node vocabulary their featurizer one-hot encodes.
+The featurizer is part of the model's identity — it is recorded in
+``config`` so persistence and the fingerprint index can refuse graphs
+from the wrong frontend.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ class PreparedGraph:
     Normalization is left to :func:`repro.nn.batch.pack_prepared`, which
     normalizes a whole batch at once.  Conversion is deterministic, so
     prepared graphs can be cached and reused across epochs.  Accepts
-    anything :func:`repro.ir.to_graphir` can adapt (GraphIR, DFG,
+    anything :func:`repro.ir.to_graphir` can adapt (a GraphIR or a
     gate-level Netlist).  :meth:`restrict` derives the prepared graph of
     a node subset (a subgraph chunk) from these arrays without touching
     the graph again.
@@ -153,7 +154,7 @@ class HW2VEC(Module):
         self.hidden = hidden
 
     def prepare(self, graph):
-        """Convert a GraphIR/DFG/Netlist into cached model inputs.
+        """Convert a GraphIR or Netlist into cached model inputs.
 
         A :class:`GraphSlice` is prepared by restricting its parent's
         prepared arrays to its members.

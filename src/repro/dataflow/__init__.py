@@ -1,4 +1,8 @@
-"""Data-flow graph extraction: elaboration, analysis, trimming, pipeline."""
+"""Data-flow graph extraction: elaboration, analysis, trimming.
+
+:class:`repro.ir.frontends.RTLFrontend` runs these phases; the analyzer
+builds an RTL-level :class:`~repro.ir.graphir.GraphIR` directly.
+"""
 
 from repro.dataflow.analyzer import (
     BINARY_OP_LABELS,
@@ -9,8 +13,6 @@ from repro.dataflow.analyzer import (
 )
 from repro.dataflow.consteval import evaluate_const, try_evaluate_const, width_bits
 from repro.dataflow.elaborate import Elaborator, elaborate, find_top_module
-from repro.dataflow.graph import DFG, DFGNode, KIND_CONST, KIND_OP, KIND_SIGNAL
-from repro.dataflow.pipeline import DFGPipeline, dfg_from_verilog
 from repro.dataflow.trim import collapse_pass_through, prune_unreachable, trim
 
 __all__ = [
@@ -25,13 +27,6 @@ __all__ = [
     "Elaborator",
     "elaborate",
     "find_top_module",
-    "DFG",
-    "DFGNode",
-    "KIND_CONST",
-    "KIND_OP",
-    "KIND_SIGNAL",
-    "DFGPipeline",
-    "dfg_from_verilog",
     "collapse_pass_through",
     "prune_unreachable",
     "trim",

@@ -9,7 +9,13 @@ whose second operand records the clock edge.
 
 from repro.errors import DataflowError
 from repro.dataflow.consteval import try_evaluate_const
-from repro.dataflow.graph import DFG, KIND_CONST, KIND_OP
+from repro.ir.graphir import (
+    KIND_CONST,
+    KIND_OP,
+    KIND_SIGNAL,
+    LEVEL_RTL,
+    GraphIR,
+)
 from repro.verilog import ast_nodes as ast
 
 _MAX_LOOP_ITERATIONS = 4096
@@ -40,19 +46,27 @@ GATE_LABELS = {
 
 
 class DataflowAnalyzer:
-    """Builds a :class:`DFG` from one flattened module."""
+    """Builds an RTL :class:`~repro.ir.graphir.GraphIR` from one flattened
+    module.
+
+    Edges run from the dependent node toward the nodes it depends on, so a
+    path from an output signal leads to the inputs that feed it.  The
+    analyzer owns the signal table: each signal gets one node, created
+    with its final role, that every tree reading or driving it shares.
+    """
 
     def __init__(self, module):
         self._module = module
-        self._graph = DFG(module.name)
+        self._graph = GraphIR(module.name, level=LEVEL_RTL)
+        self._signal_ids = {}     # signal name -> node id
         self._roles = {}
         self._integers = set()
         self._collect_signal_roles()
 
     def analyze(self):
-        """Process every module item; returns the merged (untrimmed) DFG."""
-        for name, role in self._roles.items():
-            self._graph.add_signal(name, role)
+        """Process every module item; returns the merged (untrimmed) graph."""
+        for name in self._roles:
+            self._signal(name)
         for item in self._module.items:
             if isinstance(item, ast.Assign):
                 self._process_assign(item)
@@ -97,10 +111,13 @@ class DataflowAnalyzer:
         return self._graph.add_node(KIND_CONST, "const", name=str(text))
 
     def _signal(self, name):
-        if name not in self._roles:
-            # Implicit net (legal Verilog): declare it as a wire on first use.
-            self._roles[name] = "wire"
-        return self._graph.add_signal(name, self._roles[name])
+        node_id = self._signal_ids.get(name)
+        if node_id is None:
+            # An implicit net (legal Verilog) is a wire declared on first use.
+            role = self._roles.setdefault(name, "wire")
+            node_id = self._graph.add_node(KIND_SIGNAL, role, name)
+            self._signal_ids[name] = node_id
+        return node_id
 
     def _drive(self, name, tree):
         """Connect signal ``name`` to the top of its dataflow tree."""
@@ -378,5 +395,5 @@ def _is_pure_loop_condition(expr, loop_env):
 
 
 def analyze(module):
-    """Build the merged, untrimmed DFG for a flattened module."""
+    """Build the merged, untrimmed RTL GraphIR for a flattened module."""
     return DataflowAnalyzer(module).analyze()

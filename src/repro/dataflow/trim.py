@@ -1,4 +1,4 @@
-"""Trim phase of the DFG pipeline: remove redundant and disconnected nodes.
+"""Trim phase of the RTL flow: remove redundant and disconnected nodes.
 
 Per the paper (§III-B): "the redundant nodes and disconnected subgraphs are
 trimmed, and the final DFG is generated".  Concretely:
@@ -9,13 +9,13 @@ trimmed, and the final DFG is generated".  Concretely:
   design has no outputs, in which case all driven signals act as roots).
 """
 
-from repro.dataflow.graph import DFG, KIND_OP, KIND_SIGNAL
+from repro.ir.graphir import KIND_OP, KIND_SIGNAL, LEVEL_RTL, GraphIR
 
 _PASS_THROUGH_LABELS = frozenset({"buf", "concat", "uplus"})
 
 
 def collapse_pass_through(graph):
-    """Return a DFG with single-child pass-through op nodes removed."""
+    """Return a graph with single-child pass-through op nodes removed."""
     redirect = {}
     for node in graph.nodes:
         if node.kind != KIND_OP or node.label not in _PASS_THROUGH_LABELS:
@@ -33,7 +33,7 @@ def collapse_pass_through(graph):
             node_id = redirect[node_id]
         return node_id
 
-    out = DFG(graph.name)
+    out = GraphIR(graph.name, level=LEVEL_RTL)
     remap = {}
     for node in graph.nodes:
         if node.node_id in redirect:
@@ -50,8 +50,9 @@ def collapse_pass_through(graph):
 
 
 def prune_unreachable(graph):
-    """Keep only nodes reachable from the DFG roots."""
-    roots = graph.roots()
+    """Keep only nodes reachable from the output signals (the roots)."""
+    roots = [n.node_id for n in graph.nodes
+             if n.kind == KIND_SIGNAL and n.label == "output"]
     if not roots:
         # No declared outputs: treat every driven signal as a root so the
         # graph does not vanish (common in testbench-less fragments).

@@ -1,4 +1,4 @@
-"""Corpus assembly: RTL and netlist datasets of DFG records.
+"""Corpus assembly: RTL and netlist datasets of graph records.
 
 Turns design-family variants (RTL) and synthesized/obfuscated netlists into
 :class:`~repro.core.dataset.GraphRecord` lists ready for pair-dataset
@@ -9,10 +9,10 @@ netlists" collection (scaled by arguments).
 import zlib
 
 from repro.core.dataset import GraphRecord
-from repro.dataflow.pipeline import dfg_from_verilog
 from repro.designs.base import family_names, generate_corpus, get_family
 from repro.designs.iscas import ISCAS_BENCHMARKS, iscas_netlist
 from repro.errors import DatasetError
+from repro.ir.frontends import get_frontend
 from repro.netlist.verilog_io import write_netlist
 from repro.obfuscate.transforms import obfuscate
 from repro.synth.synthesize import synthesize_verilog
@@ -27,15 +27,18 @@ SYNTHESIZABLE_FAMILIES = (
     "lfsr8", "shiftreg8", "crc8", "hamenc74", "hamdec74",
 )
 
+#: Every RTL graph of the corpora comes out of this one frontend.
+_RTL = get_frontend("rtl")
+
 
 def rtl_records(families=None, instances_per_design=4, seed=0, verbose=False):
-    """RTL corpus: DFG records from design-family variants."""
+    """RTL corpus: dataflow-graph records from design-family variants."""
     variants = generate_corpus(families=families,
                                instances_per_design=instances_per_design,
                                seed=seed)
     records = []
     for variant in variants:
-        graph = dfg_from_verilog(variant.verilog, top=variant.top)
+        graph = _RTL.extract(variant.verilog, top=variant.top)
         graph.name = variant.instance
         records.append(GraphRecord(design=variant.design,
                                    instance=variant.instance,
@@ -46,7 +49,7 @@ def rtl_records(families=None, instances_per_design=4, seed=0, verbose=False):
 
 
 def _netlist_graph(netlist, instance_name):
-    graph = dfg_from_verilog(write_netlist(netlist))
+    graph = _RTL.extract(write_netlist(netlist))
     graph.name = instance_name
     return graph
 
@@ -173,7 +176,7 @@ def mips_visualization_records(instances_per_design=8, seed=0):
     for family_name in ("mips_pipeline", "mips_single"):
         family = get_family(family_name)
         for variant in family.variants(instances_per_design, seed=seed):
-            graph = dfg_from_verilog(variant.verilog, top=variant.top)
+            graph = _RTL.extract(variant.verilog, top=variant.top)
             graph.name = variant.instance
             records.append(GraphRecord(design=family_name,
                                        instance=variant.instance,

@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for extracted graphs.
 
 Entries are keyed by SHA-256 over the *preprocessed* Verilog source plus
-every pipeline option that affects extraction (level, trim flag, top
-module) plus the frontend's **schema fingerprint** (IR format version and
-featurizer vocabulary).  Identical sources therefore share one entry
+every frontend option that affects extraction (level, top module) plus
+the frontend's **schema fingerprint** (IR format version and featurizer
+vocabulary).  Identical sources therefore share one entry
 regardless of file name or location, and any change to the source, the
 options, the on-disk format, or the feature schema changes the key instead
 of silently returning a stale graph — a ``FEATURE_DIM``/vocabulary change
@@ -52,7 +52,7 @@ def content_key(cleaned_text, options_fingerprint, top=None, schema=""):
 
     Args:
         cleaned_text: preprocessed Verilog source.
-        options_fingerprint: frontend options string (level, trim, ...).
+        options_fingerprint: frontend options string (level, ...).
         top: top-module override, part of the key.
         schema: the frontend's schema fingerprint (IR format version +
             featurizer vocabulary digest); callers that do not care about

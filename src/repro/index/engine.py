@@ -90,6 +90,12 @@ import numpy as np
 from repro.errors import IndexStoreError
 from repro.index.match import Match
 
+#: Why an all-zero query vector is refused where client vectors enter
+#: (the server's request validation, ``Corpus.query_vectors``): it has no
+#: direction, so it scores 0.0 against every row and flags nothing.
+ZERO_VECTOR_MESSAGE = ("query vectors must not be all zero (a zero vector "
+                       "scores 0.0 against every row)")
+
 #: Row-segment width for two-stage exact top-k: a long row first keeps
 #: its k best segments by maximum (the top-k elements of a row always
 #: live in its top-k blocks by max), then partitions only their

@@ -193,9 +193,9 @@ class IngestConfig:
 _WORKER = {}
 
 
-def _init_ingest_worker(model, level, options, top, chunk_spec,
+def _init_ingest_worker(model, level, top, chunk_spec,
                         cache_dir, batch_size, reuse):
-    frontend = get_frontend(level, **options)
+    frontend = get_frontend(level)
     _WORKER["frontend"] = frontend
     _WORKER["service"] = EmbeddingService(model, batch_size=batch_size)
     _WORKER["top"] = top
@@ -436,7 +436,10 @@ def _fresh_checkpoint(root, paths, model, service, config):
         "options": {
             "top": config.top,
             "level": frontend.level,
-            "do_trim": getattr(frontend, "do_trim", True),
+            # Trimming is no longer optional; the key stays so metas and
+            # checkpoints keep their bytes and _reuse_source's options
+            # equality still matches indexes written before.
+            "do_trim": True,
             "schema": frontend.schema_fingerprint(),
             "use_cache": config.use_cache,
         },
@@ -823,9 +826,7 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
     # The running code's feature schema must match the one the rows
     # already on disk were extracted under, or old and new rows would be
     # silently incomparable.
-    check_frontend = get_frontend(
-        state.options["level"],
-        do_trim=state.options.get("do_trim", True))
+    check_frontend = get_frontend(state.options["level"])
     if state.options.get("schema") not in (None,
                                            check_frontend
                                            .schema_fingerprint()):
@@ -838,14 +839,12 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         save_model(model, root / MODEL_NAME)
 
     remaining = paths[state.completed:]
-    options = {k: v for k, v in state.options.items()
-               if k in ("do_trim",)}
     cache_dir = (str(root / CACHE_DIR)
                  if state.options.get("use_cache", True) else None)
     reuse = _reuse_source(root, state, base_index)
-    init_args = (model, state.options["level"], options,
-                 state.options["top"], state.chunk_spec, cache_dir,
-                 config.batch_size, reuse.keys() if reuse else {})
+    init_args = (model, state.options["level"], state.options["top"],
+                 state.chunk_spec, cache_dir, config.batch_size,
+                 reuse.keys() if reuse else {})
 
     jobs = (config.jobs if config.jobs is not None
             else default_jobs(len(remaining)))

@@ -248,9 +248,7 @@ class FingerprintIndex:
         """
         if self._frontend is not None:
             return self._frontend
-        frontend = get_frontend(self.level,
-                                do_trim=self.meta["options"].get("do_trim",
-                                                                 True))
+        frontend = get_frontend(self.level)
         stored = self.meta["options"].get("schema")
         if stored is not None and stored != frontend.schema_fingerprint():
             raise IndexStoreError(
@@ -259,10 +257,6 @@ class FingerprintIndex:
                 f"rebuild the index")
         self._frontend = frontend
         return frontend
-
-    def pipeline(self):
-        """Deprecated alias for :meth:`frontend` (same extract interface)."""
-        return self.frontend()
 
     @property
     def level(self):

@@ -4,9 +4,10 @@
 
     frontends (dataflow / netlist)  ->  GraphIR  ->  featurizer  ->  encoder
 
-:func:`to_graphir` adapts any supported design object (DFG, gate-level
-Netlist, or an existing GraphIR) into the IR; :mod:`repro.ir.frontends`
-holds the level-selectable extraction frontends used by the index and CLI.
+The RTL dataflow analyzer builds GraphIR directly.  :func:`to_graphir`
+adapts the other supported design object, a gate-level Netlist, into the
+IR; :mod:`repro.ir.frontends` holds the level-selectable extraction
+frontends, the one way Verilog becomes a graph.
 
 This package root deliberately imports only dependency-free modules so the
 frontends (which pull in the Verilog pipeline and synthesizer) never create
@@ -29,8 +30,7 @@ from repro.ir.graphir import (
 def to_graphir(graph):
     """Adapt ``graph`` to a :class:`GraphIR`.
 
-    Accepts a GraphIR (returned as-is, including DFG instances, which are
-    GraphIR subclasses) or a gate-level
+    Accepts a GraphIR (returned as-is) or a gate-level
     :class:`~repro.netlist.netlist.Netlist` (lowered through
     :func:`~repro.netlist.to_ir.netlist_to_ir`).
     """

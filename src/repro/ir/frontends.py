@@ -2,12 +2,13 @@
 
 A frontend owns one extraction level end-to-end: preprocessing, the
 level-specific lowering, the default featurizer, and the fingerprints that
-make extraction content-addressable.  The fingerprint index, the CLI's
-``--level rtl|netlist`` flags, and the ingest workers all select a
-frontend instead of hard-coding the DFG pipeline:
+make extraction content-addressable.  The fingerprint index, the ingest
+workers, the training corpora and the CLI (whose ``--level rtl|netlist``
+flags pick one) all extract through a frontend:
 
-- :class:`RTLFrontend` — the paper's five-phase dataflow pipeline
-  (preprocess / parse / analyze / merge / trim), emitting RTL-level IR.
+- :class:`RTLFrontend` — the paper's five-phase dataflow flow
+  (preprocess / parse / analyze / merge / trim), emitting RTL-level IR;
+  the only way to get an RTL graph.
 - :class:`NetlistFrontend` — parse + elaborate, then *synthesize* to a
   gate-level netlist (bit-blasting RTL when the input is not already
   structural) and lower it through :func:`~repro.netlist.to_ir.netlist_to_ir`.
@@ -91,30 +92,31 @@ class _Frontend:
 
 
 class RTLFrontend(_Frontend):
-    """RTL dataflow frontend wrapping :class:`~repro.dataflow.pipeline.DFGPipeline`."""
+    """The paper's five-phase dataflow flow, straight to RTL GraphIR.
+
+    Preprocess, parse, elaborate, then dataflow analysis (which merges
+    the per-signal trees as it builds them) and trim.
+    """
 
     level = LEVEL_RTL
 
-    def __init__(self, do_trim=True, featurizer=None):
-        super().__init__(featurizer)
-        from repro.dataflow.pipeline import DFGPipeline
-
-        self.pipeline = DFGPipeline(do_trim=do_trim)
-
-    @property
-    def do_trim(self):
-        return self.pipeline.do_trim
-
     def preprocess_text(self, text):
-        return self.pipeline.preprocess_text(text)
+        from repro.verilog import preprocess
+
+        return preprocess(text)
 
     def _lower(self, cleaned, top=None):
-        from repro.dataflow.to_ir import dfg_to_ir
+        from repro.dataflow.analyzer import analyze
+        from repro.dataflow.elaborate import elaborate
+        from repro.dataflow.trim import trim
+        from repro.verilog import parse
 
-        return dfg_to_ir(self.pipeline.extract_preprocessed(cleaned, top=top))
+        return trim(analyze(elaborate(parse(cleaned), top=top)))
 
     def options_fingerprint(self):
-        return f"level={self.level}:{self.pipeline.options_fingerprint()}"
+        # "trim=1" is kept from when trimming was optional: it is part of
+        # every RTL content key, so existing caches and indexes stay valid.
+        return f"level={self.level}:trim=1"
 
 
 class NetlistFrontend(_Frontend):
@@ -142,14 +144,14 @@ class NetlistFrontend(_Frontend):
         return f"level={self.level}:synth-v{SYNTH_VERSION}"
 
 
-def get_frontend(level, do_trim=True, featurizer=None):
+def get_frontend(level, featurizer=None):
     """Build the frontend for ``level`` (``rtl`` or ``netlist``).
 
     Raises:
         ValueError: for an unknown level.
     """
     if level in (None, LEVEL_RTL):
-        return RTLFrontend(do_trim=do_trim, featurizer=featurizer)
+        return RTLFrontend(featurizer=featurizer)
     if level == LEVEL_NETLIST:
         return NetlistFrontend(featurizer=featurizer)
     raise ValueError(f"unknown extraction level {level!r} "

@@ -58,9 +58,6 @@ class IRNode:
 class GraphIR:
     """A typed graph with dependency edges and a frontend level tag."""
 
-    #: Node class used by :meth:`add_node`; subclasses may refine it.
-    node_class = IRNode
-
     def __init__(self, name="graph", level=LEVEL_RTL):
         self.name = name
         self.level = level
@@ -72,7 +69,7 @@ class GraphIR:
     def add_node(self, kind, label, name=None):
         """Append a node; returns its id."""
         node_id = len(self.nodes)
-        self.nodes.append(self.node_class(node_id, kind, label, name))
+        self.nodes.append(IRNode(node_id, kind, label, name))
         self._succ.append([])
         self._pred.append([])
         return node_id
@@ -123,15 +120,11 @@ class GraphIR:
             stack.extend(self._succ[node_id])
         return seen
 
-    def _empty_like(self):
-        """A fresh graph of the same type/level (used by :meth:`subgraph`)."""
-        return GraphIR(self.name, self.level)
-
     def subgraph(self, keep_ids):
         """A new graph containing only ``keep_ids`` (edges restricted)."""
         keep = sorted(set(keep_ids))
         remap = {old: new for new, old in enumerate(keep)}
-        out = self._empty_like()
+        out = GraphIR(self.name, self.level)
         for old in keep:
             node = self.nodes[old]
             out.add_node(node.kind, node.label, node.name)
@@ -140,19 +133,6 @@ class GraphIR:
                 if dep in remap:
                     out.add_edge(remap[old], remap[dep])
         return out
-
-    def to_networkx(self):
-        """Export as a networkx DiGraph with node attributes."""
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for node in self.nodes:
-            graph.add_node(node.node_id, kind=node.kind, label=node.label,
-                           name=node.name)
-        for src, deps in enumerate(self._succ):
-            for dst in deps:
-                graph.add_edge(src, dst)
-        return graph
 
     def edge_arrays(self):
         """``(src, dst)`` int64 arrays of every dependency edge.

@@ -18,8 +18,8 @@ FORMAT_VERSION = 1
 
 
 def to_dict(graph):
-    """Flatten a :class:`~repro.ir.graphir.GraphIR` (or any graph with the
-    same node/edge interface, e.g. a DFG) into plain JSON types."""
+    """Flatten a :class:`~repro.ir.graphir.GraphIR` into plain JSON
+    types."""
     return {
         "version": FORMAT_VERSION,
         "name": graph.name,

@@ -4,8 +4,8 @@ The writer emits one flat module using gate primitives; ``mux`` cells
 become ternary assigns (which the synthesizer lowers straight back to a
 mux cell) and ``dff`` cells become nonblocking ``q <= d;`` assigns in
 one native ``always @(posedge clk)`` block per clock, so the emitted
-file needs no library modules, flows straight through the DFG
-pipeline, and re-synthesizes gate-for-gate: the Verilog frontend
+file needs no library modules, flows straight through the RTL
+frontend, and re-synthesizes gate-for-gate: the Verilog frontend
 (:func:`repro.synth.synthesize_verilog`) is its reader.
 """
 

@@ -34,6 +34,7 @@ import numpy as np
 from repro import __version__
 from repro.api.types import QueryResult, encode_json
 from repro.errors import IndexStoreError, ReproError
+from repro.index.engine import ZERO_VECTOR_MESSAGE
 from repro.server.batcher import BacklogFull, MicroBatcher
 from repro.server.http import (
     HttpError,
@@ -515,8 +516,8 @@ class ReproServer:
                     regions_by_job[idx] = regions
                     cursor += len(parts)
 
-        # Phase 2: validate vector suspects against the store width and
-        # for finite values.
+        # Phase 2: validate vector suspects against the store width, for
+        # finite values and for direction.
         # Each supplied vector is its own single-part group.
         hidden = corpus.index.engine.hidden
         for idx, job in enumerate(jobs):
@@ -533,6 +534,11 @@ class ReproServer:
                 # make a reply no strict JSON parser accepts.
                 out[idx] = IndexStoreError(
                     "query vectors must be finite (no NaN or infinity)")
+                continue
+            if not rows.any(axis=1).all():
+                # Checked here, not in the engine: one engine call serves
+                # the whole gulp, and a raise there would fail every job.
+                out[idx] = IndexStoreError(ZERO_VECTOR_MESSAGE)
                 continue
             vectors_by_job[idx] = rows
             offsets_by_job[idx] = list(range(len(rows) + 1))

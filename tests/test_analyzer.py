@@ -3,13 +3,28 @@
 import pytest
 
 from repro.errors import DataflowError
-from repro.dataflow import analyze, dfg_from_verilog, elaborate
-from repro.dataflow.graph import KIND_CONST, KIND_OP, KIND_SIGNAL
+from repro.dataflow import analyze, elaborate
+from repro.ir import KIND_CONST, KIND_OP, KIND_SIGNAL
+from repro.ir.frontends import get_frontend
 from repro.verilog import parse_source
 
+extract_rtl = get_frontend("rtl").extract
 
-def dfg(text, top=None, do_trim=False):
-    return dfg_from_verilog(text, top=top, do_trim=do_trim)
+
+def dfg(text, top=None):
+    """The merged graph of ``text`` before the trim phase."""
+    return analyze(elaborate(parse_source(text), top=top))
+
+
+def signal_id(graph, name):
+    (node_id,) = [n.node_id for n in graph.nodes
+                  if n.kind == KIND_SIGNAL and n.name == name]
+    return node_id
+
+
+def signal_names(graph, role):
+    return {n.name for n in graph.nodes
+            if n.kind == KIND_SIGNAL and n.label == role}
 
 
 def op_labels(graph):
@@ -21,7 +36,7 @@ class TestCombinational:
         graph = dfg("module m(input a, input b, output y); "
                     "assign y = a & b; endmodule")
         assert "and" in op_labels(graph)
-        y = graph.signal_id("y")
+        y = signal_id(graph, "y")
         (and_node,) = graph.successors(y)
         deps = graph.successors(and_node)
         assert {graph.nodes[d].name for d in deps} == {"a", "b"}
@@ -90,14 +105,14 @@ class TestAlwaysBlocks:
     def test_if_without_else_references_self(self):
         graph = dfg("module m(input clk, input en, input d, output reg q); "
                     "always @(posedge clk) if (en) q <= d; endmodule")
-        q = graph.signal_id("q")
+        q = signal_id(graph, "q")
         reachable = graph.reachable_from([q])
         assert q in reachable  # feedback: q depends on its own branch
         assert "branch" in op_labels(graph)
 
     def test_blocking_chain_substitutes(self):
         # y should depend on a through the intermediate blocking value.
-        graph = dfg("""
+        graph = extract_rtl("""
 module m(input a, output reg y);
   reg t;
   always @(*) begin
@@ -105,8 +120,8 @@ module m(input a, output reg y);
     y = t & a;
   end
 endmodule
-""", do_trim=True)
-        y = graph.signal_id("y")
+""")
+        y = signal_id(graph, "y")
         reach = graph.reachable_from([y])
         names = {graph.nodes[i].name for i in reach
                  if graph.nodes[i].kind == KIND_SIGNAL}
@@ -170,14 +185,12 @@ class TestGraphShape:
     def test_roots_are_outputs(self):
         graph = dfg("module m(input a, output x, output y); "
                     "assign x = ~a; assign y = a; endmodule")
-        roots = {graph.nodes[i].name for i in graph.roots()}
-        assert roots == {"x", "y"}
+        assert signal_names(graph, "output") == {"x", "y"}
 
     def test_leaves_are_inputs(self):
         graph = dfg("module m(input a, input b, output y); "
                     "assign y = a | b; endmodule")
-        leaves = {graph.nodes[i].name for i in graph.leaves()}
-        assert leaves == {"a", "b"}
+        assert signal_names(graph, "input") == {"a", "b"}
 
     def test_unelaborated_instance_rejected(self):
         source = parse_source("""
@@ -193,7 +206,7 @@ endmodule
 
     def test_motivational_example_same_behavior(self):
         """The paper's Fig. 1: two full adders, different code, same DFs."""
-        adder1 = dfg_from_verilog("""
+        adder1 = extract_rtl("""
 module ADDER(input Num1, input Num2, input Cin,
              output reg Sum, output reg Cout);
   always @(Num1, Num2, Cin) begin
@@ -202,7 +215,7 @@ module ADDER(input Num1, input Num2, input Cin,
   end
 endmodule
 """)
-        adder2 = dfg_from_verilog("""
+        adder2 = extract_rtl("""
 module ADDER(Num1, Num2, Cin, Sum, Cout);
   input Num1, Num2, Cin;
   output Sum, Cout;
@@ -216,7 +229,7 @@ endmodule
 """)
         # Both must contain the critical XOR chain into Sum.
         for graph in (adder1, adder2):
-            sum_id = graph.signal_id("Sum")
+            sum_id = signal_id(graph, "Sum")
             reach = graph.reachable_from([sum_id])
             labels = [graph.nodes[i].label for i in reach]
             assert labels.count("xor") >= 2

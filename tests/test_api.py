@@ -189,6 +189,15 @@ class TestSession:
         (result,) = session.query([vector], k=1)
         assert result[0].design == "adder"
 
+    def test_query_refuses_zero_vector(self, built, detector):
+        # A zero vector scores 0.0 against every row: it would rank
+        # arbitrarily and never flag a design.
+        session = Session(detector=detector, corpus=built)
+        vector = session.fingerprint(ADDER).vector
+        with pytest.raises(IndexStoreError, match="all zero"):
+            session.query([vector, np.zeros_like(vector)], k=1)
+        assert session.query([], k=1) == []
+
     def test_query_rejects_mixed_suspects(self, built, detector):
         session = Session(detector=detector, corpus=built)
         vector = session.fingerprint(ADDER).vector

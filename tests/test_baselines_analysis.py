@@ -22,7 +22,9 @@ from repro.baselines import (
     spectral_similarity,
     wl_similarity,
 )
-from repro.dataflow import dfg_from_verilog
+from repro.ir.frontends import get_frontend
+
+extract_rtl = get_frontend("rtl").extract
 
 XOR_TEXT = """
 module m(input a, input b, output y);
@@ -39,12 +41,12 @@ endmodule
 
 @pytest.fixture(scope="module")
 def xor_graph():
-    return dfg_from_verilog(XOR_TEXT)
+    return extract_rtl(XOR_TEXT)
 
 
 @pytest.fixture(scope="module")
 def adder_graph():
-    return dfg_from_verilog(ADDER_TEXT)
+    return extract_rtl(ADDER_TEXT)
 
 
 class TestGraphSimilarityBaselines:

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import HW2VEC
-from repro.dataflow import dfg_from_verilog
+from repro.ir.frontends import get_frontend
 from repro.nn import batched_embed, batched_forward, pack_prepared
+
+extract_rtl = get_frontend("rtl").extract
 
 TEXTS = [
     """
@@ -39,7 +41,7 @@ TEXTS = [
 
 @pytest.fixture(scope="module")
 def graphs():
-    return [dfg_from_verilog(text) for text in TEXTS]
+    return [extract_rtl(text) for text in TEXTS]
 
 
 def assert_embeddings_close(actual, desired):

@@ -22,7 +22,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import GNN4IP, HW2VEC, GraphSlice
-from repro.dataflow import dfg_from_verilog
 from repro.designs.base import family_names
 from repro.designs.corpus import SYNTHESIZABLE_FAMILIES, canonical_variant
 from repro.errors import GraphIRError, IndexStoreError, ModelError
@@ -39,9 +38,11 @@ from repro.index.chunks import chunk_parts, topological_order
 from repro.index.shards import unit_rows_f32
 from repro.index.wlsig import load_signatures
 from repro.ir import to_graphir
-from repro.ir.frontends import NetlistFrontend
+from repro.ir.frontends import NetlistFrontend, get_frontend
 from repro.nn import batched_embed
 from repro.synth.synthesize import synthesize_verilog
+
+extract_rtl = get_frontend("rtl").extract
 
 TINY = """
 module t(input a, output y);
@@ -91,18 +92,18 @@ def chunk_records(graph, config):
 
 class TestExtraction:
     def test_single_gate_design_has_zero_chunks(self):
-        graph = dfg_from_verilog(TINY)
+        graph = extract_rtl(TINY)
         assert extract_chunks(graph) == []
 
     def test_default_config_skips_unit_test_scale_designs(self):
         # The designs the index test-suite builds over (single-assign
         # modules) must stay single-granularity under the default config.
-        graph = dfg_from_verilog(TestV3Migration.SOURCES["adder.v"])
+        graph = extract_rtl(TestV3Migration.SOURCES["adder.v"])
         assert len(graph) < ChunkConfig().min_nodes
         assert extract_chunks(graph) == []
 
     def test_smaller_than_window_emits_no_window_chunks(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         config = ChunkConfig(window=200, stride=100, min_nodes=4,
                              max_chunks=16, cone_seeds=6)
         chunks = extract_chunks(graph, config)
@@ -110,7 +111,7 @@ class TestExtraction:
         assert all(region["kind"] != "window" for _, region in chunks)
 
     def test_chunks_are_proper_subgraphs_with_region_evidence(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         chunks = chunk_graphs(graph, SMALL)
         kinds = {region["kind"] for _, region in chunks}
         assert "window" in kinds and "cone" in kinds
@@ -122,7 +123,7 @@ class TestExtraction:
             assert 0.0 < region["frac"] < 1.0
 
     def test_chunks_are_sorted_member_id_sets(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         for members, region in extract_chunks(graph, SMALL):
             assert members.dtype == np.int64
             assert np.all(np.diff(members) > 0)
@@ -130,7 +131,7 @@ class TestExtraction:
             assert region["nodes"] == len(members)
 
     def test_cap_keeps_cones_first(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         config = ChunkConfig(window=8, stride=2, min_nodes=4,
                              max_chunks=3, cone_seeds=2)
         chunks = extract_chunks(graph, config)
@@ -138,12 +139,12 @@ class TestExtraction:
         assert sum(1 for _, r in chunks if r["kind"] == "cone") == 2
 
     def test_topological_order_is_a_permutation(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         order = topological_order(graph)
         assert sorted(order) == list(range(len(graph)))
 
     def test_deterministic_in_process(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         assert chunk_records(graph, SMALL) == chunk_records(graph, SMALL)
 
     def test_deterministic_across_processes(self, tmp_path):
@@ -153,10 +154,9 @@ class TestExtraction:
         script.write_text(
             "import json, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
-            "from repro.dataflow import dfg_from_verilog\n"
             "from repro.index import ChunkConfig\n"
-            "from test_chunks import SMALL, WIDE, chunk_records\n"
-            "graph = dfg_from_verilog(WIDE)\n"
+            "from test_chunks import SMALL, WIDE, chunk_records, extract_rtl\n"
+            "graph = extract_rtl(WIDE)\n"
             "print(json.dumps(chunk_records(graph, SMALL)))\n")
         here = Path(__file__).parent
         src = here.parent / "src"
@@ -166,14 +166,14 @@ class TestExtraction:
                  "PYTHONPATH": f"{src}:{here}",
                  "PATH": "/usr/bin:/bin"},
             capture_output=True, text=True, check=True)
-        local = chunk_records(dfg_from_verilog(WIDE), SMALL)
+        local = chunk_records(extract_rtl(WIDE), SMALL)
         assert json.loads(out.stdout) == json.loads(json.dumps(local))
 
     def test_materialized_chunks_are_pinned(self):
         """Materializing chunks from their member ids reproduces the
         chunk sets that copied subgraphs out of extraction itself."""
         digests = []
-        for graph, config in ((dfg_from_verilog(WIDE), SMALL),
+        for graph, config in ((extract_rtl(WIDE), SMALL),
                               (family_graph("netlist", "crc8"),
                                ChunkConfig())):
             records = json.dumps(chunk_records(graph, config))
@@ -195,7 +195,7 @@ def family_graph(level, name):
     """A family's canonical design as an RTL DFG or a gate-level IR."""
     variant = canonical_variant(name)
     if level == "rtl":
-        return dfg_from_verilog(variant.verilog, top=variant.top)
+        return extract_rtl(variant.verilog, top=variant.top)
     return to_graphir(synthesize_verilog(variant.verilog, top=variant.top))
 
 
@@ -231,7 +231,7 @@ class TestChunkSlices:
                                                             members))
 
     def test_empty_restriction_refused(self):
-        parent = HW2VEC().prepare(dfg_from_verilog(WIDE))
+        parent = HW2VEC().prepare(extract_rtl(WIDE))
         with pytest.raises(GraphIRError, match="no nodes"):
             parent.restrict(np.empty(0, dtype=np.int64))
 
@@ -505,7 +505,7 @@ endmodule
 
     def test_migrate_v3_roundtrip_preserves_scores(self, built):
         index, model = built
-        suspect = dfg_from_verilog(self.SOURCES["adder.v"])
+        suspect = extract_rtl(self.SOURCES["adder.v"])
         before = index.query_graph(suspect, model, k=2)
         self._downgrade_to_v3(index)
         migrated = migrate_index(index.root)

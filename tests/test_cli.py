@@ -66,6 +66,13 @@ class TestExtract:
         main(["extract-dfg", verilog_files["adder.v"], "--edges"])
         assert "->" in capsys.readouterr().out
 
+    def test_extract_refuses_empty_design(self, tmp_path, capsys):
+        # Like ingest and /v1/query: nothing to fingerprint is an error.
+        path = tmp_path / "empty.v"
+        path.write_text("module m(); endmodule\n")
+        assert main(["extract-dfg", str(path)]) == 1
+        assert "empty rtl graph" in capsys.readouterr().err
+
 
 class TestCompareAndModelIO:
     def test_untrained_compare_needs_opt_in(self, verilog_files, capsys):

@@ -19,8 +19,10 @@ from repro.core import (
 )
 from repro.core.dataset import batches
 from repro.core.metrics import ConfusionMatrix
-from repro.dataflow import dfg_from_verilog
 from repro.errors import DatasetError, ModelError
+from repro.ir.frontends import get_frontend
+
+extract_rtl = get_frontend("rtl").extract
 
 XOR_MODULE = """
 module m(input a, input b, output y);
@@ -37,12 +39,12 @@ endmodule
 
 @pytest.fixture(scope="module")
 def xor_graph():
-    return dfg_from_verilog(XOR_MODULE)
+    return extract_rtl(XOR_MODULE)
 
 
 @pytest.fixture(scope="module")
 def and_graph():
-    return dfg_from_verilog(AND_MODULE)
+    return extract_rtl(AND_MODULE)
 
 
 class TestFeatures:
@@ -175,7 +177,7 @@ class TestMetrics:
 
 class TestPairDataset:
     def records(self, n_designs=3, instances=3):
-        graph = dfg_from_verilog(XOR_MODULE)
+        graph = extract_rtl(XOR_MODULE)
         records = []
         for d in range(n_designs):
             for i in range(instances):
@@ -231,12 +233,12 @@ class TestPairDataset:
 class TestTrainer:
     @pytest.fixture(scope="class")
     def tiny_dataset(self):
-        xor_a = dfg_from_verilog(XOR_MODULE)
-        xor_b = dfg_from_verilog(
+        xor_a = extract_rtl(XOR_MODULE)
+        xor_b = extract_rtl(
             XOR_MODULE.replace("a ^ b", "b ^ a"))
-        and_a = dfg_from_verilog(AND_MODULE)
-        and_b = dfg_from_verilog(AND_MODULE.replace("a & b", "b & a"))
-        counter = dfg_from_verilog("""
+        and_a = extract_rtl(AND_MODULE)
+        and_b = extract_rtl(AND_MODULE.replace("a & b", "b & a"))
+        counter = extract_rtl("""
 module c(input clk, output reg [3:0] q);
   always @(posedge clk) q <= q + 4'd1;
 endmodule

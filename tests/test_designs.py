@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow import dfg_from_verilog, elaborate
+from repro.dataflow import elaborate
 from repro.designs import (
     SYNTHESIZABLE_FAMILIES,
     all_families,
@@ -11,8 +11,9 @@ from repro.designs import (
     get_family,
 )
 from repro.errors import DatasetError
+from repro.ir.frontends import get_frontend
 from repro.sim import RTLSimulator, check_netlists_equivalent
-from repro.synth import synthesize, synthesize_verilog
+from repro.synth import synthesize_verilog
 from repro.verilog import parse_source
 
 
@@ -48,9 +49,10 @@ class TestGenerationAndDFG:
         family = get_family(name)
         for style in family.style_names():
             variant = family.generate(seed=0, style=style, rewrite=False)
-            graph = dfg_from_verilog(variant.verilog, top=variant.top)
+            graph = get_frontend("rtl").extract(variant.verilog,
+                                                top=variant.top)
             assert len(graph) > 3, f"{name}/{style} produced a tiny DFG"
-            assert graph.roots(), f"{name}/{style} has no outputs"
+            assert "output" in graph.labels(), f"{name}/{style} has no outputs"
 
     @pytest.mark.parametrize("name", ["adder8", "alu", "mips_single"])
     def test_rewritten_variants_differ_textually(self, name):

@@ -13,9 +13,7 @@ from repro.core import (
     one_hot_features,
     save_model,
 )
-from repro.dataflow import dfg_from_verilog
-from repro.dataflow.graph import DFG
-from repro.dataflow.to_ir import dfg_to_ir
+from repro.dataflow import analyze, elaborate, trim
 from repro.errors import GraphIRError, ModelError, NetlistError
 from repro.index.cache import DFGCache, content_key
 from repro.ir import (
@@ -31,6 +29,9 @@ from repro.ir.frontends import NetlistFrontend, RTLFrontend, get_frontend
 from repro.netlist.netlist import NetlistBuilder
 from repro.netlist.to_ir import netlist_to_ir
 from repro.synth.synthesize import synthesize_verilog
+from repro.verilog import parse_source
+
+extract_rtl = get_frontend("rtl").extract
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -65,15 +66,15 @@ class TestGraphIR:
         assert ir.predecessors(n0) == [n1]
 
     def test_dfg_is_graphir(self):
-        graph = dfg_from_verilog(ADDER)
-        assert isinstance(graph, GraphIR)
+        graph = extract_rtl(ADDER)
+        assert type(graph) is GraphIR
         assert graph.level == LEVEL_RTL
         assert to_graphir(graph) is graph
 
     def test_subgraph_preserves_type_and_level(self):
-        dfg = dfg_from_verilog(ADDER)
+        dfg = extract_rtl(ADDER)
         sub = dfg.subgraph(range(len(dfg)))
-        assert isinstance(sub, DFG) and sub.level == LEVEL_RTL
+        assert type(sub) is GraphIR and sub.level == LEVEL_RTL
         ir = netlist_to_ir(small_netlist())
         assert ir.subgraph(range(len(ir))).level == LEVEL_NETLIST
 
@@ -85,7 +86,7 @@ class TestGraphIR:
         assert back.num_edges == ir.num_edges
 
     def test_serialize_round_trips_dfg_as_rtl_ir(self):
-        dfg = dfg_from_verilog(ADDER)
+        dfg = extract_rtl(ADDER)
         back = ir_serialize.loads(ir_serialize.dumps(dfg))
         assert back.level == LEVEL_RTL
         assert back.labels() == dfg.labels()
@@ -141,7 +142,7 @@ class TestNetlistToIR:
 
 class TestFeaturizers:
     def test_rtl_featurizer_matches_legacy(self):
-        graph = dfg_from_verilog(ADDER)
+        graph = extract_rtl(ADDER)
         np.testing.assert_array_equal(one_hot_features(graph),
                                       RTL_FEATURIZER.features(graph))
         assert RTL_FEATURIZER.dim == FEATURE_DIM
@@ -156,7 +157,7 @@ class TestFeaturizers:
         with pytest.raises(ModelError):
             RTL_FEATURIZER.features(netlist_to_ir(small_netlist()))
         with pytest.raises(ModelError):
-            NETLIST_FEATURIZER.features(dfg_from_verilog(ADDER))
+            NETLIST_FEATURIZER.features(extract_rtl(ADDER))
 
     def test_fingerprints_are_stable_and_distinct(self):
         assert RTL_FEATURIZER.fingerprint() == RTL_FEATURIZER.fingerprint()
@@ -167,14 +168,6 @@ class TestFeaturizers:
         assert get_featurizer(NETLIST_FEATURIZER) is NETLIST_FEATURIZER
         with pytest.raises(ModelError):
             get_featurizer("layout")
-
-    def test_dfg_to_ir_preserves_features(self):
-        dfg = dfg_from_verilog(ADDER)
-        ir = dfg_to_ir(dfg)
-        assert type(ir) is GraphIR
-        np.testing.assert_array_equal(RTL_FEATURIZER.features(ir),
-                                      RTL_FEATURIZER.features(dfg))
-        assert (ir.adjacency() != dfg.adjacency()).nnz == 0
 
 
 class TestFrontends:
@@ -188,8 +181,10 @@ class TestFrontends:
     def test_rtl_extract_matches_pipeline(self):
         frontend = get_frontend("rtl")
         ir = frontend.extract(ADDER)
-        dfg = dfg_from_verilog(ADDER)
-        assert ir.labels() == dfg.labels()
+        phases = trim(analyze(elaborate(parse_source(ADDER))))
+        assert ir.labels() == phases.labels()
+        np.testing.assert_array_equal(np.stack(ir.edge_arrays()),
+                                      np.stack(phases.edge_arrays()))
         assert ir.level == LEVEL_RTL
 
     def test_netlist_extract_synthesizes(self):
@@ -269,8 +264,8 @@ class TestModelModality:
         save_model(model, path)
         loaded = load_model(path)
         with pytest.raises(ModelError):
-            loaded.similarity(dfg_from_verilog(ADDER),
-                              dfg_from_verilog(ADDER))
+            loaded.similarity(extract_rtl(ADDER),
+                              extract_rtl(ADDER))
 
     def test_legacy_archive_defaults_to_rtl(self, tmp_path):
         """Archives saved before the featurizer field load as RTL models."""

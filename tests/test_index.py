@@ -6,8 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import GNN4IP, cosine_similarity_np
-from repro.dataflow import DFGPipeline, dfg_from_verilog
+from repro.core import GNN4IP
 from repro.errors import GraphIRError, IndexStoreError
 from repro.index import (
     DFGCache,
@@ -19,6 +18,9 @@ from repro.index import (
     model_fingerprint,
 )
 from repro.ir import serialize as ir_serialize
+from repro.ir.frontends import get_frontend
+
+RTL = get_frontend("rtl")
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -86,12 +88,12 @@ class TestSerialize:
     """DFGs go through the one graph codec, :mod:`repro.ir.serialize`."""
 
     def test_round_trip(self):
-        graph = dfg_from_verilog(ADDER)
+        graph = RTL.extract(ADDER)
         again = ir_serialize.from_dict(ir_serialize.to_dict(graph))
         assert graph_signature(again) == graph_signature(graph)
 
     def test_bytes_round_trip(self):
-        graph = dfg_from_verilog(MUX)
+        graph = RTL.extract(MUX)
         blob = ir_serialize.dumps(graph)
         assert graph_signature(ir_serialize.loads(blob)) == graph_signature(graph)
 
@@ -100,7 +102,7 @@ class TestSerialize:
             ir_serialize.loads(b"not a dfg blob")
 
     def test_bad_version_raises(self):
-        payload = ir_serialize.to_dict(dfg_from_verilog(ADDER))
+        payload = ir_serialize.to_dict(RTL.extract(ADDER))
         payload["version"] = 999
         with pytest.raises(GraphIRError, match="version"):
             ir_serialize.from_dict(payload)
@@ -186,9 +188,8 @@ class TestIngestExtraction:
     def test_matches_single_file_pipeline(self, tmp_path, corpus_paths):
         root = tmp_path / "idx"
         index, _ = ingest(root, corpus_paths, jobs=2)
-        pipeline = DFGPipeline()
         for entry in index.entries:
-            direct = pipeline.extract_file(entry["path"])
+            direct = RTL.extract_file(entry["path"])
             assert graph_signature(cached_graph(root, entry)) == \
                 graph_signature(direct)
             assert (entry["nodes"], entry["edges"]) == \
@@ -234,11 +235,11 @@ class TestFingerprintIndex:
         """Index scores must equal pairwise model.similarity exactly."""
         index, _, model = built
         for path in corpus_paths:
-            suspect = DFGPipeline().extract_file(path)
+            suspect = RTL.extract_file(path)
             hits = index.query_graph(suspect, model, k=len(index))
             brute = []
             for other in corpus_paths:
-                graph = DFGPipeline().extract_file(other)
+                graph = RTL.extract_file(other)
                 brute.append((other.stem, model.similarity(suspect, graph)))
             brute.sort(key=lambda item: -item[1])
             assert [h.name for h in hits] == [name for name, _ in brute]
@@ -252,7 +253,7 @@ class TestFingerprintIndex:
     def test_query_rejects_foreign_model(self, built):
         index, _, _ = built
         with pytest.raises(IndexStoreError):
-            index.query_graph(dfg_from_verilog(ADDER), GNN4IP(seed=7))
+            index.query_graph(RTL.extract(ADDER), GNN4IP(seed=7))
 
     def test_lookup_key(self, built, corpus_paths):
         index, _, model = built
@@ -325,7 +326,7 @@ class TestFingerprintIndex:
 class TestEmbeddingService:
     def test_matches_per_graph_embed(self):
         model = GNN4IP(seed=3)
-        graphs = [dfg_from_verilog(text) for text in SOURCES.values()]
+        graphs = [RTL.extract(text) for text in SOURCES.values()]
         service = EmbeddingService(model, batch_size=2)
         batched = service.embed_graphs(graphs)
         single = np.stack([model.encoder.embed(g) for g in graphs])
@@ -333,7 +334,7 @@ class TestEmbeddingService:
 
     def test_embed_one(self):
         model = GNN4IP(seed=3)
-        graph = dfg_from_verilog(ADDER)
+        graph = RTL.extract(ADDER)
         np.testing.assert_allclose(
             EmbeddingService(model).embed_one(graph),
             model.encoder.embed(graph), rtol=1e-9, atol=1e-15)

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import GNN4IP, save_model
-from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError, ModelError
 from repro.index import (
     FingerprintIndex,
@@ -31,6 +30,9 @@ from repro.index.ingest import (
     COMPACT_MIN_SHARDS,
     SIG_SIDECAR_NAME,
 )
+from repro.ir.frontends import get_frontend
+
+extract_rtl = get_frontend("rtl").extract
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -94,7 +96,7 @@ def corpus(corpus_dir):
 
 def top_hits(index, source, k=4):
     model = index.model()
-    hits = index.query_graph(dfg_from_verilog(source), model, k=k)
+    hits = index.query_graph(extract_rtl(source), model, k=k)
     return [(h.name, h.score) for h in hits]
 
 

@@ -5,14 +5,16 @@ import pytest
 
 from repro.cli import load_model, save_model
 from repro.core import GNN4IP, Trainer, build_pair_dataset
-from repro.dataflow import dfg_from_verilog
 from repro.designs import (
     get_family,
     iscas_records,
     netlist_records,
     rtl_records,
 )
+from repro.ir.frontends import get_frontend
 from repro.obfuscate import make_rtl_variant
+
+extract_rtl = get_frontend("rtl").extract
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +52,16 @@ class TestEndToEndRtl:
         family = get_family("crc8")
         original = family.generate(seed=123, rewrite=False)
         reworked_text = make_rtl_variant(original.verilog, seed=77)
-        graph_a = dfg_from_verilog(original.verilog, top=original.top)
-        graph_b = dfg_from_verilog(reworked_text, top=original.top)
+        graph_a = extract_rtl(original.verilog, top=original.top)
+        graph_b = extract_rtl(reworked_text, top=original.top)
         assert model.similarity(graph_a, graph_b) > 0.9
 
     def test_unrelated_designs_score_low(self, small_trained):
         model, _, _ = small_trained
         cmp8 = get_family("cmp8").generate(seed=5, rewrite=False)
         rs232 = get_family("rs232").generate(seed=5, rewrite=False)
-        graph_a = dfg_from_verilog(cmp8.verilog, top=cmp8.top)
-        graph_b = dfg_from_verilog(rs232.verilog, top=rs232.top)
+        graph_a = extract_rtl(cmp8.verilog, top=cmp8.top)
+        graph_b = extract_rtl(rs232.verilog, top=rs232.top)
         # comparator vs UART: comfortably below the decision boundary
         assert model.similarity(graph_a, graph_b) < model.delta
 

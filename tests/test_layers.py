@@ -5,8 +5,8 @@ import pytest
 from scipy import sparse
 
 from repro.core import HW2VEC
-from repro.dataflow import dfg_from_verilog
 from repro.ir import GraphIR
+from repro.ir.frontends import get_frontend
 from repro.nn.batch import batched_backward, batched_forward, pack_prepared
 from repro.nn.layers import (
     Dropout,
@@ -15,6 +15,8 @@ from repro.nn.layers import (
     glorot,
     normalize_edges,
 )
+
+extract_rtl = get_frontend("rtl").extract
 
 RNG = np.random.default_rng(7)
 
@@ -184,7 +186,7 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         """Inference passes no masks: dropout is the identity there."""
         encoder = HW2VEC(seed=0, dropout=0.5)
-        graph = dfg_from_verilog(
+        graph = extract_rtl(
             "module m(input a, input b, output y); assign y = a & b; "
             "endmodule")
         batch = pack_prepared([encoder.prepare(graph)] * 2)

@@ -7,9 +7,11 @@ as in ``examples/piracy_detection.py``: no index directory on disk.
 import pytest
 
 from repro.core import GNN4IP
-from repro.dataflow import dfg_from_verilog
 from repro.index import QueryEngine
 from repro.index.shards import unit_rows_f32
+from repro.ir.frontends import get_frontend
+
+extract_rtl = get_frontend("rtl").extract
 
 XOR = "module a(input x, input y, output z); assign z = x ^ y; endmodule"
 ADD = ("module b(input [3:0] x, input [3:0] y, output [4:0] z); "
@@ -30,14 +32,14 @@ LIBRARY = (("xor_ip", "xor_0", XOR), ("adder_ip", "add_0", ADD),
 @pytest.fixture(scope="module")
 def library_matcher():
     model = GNN4IP(seed=0, delta=0.95)
-    graphs = [dfg_from_verilog(text) for _, _, text in LIBRARY]
+    graphs = [extract_rtl(text) for _, _, text in LIBRARY]
     rows = unit_rows_f32(model.encoder.embed_many(graphs))
     entries = [{"name": instance, "path": instance, "design": design}
                for design, instance, _ in LIBRARY]
     engine = QueryEngine([rows], entries)
 
     def match(text, top_k=len(LIBRARY)):
-        vector = model.encoder.embed(dfg_from_verilog(text))
+        vector = model.encoder.embed(extract_rtl(text))
         return engine.query_many(vector, k=top_k, delta=model.delta)[0]
 
     return model, engine, match
@@ -74,8 +76,8 @@ class TestIPMatcher:
     def test_match_scores_agree_with_model(self, library_matcher):
         model, _, match = library_matcher
         scores = {hit.name: hit.score for hit in match(ADD)}
-        direct = model.similarity(dfg_from_verilog(ADD),
-                                  dfg_from_verilog(XOR))
+        direct = model.similarity(extract_rtl(ADD),
+                                  extract_rtl(XOR))
         # Library rows are stored as float32 unit vectors, the model
         # scores in float64: agreement is to float32 precision.
         assert scores["xor_0"] == pytest.approx(direct, abs=1e-6)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ElaborationError, NetlistError
 from repro.netlist import (
-    CONST0,
     CONST1,
     DFF,
     Netlist,
@@ -203,8 +202,8 @@ class TestVerilogIO:
         assert set(recovered.inputs) == set(original.inputs)
 
     def test_written_netlist_flows_through_dfg_pipeline(self):
-        from repro.dataflow import dfg_from_verilog
-        graph = dfg_from_verilog(write_netlist(self.full_netlist()))
+        from repro.ir.frontends import get_frontend
+        graph = get_frontend("rtl").extract(write_netlist(self.full_netlist()))
         assert len(graph) > 5
         labels = set(graph.labels())
         assert "dff" in labels

@@ -1,9 +1,10 @@
-"""Tests for file-based pipeline entry points and preprocessor state."""
+"""Tests for the RTL frontend's file entry point and preprocessor state."""
 
-import pytest
+from repro.ir import KIND_SIGNAL
+from repro.ir.frontends import get_frontend
+from repro.verilog import Preprocessor, preprocess
 
-from repro.dataflow import DFGPipeline, dfg_from_verilog
-from repro.verilog import Preprocessor
+RTL = get_frontend("rtl")
 
 HIERARCHICAL = """
 `define WIDTH 4
@@ -22,19 +23,18 @@ class TestPipelineFiles:
     def test_extract_file(self, tmp_path):
         path = tmp_path / "design.v"
         path.write_text(HIERARCHICAL)
-        graph = DFGPipeline().extract_file(path)
+        graph = RTL.extract_file(path)
         assert graph.name == "top"
-        assert graph.has_signal("u.z")
+        assert "u.z" in {n.name for n in graph.nodes if n.kind == KIND_SIGNAL}
 
     def test_extract_with_explicit_top(self, tmp_path):
         path = tmp_path / "design.v"
         path.write_text(HIERARCHICAL)
-        graph = DFGPipeline().extract_file(path, top="add")
+        graph = RTL.extract_file(path, top="add")
         assert graph.name == "add"
 
     def test_defines_flow_through_pipeline(self):
-        pipeline = DFGPipeline(defines={"MODE": "1"})
-        graph = pipeline.extract("""
+        cleaned = preprocess("""
 module m(input a, input b, output y);
 `ifdef MODE
   assign y = a & b;
@@ -42,32 +42,21 @@ module m(input a, input b, output y);
   assign y = a | b;
 `endif
 endmodule
-""")
+""", defines={"MODE": "1"})
+        graph = RTL.extract_preprocessed(cleaned)
         assert "and" in graph.labels()
         assert "or" not in graph.labels()
 
     def test_include_dirs(self, tmp_path):
         (tmp_path / "ops.vh").write_text("`define OP ^\n")
-        pipeline = DFGPipeline(include_dirs=[tmp_path])
-        graph = pipeline.extract("""
+        cleaned = preprocess("""
 `include "ops.vh"
 module m(input a, input b, output y);
   assign y = a `OP b;
 endmodule
-""")
+""", include_dirs=[tmp_path])
+        graph = RTL.extract_preprocessed(cleaned)
         assert "xor" in graph.labels()
-
-    def test_untrimmed_pipeline(self):
-        text = """
-module m(input a, output y);
-  wire dead;
-  assign dead = ~a;
-  assign y = a;
-endmodule
-"""
-        trimmed = DFGPipeline(do_trim=True).extract(text)
-        raw = DFGPipeline(do_trim=False).extract(text)
-        assert len(raw) > len(trimmed)
 
 
 class TestPreprocessorState:
@@ -86,12 +75,12 @@ class TestPreprocessorState:
 
 class TestGraphNaming:
     def test_graph_named_after_top_module(self):
-        graph = dfg_from_verilog(
+        graph = RTL.extract(
             "module funky(input a, output y); assign y = a; endmodule")
         assert graph.name == "funky"
 
     def test_rename_allowed(self):
-        graph = dfg_from_verilog(
+        graph = RTL.extract(
             "module m(input a, output y); assign y = a; endmodule")
         graph.name = "instance_0"
         assert graph.stats()["name"] == "instance_0"

@@ -13,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import GNN4IP
-from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError
 from repro.index import (
     FingerprintIndex,
@@ -26,6 +25,9 @@ from repro.index import (
 from repro.index import service as service_mod
 from repro.index.match import Match
 from repro.index.shards import unit_rows_f32
+from repro.ir.frontends import get_frontend
+
+extract_rtl = get_frontend("rtl").extract
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -115,7 +117,7 @@ class TestV2Migration:
 
     def test_migrate_v2_preserves_scores(self, built):
         index, _, model = built
-        suspect = dfg_from_verilog(ADDER)
+        suspect = extract_rtl(ADDER)
         before = index.query_graph(suspect, model, k=3)
         _downgrade_to_v2(index)
         migrated = migrate_v2(index.root)
@@ -328,7 +330,7 @@ class TestIVF:
         (root / index.meta["ivf"]["file"]).write_bytes(b"junk")
         degraded = FingerprintIndex.load(root)
         assert degraded.ivf is None
-        hits = degraded.query_graph(dfg_from_verilog(ADDER), model, k=1)
+        hits = degraded.query_graph(extract_rtl(ADDER), model, k=1)
         assert hits[0].name == "adder"
         assert degraded.stats()["ivf_clusters"] == 0
         # Simulated crash between ivf.save and the meta write: quantizer
@@ -498,7 +500,7 @@ class TestIncrementalAdd:
         assert len(grown) == len(index) + 1
         assert first_shard.read_bytes() == before_bytes
         assert (index.root / "shards" / "shard-00001.f32").is_file()
-        hits = grown.query_graph(dfg_from_verilog(XOR_CHAIN), model, k=1)
+        hits = grown.query_graph(extract_rtl(XOR_CHAIN), model, k=1)
         assert hits[0].name == "xchain"
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -564,7 +566,7 @@ class TestServingCaches:
         real = service_mod.model_fingerprint
         monkeypatch.setattr(service_mod, "model_fingerprint",
                             lambda m: calls.append(1) or real(m))
-        suspect = dfg_from_verilog(ADDER)
+        suspect = extract_rtl(ADDER)
         index.query_graph(suspect, model, k=1)
         index.query_graph(suspect, model, k=1)
         index.query_graph(suspect, model, k=1)

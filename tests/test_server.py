@@ -315,20 +315,25 @@ class TestMicroBatching:
               batch_window_s=0.05)
 
     def test_non_finite_vector_fails_only_its_request(self, session):
-        """A NaN vector (which JSON bodies can carry) is that request's
-        409, like a width mismatch; its gulp-mate still gets matches."""
+        """A NaN vector (which JSON bodies can carry) or an all-zero one
+        is that request's 409, like a width mismatch; its gulp-mate
+        still gets matches."""
         vector = session.fingerprint(ADDER).vector
         poisoned = np.array(vector, dtype=np.float64)
         poisoned[0] = np.nan
+        zero = np.zeros_like(poisoned)
 
         async def scenario(server, client):
-            good, bad = await asyncio.gather(
+            good, bad, flat = await asyncio.gather(
                 client.query(vectors=[vector], k=1),
                 expect_error(client.query(vectors=[poisoned], k=1), 409,
-                             "IndexStoreError"))
+                             "IndexStoreError"),
+                expect_error(client.query(vectors=[vector, zero], k=1),
+                             409, "IndexStoreError"))
             assert good["results"][0]["matches"][0]["design"] == "adder"
             assert "finite" in str(bad)
-            # Both rode one micro-batch gulp.
+            assert "all zero" in str(flat)
+            # All three rode one micro-batch gulp.
             assert server.batcher.batches == 1
 
         serve(session, scenario, batch_window_s=0.05)

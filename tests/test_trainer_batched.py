@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import GNN4IP, GraphRecord, Trainer, build_pair_dataset
-from repro.dataflow import dfg_from_verilog
 from repro.designs import rtl_records
+from repro.ir.frontends import get_frontend
 from repro.nn.batch import (
     batched_backward,
     batched_forward,
     batched_pair_loss,
     pack_prepared,
 )
+
+extract_rtl = get_frontend("rtl").extract
 
 XOR = """
 module x(input a, input b, output y);
@@ -35,13 +37,13 @@ endmodule
 @pytest.fixture(scope="module")
 def dataset():
     records = [
-        GraphRecord("xor", "x0", dfg_from_verilog(XOR)),
-        GraphRecord("xor", "x1", dfg_from_verilog(XOR.replace("a ^ b",
+        GraphRecord("xor", "x0", extract_rtl(XOR)),
+        GraphRecord("xor", "x1", extract_rtl(XOR.replace("a ^ b",
                                                               "b ^ a"))),
-        GraphRecord("and", "a0", dfg_from_verilog(AND)),
-        GraphRecord("and", "a1", dfg_from_verilog(AND.replace("a & b",
+        GraphRecord("and", "a0", extract_rtl(AND)),
+        GraphRecord("and", "a1", extract_rtl(AND.replace("a & b",
                                                               "b & a"))),
-        GraphRecord("cnt", "c0", dfg_from_verilog(COUNTER)),
+        GraphRecord("cnt", "c0", extract_rtl(COUNTER)),
     ]
     return build_pair_dataset(records, test_fraction=0.2, seed=1)
 
@@ -200,9 +202,9 @@ class TestBatchedTrainer:
     def test_reused_trainer_prepares_new_dataset(self, dataset):
         """A second dataset of the same size is scored on its own graphs."""
         other = build_pair_dataset(
-            [GraphRecord("and", f"a{k}", dfg_from_verilog(AND))
+            [GraphRecord("and", f"a{k}", extract_rtl(AND))
              for k in range(2)]
-            + [GraphRecord("cnt", f"c{k}", dfg_from_verilog(COUNTER))
+            + [GraphRecord("cnt", f"c{k}", extract_rtl(COUNTER))
                for k in range(3)], test_fraction=0.2, seed=1)
         assert len(other.records) == len(dataset.records)
         model = GNN4IP(seed=0)

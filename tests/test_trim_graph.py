@@ -1,16 +1,20 @@
-"""Tests for the DFG container and the trim pass."""
+"""Tests for the RTL graph container and the trim pass."""
 
-import numpy as np
-
-from repro.dataflow.graph import DFG, KIND_CONST, KIND_OP, KIND_SIGNAL
-from repro.dataflow.pipeline import dfg_from_verilog
+from repro.dataflow import analyze, elaborate
 from repro.dataflow.trim import collapse_pass_through, prune_unreachable, trim
+from repro.ir import KIND_CONST, KIND_OP, KIND_SIGNAL, GraphIR
+from repro.ir.frontends import get_frontend
+from repro.verilog import parse_source
+
+
+def signal(graph, name, role):
+    return graph.add_node(KIND_SIGNAL, role, name)
 
 
 def build_sample():
-    graph = DFG("sample")
-    y = graph.add_signal("y", "output")
-    a = graph.add_signal("a", "input")
+    graph = GraphIR("sample")
+    y = signal(graph, "y", "output")
+    a = signal(graph, "a", "input")
     op = graph.add_node(KIND_OP, "unot")
     graph.add_edge(y, op)
     graph.add_edge(op, a)
@@ -24,19 +28,6 @@ class TestDFGContainer:
         assert graph.num_edges == 2
         assert graph.successors(y) == [op]
         assert graph.predecessors(a) == [op]
-
-    def test_signal_dedup(self):
-        graph = DFG()
-        first = graph.add_signal("x", "wire")
-        second = graph.add_signal("x", "output")
-        assert first == second
-        assert graph.nodes[first].label == "output"  # role upgraded
-
-    def test_role_never_downgraded(self):
-        graph = DFG()
-        node = graph.add_signal("x", "output")
-        graph.add_signal("x", "wire")
-        assert graph.nodes[node].label == "output"
 
     def test_duplicate_edge_ignored(self):
         graph, y, a, op = build_sample()
@@ -56,13 +47,6 @@ class TestDFGContainer:
         sub = graph.subgraph([y, a, op])
         assert len(sub) == 3
         assert sub.num_edges == 2
-
-    def test_to_networkx(self):
-        graph, *_ = build_sample()
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == 3
-        assert nx_graph.number_of_edges() == 2
-        assert nx_graph.nodes[0]["kind"] == KIND_SIGNAL
 
     def test_adjacency_symmetric(self):
         graph, *_ = build_sample()
@@ -89,30 +73,28 @@ class TestTrim:
         assert len(trimmed) == 3
 
     def test_prune_keeps_everything_without_outputs(self):
-        graph = DFG()
-        x = graph.add_signal("x", "wire")
+        graph = GraphIR()
+        x = signal(graph, "x", "wire")
         c = graph.add_node(KIND_CONST, "const", "1")
         graph.add_edge(x, c)
         trimmed = prune_unreachable(graph)
         assert len(trimmed) == 2
 
     def test_collapse_buffer(self):
-        graph = DFG()
-        y = graph.add_signal("y", "output")
-        a = graph.add_signal("a", "input")
+        graph = GraphIR()
+        y = signal(graph, "y", "output")
+        a = signal(graph, "a", "input")
         buf = graph.add_node(KIND_OP, "buf")
         graph.add_edge(y, buf)
         graph.add_edge(buf, a)
         collapsed = collapse_pass_through(graph)
-        assert len(collapsed) == 2
-        y2 = collapsed.signal_id("y")
-        a2 = collapsed.signal_id("a")
-        assert collapsed.successors(y2) == [a2]
+        assert collapsed.labels() == ["output", "input"]
+        assert collapsed.successors(0) == [1]
 
     def test_collapse_buffer_chain(self):
-        graph = DFG()
-        y = graph.add_signal("y", "output")
-        a = graph.add_signal("a", "input")
+        graph = GraphIR()
+        y = signal(graph, "y", "output")
+        a = signal(graph, "a", "input")
         b1 = graph.add_node(KIND_OP, "buf")
         b2 = graph.add_node(KIND_OP, "buf")
         graph.add_edge(y, b1)
@@ -122,19 +104,19 @@ class TestTrim:
         assert len(collapsed) == 2
 
     def test_single_operand_concat_collapsed(self):
-        graph = DFG()
-        y = graph.add_signal("y", "output")
-        a = graph.add_signal("a", "input")
+        graph = GraphIR()
+        y = signal(graph, "y", "output")
+        a = signal(graph, "a", "input")
         concat = graph.add_node(KIND_OP, "concat")
         graph.add_edge(y, concat)
         graph.add_edge(concat, a)
         assert len(collapse_pass_through(graph)) == 2
 
     def test_multi_operand_concat_kept(self):
-        graph = DFG()
-        y = graph.add_signal("y", "output")
-        a = graph.add_signal("a", "input")
-        b = graph.add_signal("b", "input")
+        graph = GraphIR()
+        y = signal(graph, "y", "output")
+        a = signal(graph, "a", "input")
+        b = signal(graph, "b", "input")
         concat = graph.add_node(KIND_OP, "concat")
         graph.add_edge(y, concat)
         graph.add_edge(concat, a)
@@ -149,8 +131,8 @@ module m(input a, input b, output y);
   assign y = a & b;
 endmodule
 """
-        untrimmed = dfg_from_verilog(text, do_trim=False)
-        trimmed = dfg_from_verilog(text, do_trim=True)
+        untrimmed = analyze(elaborate(parse_source(text)))
+        trimmed = get_frontend("rtl").extract(text)
         assert len(trimmed) < len(untrimmed)
         names = {n.name for n in trimmed.nodes if n.kind == KIND_SIGNAL}
         assert "unused" not in names
@@ -163,7 +145,7 @@ module m(input a, input b, output y);
   and (y, t, b);
 endmodule
 """
-        once = dfg_from_verilog(text)
+        once = get_frontend("rtl").extract(text)
         twice = trim(once)
         assert len(once) == len(twice)
         assert once.num_edges == twice.num_edges

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core import GNN4IP
-from repro.dataflow import dfg_from_verilog
 from repro.errors import IndexStoreError
 from repro.index import (
     FingerprintIndex,
@@ -35,7 +34,10 @@ from repro.index.wlsig import (
     load_signatures,
     write_signatures,
 )
+from repro.ir.frontends import get_frontend
 from repro.ir.graphir import GraphIR
+
+extract_rtl = get_frontend("rtl").extract
 
 WIDE = """
 module wide(input [3:0] a, input [3:0] b, input [3:0] c,
@@ -77,7 +79,7 @@ class TestColors:
             assert wl_colors(grafted)[color] >= count
 
     def test_radius_widens_the_context(self):
-        graph = dfg_from_verilog(WIDE)
+        graph = extract_rtl(WIDE)
         assert len(wl_colors(graph, radius=2)) >= len(wl_colors(graph,
                                                                radius=1))
 
@@ -91,10 +93,9 @@ class TestColors:
         script.write_text(
             "import json, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
-            "from repro.dataflow import dfg_from_verilog\n"
             "from repro.index import wl_colors\n"
-            "from test_wlsig import WIDE\n"
-            "colors = wl_colors(dfg_from_verilog(WIDE))\n"
+            "from test_wlsig import WIDE, extract_rtl\n"
+            "colors = wl_colors(extract_rtl(WIDE))\n"
             "print(json.dumps(sorted(map(list, colors.items()))))\n")
         here = Path(__file__).parent
         src = here.parent / "src"
@@ -104,7 +105,7 @@ class TestColors:
                  "PYTHONPATH": f"{src}:{here}",
                  "PATH": "/usr/bin:/bin"},
             capture_output=True, text=True, check=True)
-        local = sorted(map(list, wl_colors(dfg_from_verilog(WIDE)).items()))
+        local = sorted(map(list, wl_colors(extract_rtl(WIDE)).items()))
         assert json.loads(out.stdout) == json.loads(json.dumps(local))
 
 
