@@ -21,10 +21,8 @@ disjoint obfuscation-seed range from evaluation.
 """
 
 import numpy as np
-import pytest
 
 from conftest import report
-from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.designs import ISCAS_BENCHMARKS, iscas_records
 
 _STRENGTH = 1

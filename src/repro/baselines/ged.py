@@ -6,8 +6,6 @@ practical compromise and is still orders of magnitude slower than a GNN
 embedding comparison on large DFGs.
 """
 
-import numpy as np
-
 
 def _node_signature(graph, node_id):
     node = graph.nodes[node_id]

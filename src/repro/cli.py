@@ -577,10 +577,8 @@ def _cmd_serve(args):
     _apply_delta_override(detector, args)
     session = Session(detector=detector, corpus=corpus)
     return run(session, host=args.host, port=args.port,
-               max_batch=args.max_batch,
-               batch_window_s=args.batch_window_ms / 1000.0,
-               workers=args.workers, max_pending=args.max_pending,
-               log_json=args.log_json)
+               max_batch=args.max_batch, workers=args.workers,
+               max_pending=args.max_pending, log_json=args.log_json)
 
 
 def build_parser():
@@ -913,9 +911,6 @@ def build_parser():
                          help="decision-boundary override")
     p_serve.add_argument("--max-batch", type=int, default=256,
                          help="max concurrent requests per micro-batch")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="how long a request waits for concurrent "
-                              "arrivals to coalesce")
     p_serve.add_argument("--workers", type=int, default=0,
                          help="fork N partitioned query workers and "
                               "scatter-gather each batch across them "

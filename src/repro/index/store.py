@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.persist import load_model
-from repro.errors import IndexStoreError
+from repro.errors import IndexStoreError, ModelError
 from repro.index.ann import IVF_NAME, IVFIndex, ivf_filename, ivf_plan
 from repro.index.cache import DFGCache
 from repro.index.chunks import ChunkConfig, chunk_parts, extract_chunks
@@ -126,6 +126,16 @@ def _read_meta(root):
         return json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IndexStoreError(f"corrupt index metadata: {exc}") from exc
+
+
+def refuse_zero_suspects(vectors, offsets, names):
+    """Raise :class:`ModelError` naming the first suspect whose whole-
+    design row (the first part of each ``offsets`` group) is exactly
+    zero: it would score 0.0 against every design and flag nothing."""
+    dead = np.flatnonzero(~vectors[offsets[:-1]].any(axis=1))
+    if dead.size:
+        raise ModelError(f"zero embedding for {names[dead[0]]}: it cannot "
+                         f"be ranked")
 
 
 class FingerprintIndex:
@@ -535,11 +545,13 @@ class FingerprintIndex:
         Raises:
             IndexStoreError: when ``model`` is not the model the index was
                 built with (its embeddings would not be comparable).
+            ModelError: when a suspect embeds to the zero vector.
         """
         service = self.service_for(model)
         struct = self.suspect_struct(graphs)
         parts, offsets, regions = self.suspect_parts(graphs, model.encoder)
         vectors = service.embed_graphs(parts)
+        refuse_zero_suspects(vectors, offsets, [g.name for g in graphs])
         return self.query_parts(vectors, offsets, regions, k=k,
                                 delta=model.delta, nprobe=nprobe,
                                 exact=exact, struct=struct)

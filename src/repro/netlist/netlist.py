@@ -9,7 +9,7 @@ front-end.
 from dataclasses import dataclass, field
 
 from repro.errors import NetlistError
-from repro.netlist.cells import DFF, PRIMITIVE_GATES, cell
+from repro.netlist.cells import DFF, cell
 
 #: Reserved constant nets (driven to fixed values by the simulator).
 CONST0 = "1'b0"

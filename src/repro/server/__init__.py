@@ -29,9 +29,9 @@ def _announce(message):
     print(message, flush=True)
 
 
-def run(session, host="127.0.0.1", port=8000, max_batch=256,
-        batch_window_s=0.002, workers=0, max_pending=None, log_json=False,
-        drain_timeout_s=30.0, announce=_announce):
+def run(session, host="127.0.0.1", port=8000, max_batch=256, workers=0,
+        max_pending=None, log_json=False, drain_timeout_s=30.0,
+        announce=_announce):
     """Serve ``session`` until SIGINT/SIGTERM; returns a process exit code.
 
     Announces ``serving on http://host:port`` (the real port, so
@@ -46,7 +46,6 @@ def run(session, host="127.0.0.1", port=8000, max_batch=256,
     async def _main():
         server = ReproServer(session, host=host, port=port,
                              max_batch=max_batch,
-                             batch_window_s=batch_window_s,
                              workers=workers, max_pending=max_pending,
                              log_json=log_json)
         await server.start()

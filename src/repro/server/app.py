@@ -33,15 +33,11 @@ import numpy as np
 
 from repro import __version__
 from repro.api.types import QueryResult, encode_json
-from repro.errors import IndexStoreError, ReproError
+from repro.errors import IndexStoreError, ModelError, ReproError
 from repro.index.engine import ZERO_VECTOR_MESSAGE
+from repro.index.store import refuse_zero_suspects
 from repro.server.batcher import BacklogFull, MicroBatcher
-from repro.server.http import (
-    HttpError,
-    Request,  # noqa: F401  (re-export for tests/tooling)
-    read_request,
-    response_bytes,
-)
+from repro.server.http import HttpError, read_request, response_bytes
 from repro.server.metrics import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS_S,
@@ -147,8 +143,8 @@ class ReproServer:
     """
 
     def __init__(self, session, host="127.0.0.1", port=0, max_batch=256,
-                 batch_window_s=0.002, workers=0, max_pending=None,
-                 log_json=False, log_stream=None):
+                 workers=0, max_pending=None, log_json=False,
+                 log_stream=None):
         self.session = session
         self.host = host
         self.port = port
@@ -157,7 +153,6 @@ class ReproServer:
             raise ValueError("--workers needs a corpus-backed session")
         self.batcher = MicroBatcher(self._process_query_jobs,
                                     max_batch=max_batch,
-                                    max_delay_s=batch_window_s,
                                     max_pending=max_pending)
         self.pool = None
         self.log_json = bool(log_json)
@@ -229,9 +224,6 @@ class ReproServer:
                     await asyncio.wait_for(self._drained.wait(), timeout)
             self._drained = None
         await self.stop()
-
-    async def serve_forever(self):
-        await self._server.serve_forever()
 
     # -- connection handling -------------------------------------------------
     async def _handle(self, reader, writer):
@@ -465,13 +457,11 @@ class ReproServer:
             calibration = corpus.calibration()
         except ReproError as exc:
             return [exc] * len(jobs)
-        # Per job: flat part vectors, group prefix offsets (one group =
-        # one suspect), and per-part region descriptors.  On a chunk-less
+        # ready[idx] = (flat part vectors, group prefix offsets with one
+        # group per suspect, per-part region descriptors).  On a chunk-less
         # index every suspect is a single part and the engine call below
         # takes the legacy (bit-identical) path.
-        vectors_by_job = {}
-        offsets_by_job = {}
-        regions_by_job = {}
+        ready = {}
         struct_by_job = {}
 
         # Phase 1: extract every source suspect (pure-python, per job so
@@ -510,11 +500,14 @@ class ReproServer:
             else:
                 cursor = 0
                 for idx, (parts, offsets, regions) in parts_by_job.items():
-                    vectors_by_job[idx] = embedded[cursor:cursor
-                                                   + len(parts)]
-                    offsets_by_job[idx] = offsets
-                    regions_by_job[idx] = regions
+                    rows = embedded[cursor:cursor + len(parts)]
                     cursor += len(parts)
+                    try:
+                        refuse_zero_suspects(rows, offsets, jobs[idx].labels)
+                    except ModelError as exc:
+                        out[idx] = exc
+                        continue
+                    ready[idx] = rows, offsets, regions
 
         # Phase 2: validate vector suspects against the store width, for
         # finite values and for direction.
@@ -540,9 +533,8 @@ class ReproServer:
                 # the whole gulp, and a raise there would fail every job.
                 out[idx] = IndexStoreError(ZERO_VECTOR_MESSAGE)
                 continue
-            vectors_by_job[idx] = rows
-            offsets_by_job[idx] = list(range(len(rows) + 1))
-            regions_by_job[idx] = [None] * len(rows)
+            ready[idx] = (rows, list(range(len(rows) + 1)),
+                          [None] * len(rows))
 
         # Phase 3: one engine pass per distinct parameter group, with
         # every member job's part groups rebased into one offsets table.
@@ -555,17 +547,15 @@ class ReproServer:
                 groups.setdefault((job.k, job.nprobe, job.exact),
                                   []).append(idx)
         for (k, nprobe, exact), members in groups.items():
-            stacked = np.concatenate([vectors_by_job[idx]
-                                      for idx in members])
+            stacked = np.concatenate([ready[idx][0] for idx in members])
             offsets, regions, struct = [0], [], []
             for idx in members:
+                _, job_offsets, job_regions = ready[idx]
                 base = offsets[-1]
-                groups_in_job = len(offsets_by_job[idx]) - 1
-                offsets.extend(base + off
-                               for off in offsets_by_job[idx][1:])
-                regions.extend(regions_by_job[idx])
+                offsets.extend(base + off for off in job_offsets[1:])
+                regions.extend(job_regions)
                 struct.extend(struct_by_job.get(idx)
-                              or [None] * groups_in_job)
+                              or [None] * (len(job_offsets) - 1))
             if all(s is None for s in struct):
                 struct = None
             try:
@@ -597,7 +587,7 @@ class ReproServer:
                 continue
             cursor = 0
             for idx in members:
-                count = len(offsets_by_job[idx]) - 1
+                count = len(ready[idx][1]) - 1
                 per_suspect = hit_lists[cursor:cursor + count]
                 cursor += count
                 results = [QueryResult(label=label, matches=hits)

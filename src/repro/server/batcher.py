@@ -5,11 +5,13 @@ gulps and hands each gulp to a batch processor, so suspects that arrive
 together are embedded in one packed forward pass and scored with one
 BLAS matmul instead of one pass per request.
 
-The price is a small collection window (``max_delay_s``, default 2 ms)
-added to a lone request's latency; the payoff is that 64 concurrent
-single-suspect requests cost roughly one 64-row batch instead of 64
-1-row batches (see ``benchmarks/bench_query.py``'s served-vs-in-process
-floor).
+Batching is continuous: as soon as the worker is free it takes
+everything already queued, so requests that arrive while a pass runs
+in the executor form the next gulp.  The running pass is the collection
+window; there is no timer, and a request that finds the worker idle
+starts at once.  64 concurrent single-suspect requests still cost
+roughly one 64-row batch instead of 64 1-row batches (see
+``benchmarks/bench_query.py``'s served-vs-in-process floor).
 
 Backpressure: with ``max_pending`` set, a submit that would push the
 queue past the cap is refused with :class:`BacklogFull` instead of
@@ -36,17 +38,13 @@ class MicroBatcher:
             instance fails only that job's waiter, while an exception
             *raised* by the callable fails the whole gulp.
         max_batch: hard cap on jobs per gulp.
-        max_delay_s: how long the worker lingers after the first job to
-            let concurrent arrivals join the batch.
         max_pending: refuse submits past this many queued jobs
             (``None`` = unbounded, the historical behavior).
     """
 
-    def __init__(self, process, max_batch=256, max_delay_s=0.002,
-                 max_pending=None):
+    def __init__(self, process, max_batch=256, max_pending=None):
         self._process = process
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self.max_pending = max_pending
         self._queue = None
         self._worker = None
@@ -93,14 +91,13 @@ class MicroBatcher:
         return await future
 
     async def _run(self):
+        loop = asyncio.get_running_loop()
         while True:
+            # Everything queued while the previous pass ran is one gulp.
             batch = [await self._queue.get()]
-            if self.max_delay_s > 0:
-                await asyncio.sleep(self.max_delay_s)
             while len(batch) < self.max_batch and not self._queue.empty():
                 batch.append(self._queue.get_nowait())
             jobs = [job for job, _ in batch]
-            loop = asyncio.get_running_loop()
             try:
                 results = await loop.run_in_executor(None, self._process,
                                                      jobs)

@@ -13,7 +13,7 @@ import bisect
 import threading
 
 #: Log-spaced seconds: 1 ms .. 10 s covers a cold mmap page walk on the
-#: slow end and sub-batch-window responses on the fast end.
+#: slow end and single-vector responses on the fast end.
 LATENCY_BUCKETS_S = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 #: Powers of two up to the default ``max_batch``.

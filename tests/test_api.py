@@ -23,6 +23,7 @@ from repro.api import (
 from repro.cli import main
 from repro.core import GNN4IP, save_model
 from repro.errors import GraphIRError, IndexStoreError, ModelError
+from repro.index.service import EmbeddingService
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -43,6 +44,19 @@ module xchain(input [3:0] a, input [3:0] b, output x);
   assign x = ^(a ^ b);
 endmodule
 """
+
+
+def zero_rows_named(name):
+    """An ``EmbeddingService.embed_graphs`` that maps every part of the
+    design called ``name`` to the zero vector."""
+    embed = EmbeddingService.embed_graphs
+
+    def embed_graphs(service, graphs):
+        rows = embed(service, graphs)
+        rows[[g.name == name for g in graphs]] = 0.0
+        return rows
+
+    return embed_graphs
 
 
 @pytest.fixture
@@ -197,6 +211,18 @@ class TestSession:
         with pytest.raises(IndexStoreError, match="all zero"):
             session.query([vector, np.zeros_like(vector)], k=1)
         assert session.query([], k=1) == []
+
+    def test_query_refuses_suspect_that_embeds_to_zero(
+            self, built, detector, monkeypatch):
+        # The model maps "mux" to the zero vector: ranking it would score
+        # 0.0 against every design and flag nothing.
+        monkeypatch.setattr(EmbeddingService, "embed_graphs",
+                            zero_rows_named("mux"))
+        session = Session(detector=detector, corpus=built)
+        with pytest.raises(ModelError, match="zero embedding for mux"):
+            session.query([ADDER, MUX], k=1)
+        (result,) = session.query([ADDER], k=1)
+        assert result[0].design == "adder"
 
     def test_query_rejects_mixed_suspects(self, built, detector):
         session = Session(detector=detector, corpus=built)

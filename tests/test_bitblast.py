@@ -4,8 +4,6 @@ Every word-level operator is checked against Python integer semantics on
 randomized operands by building a tiny netlist and simulating it.
 """
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist.netlist import CONST0, CONST1, NetlistBuilder

@@ -33,7 +33,6 @@ from repro.calib import (
     threshold_sweep,
 )
 from repro.client import AsyncClient
-from repro.core.dataset import GraphRecord
 from repro.core.gnn4ip import GNN4IP
 from repro.designs import rtl_records
 from repro.errors import CalibrationError

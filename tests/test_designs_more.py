@@ -1,11 +1,8 @@
 """Functional tests for the design families not covered in test_designs."""
 
-import pytest
-
 from repro.dataflow import elaborate
 from repro.designs import get_family
-from repro.sim import RTLSimulator, check_netlists_equivalent
-from repro.synth import synthesize_verilog
+from repro.sim import RTLSimulator
 from repro.verilog import parse_source
 
 

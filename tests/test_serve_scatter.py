@@ -20,6 +20,7 @@ import json
 import os
 import signal
 import socket
+import threading
 import time
 
 import numpy as np
@@ -535,24 +536,111 @@ class TestHistogram:
         assert snap["p99"] == 0.0
 
 
-# -- micro-batcher backpressure and cancellation -----------------------------
+# -- micro-batcher: continuous gulps, backpressure, cancellation -------------
+
+class HeldProcess:
+    """A batch processor whose every pass waits for :meth:`release`.
+
+    Records each gulp as its pass starts, so a test can see a pass is
+    running in the executor and queue more work behind it.
+    """
+
+    def __init__(self):
+        self.gulps = []
+        self._permits = threading.Semaphore(0)
+
+    def __call__(self, jobs):
+        self.gulps.append(list(jobs))
+        assert self._permits.acquire(timeout=30), "pass never released"
+        return [f"ok:{job}" for job in jobs]
+
+    def started(self, passes):
+        return lambda: len(self.gulps) == passes
+
+    def release(self, passes=1):
+        self._permits.release(passes)
+
+
+async def _until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        await asyncio.sleep(0.001)
+
+
+def _finish_within(seconds, scenario):
+    """``asyncio.run(scenario())`` in a daemon thread that must finish
+    in ``seconds``."""
+    errors = []
+
+    def run():
+        try:
+            asyncio.run(scenario())
+        except BaseException as error:  # re-raised in the test's thread
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if errors:
+        raise errors[0]
+
 
 class TestBatcherEdges:
+    def test_arrivals_during_a_pass_form_the_next_gulp(self):
+        async def scenario():
+            process = HeldProcess()
+            batcher = MicroBatcher(process)
+            await batcher.start()
+            first = asyncio.create_task(batcher.submit("first"))
+            await _until(process.started(1))
+            rest = [asyncio.create_task(batcher.submit(f"j{i}"))
+                    for i in range(5)]
+            await _until(lambda: batcher.pending == 5)
+            process.release(2)
+            assert await first == "ok:first"
+            assert await asyncio.gather(*rest) == [f"ok:j{i}"
+                                                   for i in range(5)]
+            assert process.gulps == [["first"],
+                                     [f"j{i}" for i in range(5)]]
+            assert (batcher.batches, batcher.jobs) == (2, 6)
+            await batcher.stop()
+
+        asyncio.run(scenario())
+
+    def test_lone_submit_needs_no_timer(self):
+        """With the loop's clock stopped no timer can ever fire, so a
+        lone submit that completes was gulped without waiting."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            frozen = loop.time()
+            loop.time = lambda: frozen
+            batcher = MicroBatcher(lambda jobs: [f"ok:{j}" for j in jobs])
+            await batcher.start()
+            try:
+                assert await batcher.submit("solo") == "ok:solo"
+                assert (batcher.batches, batcher.jobs) == (1, 1)
+            finally:
+                await batcher.stop()
+                del loop.time
+
+        _finish_within(30, scenario)
+
     def test_backpressure_rejects_at_cap(self):
         async def scenario():
-            def process(jobs):
-                return [f"ok:{job}" for job in jobs]
-
-            batcher = MicroBatcher(process, max_delay_s=0.2,
-                                   max_pending=1)
+            process = HeldProcess()
+            batcher = MicroBatcher(process, max_pending=1)
             await batcher.start()
             first = asyncio.create_task(batcher.submit("a"))
-            await asyncio.sleep(0.01)  # worker gulped "a", queue empty
+            await _until(process.started(1))  # "a" held, queue empty
             second = asyncio.create_task(batcher.submit("b"))
-            await asyncio.sleep(0.01)  # "b" pending in the queue
+            await _until(lambda: batcher.pending == 1)  # "b" queued
             with pytest.raises(BacklogFull):
                 await batcher.submit("c")
             assert batcher.rejected == 1
+            process.release(2)
             assert await first == "ok:a"
             assert await second == "ok:b"
             await batcher.stop()
@@ -561,20 +649,24 @@ class TestBatcherEdges:
 
     def test_cancel_one_waiter_mid_batch(self):
         async def scenario():
-            def process(jobs):
-                time.sleep(0.05)  # the gulp is in the executor
-                return [f"ok:{job}" for job in jobs]
-
-            batcher = MicroBatcher(process, max_delay_s=0.01)
+            process = HeldProcess()
+            batcher = MicroBatcher(process)
             await batcher.start()
+            plug = asyncio.create_task(batcher.submit("plug"))
+            await _until(process.started(1))
             doomed = asyncio.create_task(batcher.submit("a"))
             kept = asyncio.create_task(batcher.submit("b"))
-            await asyncio.sleep(0.03)  # both gulped; executor running
+            await _until(lambda: batcher.pending == 2)
+            process.release()
+            assert await plug == "ok:plug"
+            await _until(process.started(2))  # a+b gulp in the executor
+            assert process.gulps[-1] == ["a", "b"]
             doomed.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await doomed
             # The surviving waiter still gets its result; the batcher
             # keeps serving afterwards.
+            process.release(2)
             assert await kept == "ok:b"
             assert await batcher.submit("c") == "ok:c"
             await batcher.stop()
@@ -732,15 +824,28 @@ class TestHttpScatterGather:
 
         async def scenario():
             server = ReproServer(Session(corpus=Corpus.open(root)),
-                                 port=0, workers=2,
-                                 batch_window_s=0.02)
+                                 port=0, workers=2)
             await server.start()
+            # Hold the query's pass so it is still in flight when the
+            # drain starts.
+            process = server.batcher._process
+            held, release = threading.Event(), threading.Event()
+
+            def gated(jobs):
+                held.set()
+                release.wait(30)
+                return process(jobs)
+
+            server.batcher._process = gated
             client = AsyncClient(port=server.port)
             pending = asyncio.create_task(client.query(
                 vectors=[_vector_suspects(queries)[0]], k=5))
-            while server.inflight == 0 and not pending.done():
-                await asyncio.sleep(0.001)
-            await server.drain(timeout=10)
+            await _until(held.is_set)
+            drain = asyncio.create_task(server.drain(timeout=10))
+            await asyncio.sleep(0.05)
+            assert not drain.done(), "drain did not wait for the request"
+            release.set()
+            await drain
             out = await pending
             assert out["results"][0]["matches"], \
                 "in-flight request lost during drain"

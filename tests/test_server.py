@@ -15,6 +15,7 @@ import pytest
 from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.client import AsyncClient, Client, ServerError
 from repro.core import GNN4IP
+from repro.index.service import EmbeddingService
 from repro.server import ReproServer
 
 ADDER = """
@@ -56,7 +57,6 @@ def netlist_session(tmp_path_factory):
 
 def serve(session, scenario, **server_kwargs):
     """Run ``scenario(server, async_client)`` against a live server."""
-    server_kwargs.setdefault("batch_window_s", 0.005)
 
     async def runner():
         server = ReproServer(session, port=0, **server_kwargs)
@@ -88,6 +88,55 @@ def serve_within(seconds, session, scenario, **server_kwargs):
     assert not thread.is_alive(), f"server still busy after {seconds} s"
     if errors:
         raise errors[0]
+
+
+class _Plug(Exception):
+    """Raised by the held pass :func:`one_gulp` queues requests behind."""
+
+
+async def until(predicate, timeout=30.0):
+    """Poll ``predicate`` on the event loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, \
+            "condition not reached"
+        await asyncio.sleep(0.001)
+
+
+async def one_gulp(server, *requests):
+    """Await ``requests`` after queuing them all behind a held pass, so
+    the batcher takes them as one gulp.
+
+    The held pass serves a plug job submitted straight to the batcher.
+    Its processor waits until every request is queued, then raises:
+    that fails the plug alone and leaves the served counters (gulps,
+    jobs) as if it had never run.
+    """
+    batcher = server.batcher
+    process = batcher._process
+    plug = object()
+    held, release = threading.Event(), threading.Event()
+
+    def gated(jobs):
+        if jobs[0] is plug:
+            held.set()
+            release.wait(30)
+            raise _Plug()
+        return process(jobs)
+
+    batcher._process = gated
+    try:
+        plugged = asyncio.ensure_future(batcher.submit(plug))
+        await until(held.is_set)
+        tasks = [asyncio.ensure_future(request) for request in requests]
+        await until(lambda: batcher.pending == len(tasks))
+        release.set()
+        with pytest.raises(_Plug):
+            await plugged
+        return await asyncio.gather(*tasks)
+    finally:
+        release.set()
+        batcher._process = process
 
 
 async def expect_error(coro, status, error_type=None):
@@ -241,7 +290,8 @@ class TestMicroBatching:
         vector = session.fingerprint(ADDER).vector
 
         async def scenario(server, client):
-            outs = await asyncio.gather(
+            outs = await one_gulp(
+                server,
                 *[client.query(vectors=[vector], k=1) for _ in range(16)])
             for out in outs:
                 assert out["results"][0]["matches"][0]["design"] == "adder"
@@ -250,18 +300,19 @@ class TestMicroBatching:
             # Coalescing happened: far fewer engine gulps than requests.
             assert stats["query_batches"] <= 8
 
-        serve(session, scenario, batch_window_s=0.05)
+        serve(session, scenario)
 
     def test_one_bad_suspect_fails_only_its_request(self, session):
         async def scenario(server, client):
-            good, bad = await asyncio.gather(
+            good, bad = await one_gulp(
+                server,
                 client.query(sources=[ADDER], k=1),
                 expect_error(client.query(sources=["module oops("]),
                              400))
             assert good["results"][0]["matches"][0]["design"] == "adder"
             assert bad.status == 400
 
-        serve(session, scenario, batch_window_s=0.05)
+        serve(session, scenario)
 
     def test_deeply_nested_suspect_fails_only_its_request(self, session):
         nested = "(" * 3000 + "a" + ")" * 3000
@@ -269,7 +320,8 @@ class TestMicroBatching:
                 f"assign y = {nested};\nendmodule")
 
         async def scenario(server, client):
-            first, bad, second = await asyncio.gather(
+            first, bad, second = await one_gulp(
+                server,
                 client.query(sources=[ADDER], k=1),
                 expect_error(client.query(sources=[deep]), 400),
                 client.query(sources=[MUX], k=1))
@@ -280,13 +332,14 @@ class TestMicroBatching:
             # All three rode one micro-batch gulp.
             assert server.batcher.batches == 1
 
-        serve(session, scenario, batch_window_s=0.05)
+        serve(session, scenario)
 
     def test_truncated_genvar_fails_only_its_request(self, session):
         # A source the parser once looped on forever, stalling the
         # extraction thread for every later request.
         async def scenario(server, client):
-            first, bad = await asyncio.gather(
+            first, bad = await one_gulp(
+                server,
                 client.query(sources=[ADDER], k=1),
                 expect_error(client.query(sources=["module m; genvar i"]),
                              400, "ParseError"))
@@ -295,12 +348,13 @@ class TestMicroBatching:
             second = await client.query(sources=[MUX], k=1)
             assert second["results"][0]["matches"][0]["design"] == "mux"
 
-        serve_within(60, session, scenario, batch_window_s=0.05)
+        serve_within(60, session, scenario)
 
     @pytest.mark.parametrize("fixture", ["session", "netlist_session"])
     def test_empty_design_fails_only_its_request(self, request, fixture):
         async def scenario(server, client):
-            first, bad, second = await asyncio.gather(
+            first, bad, second = await one_gulp(
+                server,
                 client.query(sources=[ADDER], k=1),
                 expect_error(client.query(sources=["module m(); endmodule"]),
                              400, "GraphIRError"),
@@ -311,8 +365,7 @@ class TestMicroBatching:
             # All three rode one micro-batch gulp.
             assert server.batcher.batches == 1
 
-        serve(request.getfixturevalue(fixture), scenario,
-              batch_window_s=0.05)
+        serve(request.getfixturevalue(fixture), scenario)
 
     def test_non_finite_vector_fails_only_its_request(self, session):
         """A NaN vector (which JSON bodies can carry) or an all-zero one
@@ -324,7 +377,8 @@ class TestMicroBatching:
         zero = np.zeros_like(poisoned)
 
         async def scenario(server, client):
-            good, bad, flat = await asyncio.gather(
+            good, bad, flat = await one_gulp(
+                server,
                 client.query(vectors=[vector], k=1),
                 expect_error(client.query(vectors=[poisoned], k=1), 409,
                              "IndexStoreError"),
@@ -336,7 +390,32 @@ class TestMicroBatching:
             # All three rode one micro-batch gulp.
             assert server.batcher.batches == 1
 
-        serve(session, scenario, batch_window_s=0.05)
+        serve(session, scenario)
+
+    def test_suspect_embedding_to_zero_fails_only_its_request(
+            self, session, monkeypatch):
+        embed = EmbeddingService.embed_graphs
+
+        def embed_graphs(service, graphs):
+            # The model maps every part of "mux" to the zero vector.
+            rows = embed(service, graphs)
+            rows[[g.name == "mux" for g in graphs]] = 0.0
+            return rows
+
+        monkeypatch.setattr(EmbeddingService, "embed_graphs", embed_graphs)
+
+        async def scenario(server, client):
+            good, bad = await one_gulp(
+                server,
+                client.query(sources=[ADDER], k=1),
+                expect_error(client.query(sources=[MUX], labels=["m.v"]),
+                             400, "ModelError"))
+            assert good["results"][0]["matches"][0]["design"] == "adder"
+            assert "zero embedding for m.v" in str(bad)
+            # Both rode one micro-batch gulp.
+            assert server.batcher.batches == 1
+
+        serve(session, scenario)
 
     def test_untyped_extraction_error_fails_only_its_request(
             self, session, monkeypatch):
@@ -350,7 +429,8 @@ class TestMicroBatching:
         monkeypatch.setattr(session, "extract", flaky_extract)
 
         async def scenario(server, client):
-            good, bad = await asyncio.gather(
+            good, bad = await one_gulp(
+                server,
                 client.query(sources=[ADDER], k=1),
                 expect_error(client.query(sources=[MUX]), 500,
                              "ValueError"))
@@ -359,7 +439,7 @@ class TestMicroBatching:
             # Both rode one micro-batch gulp.
             assert server.batcher.batches == 1
 
-        serve(session, scenario, batch_window_s=0.05)
+        serve(session, scenario)
 
 
 class TestErrorEnvelopes:
