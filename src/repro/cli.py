@@ -48,15 +48,7 @@ from pathlib import Path
 from repro import __version__
 from repro.api import Corpus, Detector, IngestConfig, Session
 from repro.index.ingest import CHECKPOINT_NAME, walk_sources
-from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.core.persist import load_model, save_model  # noqa: F401 - re-export
-from repro.designs import (
-    default_rtl_families,
-    family_names,
-    materialize_corpus,
-    netlist_ir_records,
-    rtl_records,
-)
 from repro.errors import ReproError
 from repro.ir import KIND_SIGNAL
 from repro.ir.frontends import get_frontend
@@ -81,6 +73,13 @@ def _cmd_extract(args):
 
 
 def _cmd_train(args):
+    from repro.core import GNN4IP, Trainer, build_pair_dataset
+    from repro.designs import (
+        default_rtl_families,
+        netlist_ir_records,
+        rtl_records,
+    )
+
     if args.level == "netlist":
         families = args.families or None
         print(f"generating netlist corpus (synthesized RTL families) x "
@@ -181,9 +180,10 @@ def _cmd_compare(args):
 
 
 def _cmd_corpus(args):
+    from repro.designs import family_names, get_family
+
     names = family_names()
     print(f"{len(names)} registered design families:")
-    from repro.designs import get_family
     for name in names:
         family = get_family(name)
         styles = ", ".join(family.style_names())
@@ -240,6 +240,8 @@ def _print_failures(entries):
 def _cmd_index_build(args):
     paths = _collect_sources(args.sources)
     if args.families is not None:
+        from repro.designs import default_rtl_families, materialize_corpus
+
         families = args.families or default_rtl_families()
         corpus_dir = Path(args.index_dir) / "corpus"
         generated = materialize_corpus(corpus_dir, families=families,

@@ -213,11 +213,11 @@ class QueryEngine:
         self._rows = np.arange(self._offsets[-1], dtype=np.int64)
         self.hidden = (int(self._blocks[0].shape[1]) if self._blocks
                        else 0)
-        #: True when any stored row is a subgraph chunk; plain designs
-        #: keep the legacy (bit-identical) scoring paths.
-        self.chunked = any(e.get("kind") == "chunk" for e in entries)
         self._is_chunk = np.array([e.get("kind") == "chunk"
                                    for e in entries], dtype=bool)
+        #: True when any stored row is a subgraph chunk; plain designs
+        #: keep the legacy (bit-identical) scoring paths.
+        self.chunked = bool(self._is_chunk.any())
         if self.chunked:
             parent_of = np.array([int(e["parent_id"]) for e in entries],
                                  dtype=np.int64)

@@ -116,6 +116,10 @@ def _write_json_durable(path, payload):
     _fsync_dir(path.parent)
 
 
+def _corrupt(what):
+    return IndexStoreError(f"corrupt index metadata: {what}")
+
+
 def _read_meta(root):
     meta_path = Path(root) / META_NAME
     if not meta_path.is_file():
@@ -123,9 +127,57 @@ def _read_meta(root):
             f"no fingerprint index at {root} (missing {META_NAME}; "
             f"run 'gnn4ip index build' first)")
     try:
-        return json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise IndexStoreError(f"corrupt index metadata: {exc}") from exc
+        raise _corrupt(exc) from exc
+    if not isinstance(meta, dict):
+        raise _corrupt(f"the top level must be an object, not "
+                       f"{type(meta).__name__}")
+    return meta
+
+
+def _scan_tables(meta):
+    """Validate ``meta``'s entry and row tables in one pass over each.
+
+    Returns ``(ok_entries, rows, chunk_rows)``.  Raises
+    :class:`IndexStoreError` when a table has the wrong shape, when the
+    design rows and embedded entries disagree in number, or when an
+    embedded entry has no design row.
+    """
+    entries = meta.get("entries")
+    if not isinstance(entries, list):
+        raise _corrupt("'entries' is missing or not a list")
+    rows = meta.get("rows") or []
+    if not isinstance(rows, list):
+        raise _corrupt(f"'rows' must be a list, not {type(rows).__name__}")
+    try:
+        ok_entries = [e for e in entries if e["status"] == "ok"]
+    except (KeyError, TypeError):
+        bad = next(i for i, e in enumerate(entries)
+                   if not isinstance(e, dict) or "status" not in e)
+        raise _corrupt(f"entry {bad} has no 'status'") from None
+    try:
+        design_names = [spec["name"] for spec in rows
+                        if spec.get("kind") != "chunk"]
+    except (AttributeError, KeyError, TypeError):
+        bad = next(i for i, spec in enumerate(rows)
+                   if not isinstance(spec, dict)
+                   or (spec.get("kind") != "chunk" and "name" not in spec))
+        raise _corrupt(f"row {bad} is neither a chunk nor a named "
+                       f"design") from None
+    if len(design_names) != len(ok_entries):
+        raise IndexStoreError(
+            f"row table lists {len(design_names)} design rows but the "
+            f"metadata lists {len(ok_entries)} embedded entries "
+            f"(partial write? rebuild the index)")
+    designs = set(design_names)
+    for entry in ok_entries:
+        if entry.get("name") not in designs:
+            raise IndexStoreError(
+                f"embedded entry {entry.get('name')!r} has no design row "
+                f"in the row table (corrupt metadata? rebuild the "
+                f"index)")
+    return ok_entries, rows, len(rows) - len(design_names)
 
 
 def refuse_zero_suspects(vectors, offsets, names):
@@ -146,30 +198,15 @@ class FingerprintIndex:
         self.meta = meta
         self.shards = shards
         self.ivf = ivf
+        #: ``rows`` is the row table: one spec per stored shard row, in
+        #: global row order ({"kind": "design", "name": ...} or
+        #: {"kind": "chunk", "parent": ..., "region": {...}}).
+        self._ok_entries, self.rows, self._chunk_rows = _scan_tables(meta)
         self.entries = meta["entries"]
-        self._ok_entries = [e for e in self.entries if e["status"] == "ok"]
-        #: Row table: one spec per stored shard row, in global row order
-        #: ({"kind": "design", "name": ...} or {"kind": "chunk",
-        #: "parent": ..., "region": {...}}).
-        self.rows = meta.get("rows") or []
-        self._chunk_rows = 0
-        self._design_row_by_name = {}
-        for row, spec in enumerate(self.rows):
-            if spec.get("kind") == "chunk":
-                self._chunk_rows += 1
-            else:
-                self._design_row_by_name[spec["name"]] = row
-        self._row_by_key = {}
-        self._entry_by_key = {}
-        for entry in self._ok_entries:
-            row = self._design_row_by_name.get(entry["name"])
-            if row is None:
-                raise IndexStoreError(
-                    f"embedded entry {entry['name']!r} has no design row "
-                    f"in the row table (corrupt metadata? rebuild the "
-                    f"index)")
-            self._row_by_key.setdefault(entry["key"], row)
-            self._entry_by_key.setdefault(entry["key"], entry)
+        #: Content key -> design row / ok entry (the first entry with a
+        #: key wins), built on the first key lookup.
+        self._row_by_key = None
+        self._entry_by_key = None
         self._matrix = None
         self._engine = None
         self._frontend = None
@@ -207,20 +244,19 @@ class FingerprintIndex:
                 f"index version {version!r} is not supported "
                 f"(expected {FORMAT_VERSION}); rebuild the index")
         store_spec = meta.get("store") or {}
-        shards = ShardStore(root, store_spec.get("hidden", 0),
-                            store_spec.get("shards", []))
-        rows = meta.get("rows") or []
-        ok_rows = sum(1 for e in meta["entries"] if e["status"] == "ok")
-        design_rows = sum(1 for r in rows if r.get("kind") != "chunk")
-        if design_rows != ok_rows:
-            raise IndexStoreError(
-                f"row table lists {design_rows} design rows but the "
-                f"metadata lists {ok_rows} embedded entries "
-                f"(partial write? rebuild the index)")
-        if shards.rows != len(rows):
+        if not isinstance(store_spec, dict):
+            raise _corrupt(f"'store' must be an object, not "
+                           f"{type(store_spec).__name__}")
+        try:
+            shards = ShardStore(root, store_spec.get("hidden", 0),
+                                store_spec.get("shards", []))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _corrupt(f"bad shard specs in 'store': {exc!r}") from exc
+        index = cls(root, meta, shards)
+        if shards.rows != len(index.rows):
             raise IndexStoreError(
                 f"embedding store has {shards.rows} rows but the "
-                f"metadata lists {len(rows)} rows "
+                f"metadata lists {len(index.rows)} rows "
                 f"(partial write? rebuild the index)")
         shards.open()  # size validation; no data is read
         # The quantizer is an optional accelerator, never a correctness
@@ -235,9 +271,10 @@ class FingerprintIndex:
                 ivf = IVFIndex.load(_ivf_path(root, meta))
             except IndexStoreError:
                 ivf = None
-            if ivf is not None and ivf.rows != len(rows):
+            if ivf is not None and ivf.rows != len(index.rows):
                 ivf = None
-        return cls(root, meta, shards, ivf=ivf)
+        index.ivf = ivf
+        return index
 
     def model(self, **kwargs):
         """The model persisted with the index."""
@@ -478,15 +515,31 @@ class FingerprintIndex:
         return self.engine.merge_groups(partials, offsets, regions, k=k,
                                         delta=delta, struct=struct)
 
+    def _key_maps(self):
+        """``(row_by_key, entry_by_key)``, built on first use: a lookup
+        service needs them, a vector-serving process never does."""
+        if self._row_by_key is None:
+            design_row = {spec["name"]: row
+                          for row, spec in enumerate(self.rows)
+                          if spec.get("kind") != "chunk"}
+            row_by_key, entry_by_key = {}, {}
+            for entry in self._ok_entries:
+                row_by_key.setdefault(entry["key"],
+                                      design_row[entry["name"]])
+                entry_by_key.setdefault(entry["key"], entry)
+            self._entry_by_key = entry_by_key
+            self._row_by_key = row_by_key
+        return self._row_by_key, self._entry_by_key
+
     def lookup_key(self, key):
         """Stored (unit float32) embedding for a content key, or None."""
-        row = self._row_by_key.get(key)
+        row = self._key_maps()[0].get(key)
         return None if row is None else self.shards.row(row)
 
     def entry_for_key(self, key):
         """The ok-entry dict whose embedding ``lookup_key`` would return,
         or None when the content key is not indexed."""
-        return self._entry_by_key.get(key)
+        return self._key_maps()[1].get(key)
 
     def query_vector(self, vector, k=5, delta=0.0, nprobe=None,
                      exact=False):

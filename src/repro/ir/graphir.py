@@ -16,7 +16,6 @@ adjacency, so orientation only matters to structural queries.
 import itertools
 
 import numpy as np
-from scipy import sparse
 
 #: Node kinds shared by every frontend.  ``op`` nodes carry an operator
 #: label, ``signal`` nodes a role label (input/output/wire/reg), ``const``
@@ -153,6 +152,8 @@ class GraphIR:
             symmetric: union with the transpose, which is what the GCN
                 propagation (Eq. 5) expects for undirected message passing.
         """
+        from scipy import sparse  # deferred: scipy is slow to import
+
         n = len(self.nodes)
         rows, cols = self.edge_arrays()
         data = np.ones(len(rows), dtype=dtype)

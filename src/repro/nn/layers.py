@@ -10,7 +10,6 @@ sparse @ dense @ W (:func:`repro.nn.batch.batched_forward`).
 """
 
 import numpy as np
-from scipy import sparse
 
 
 class Parameter:
@@ -103,6 +102,10 @@ def normalize_edges(rows, cols, num_nodes, add_self_loops=True):
         num_nodes: matrix size N.
         add_self_loops: add the identity (the paper's ``A + I``).
     """
+    # Deferred: importing scipy is most of a process's start-up, and
+    # only embedding a graph needs it.
+    from scipy import sparse
+
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if add_self_loops:

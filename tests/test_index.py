@@ -306,6 +306,63 @@ class TestFingerprintIndex:
         with pytest.raises(IndexStoreError, match="no design row"):
             FingerprintIndex.load(root)
 
+    def test_load_detects_design_row_count_mismatch(self, built, tmp_path):
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        meta["entries"][0]["status"] = "error"
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(IndexStoreError,
+                           match="row table lists 4 design rows but the "
+                                 "metadata lists 3 embedded entries"):
+            FingerprintIndex.load(root)
+
+    def test_load_detects_store_row_count_mismatch(self, built, tmp_path):
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        meta["store"]["shards"][0]["rows"] += 1
+        (root / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(IndexStoreError,
+                           match="embedding store has 5 rows but the "
+                                 "metadata lists 4 rows"):
+            FingerprintIndex.load(root)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda meta: [meta], "the top level must be an object, not list"),
+        (lambda meta: {k: v for k, v in meta.items() if k != "entries"},
+         "'entries' is missing or not a list"),
+        (lambda meta: dict(meta, entries=[
+            {k: v for k, v in e.items() if k != "status"}
+            for e in meta["entries"]]),
+         "entry 0 has no 'status'"),
+        (lambda meta: dict(meta, rows=5), "'rows' must be a list, not int"),
+        (lambda meta: dict(meta, store=[1]),
+         "'store' must be an object, not list"),
+        (lambda meta: dict(meta, store=dict(meta["store"], shards=[{}])),
+         "bad shard specs in 'store': KeyError('rows')"),
+    ], ids=["top-level-list", "no-entries", "entry-without-status",
+            "rows-not-a-list", "store-not-an-object", "shard-without-rows"])
+    def test_load_refuses_malformed_meta(self, built, tmp_path, corrupt,
+                                         message):
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        (root / "meta.json").write_text(json.dumps(corrupt(meta)))
+        with pytest.raises(IndexStoreError) as info:
+            FingerprintIndex.load(root)
+        assert str(info.value) == f"corrupt index metadata: {message}"
+
+    def test_first_entry_with_a_key_wins(self, built, tmp_path):
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        first, second = meta["entries"][:2]
+        second["key"] = first["key"]
+        (root / "meta.json").write_text(json.dumps(meta))
+        index = FingerprintIndex.load(root)
+        assert index.entry_for_key(first["key"]) is index.entries[0]
+        row = next(i for i, spec in enumerate(meta["rows"])
+                   if spec.get("name") == first["name"])
+        np.testing.assert_array_equal(index.lookup_key(first["key"]),
+                                      index.matrix[row])
+
     def test_warm_rebuild_hits_cache(self, built, tmp_path, corpus_paths):
         _, report, model = built
         assert report["cache"]["hits"] == 0

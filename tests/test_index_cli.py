@@ -155,6 +155,14 @@ class TestIndexStats:
         assert "model_hash" in out
         assert "last build" in out
 
+    def test_malformed_meta_is_an_error_line(self, index_dir, capsys):
+        meta_path = index_dir / "meta.json"
+        meta_path.write_text(json.dumps([json.loads(meta_path.read_text())]))
+        assert main(["index", "stats", str(index_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt index metadata: ")
+        assert "Traceback" not in err
+
 
 class TestCompareWithIndex:
     def test_reuses_index_embeddings(self, index_dir, corpus, capsys):
