@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from conftest import FULL, OUT_DIR, report
+from repro.api import Corpus, Detector, Session
 from repro.designs import materialize_corpus
 from repro.index import IngestConfig, ingest_corpus
 from repro.index.ingest import CHECKPOINT_NAME
@@ -281,14 +282,16 @@ def bench_ingest_kill_and_resume(corpus, tmp_path_factory):
         work / "onego", subset, GNN4IP(seed=SEED),
         IngestConfig(jobs=1, flush_rows=flush_rows, use_cache=False))
 
-    model = resumed_index.model()
+    detector = Detector.from_model(resumed_index.model())
+    resumed = Session(detector=detector, corpus=Corpus(resumed_index))
+    onego = Session(detector=detector, corpus=Corpus(uninterrupted))
     suspects = [open(subset[i]).read()
                 for i in range(0, n_kill, max(1, n_kill // 5))][:5]
     max_delta = 0.0
     for text in suspects:
         graph = get_frontend("rtl").extract(text)
-        got = resumed_index.query_graph(graph, model, k=10)
-        want = uninterrupted.query_graph(graph, model, k=10)
+        (got,) = resumed.query([graph], k=10)
+        (want,) = onego.query([graph], k=10)
         assert [h.name for h in got] == [h.name for h in want]
         deltas = np.abs(np.array([h.score for h in got])
                         - np.array([h.score for h in want]))

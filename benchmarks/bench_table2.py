@@ -98,8 +98,9 @@ def bench_table2_similarity_cases(benchmark, rtl_trained, config):
     # Robust parts of the paper's qualitative claim: same-design pairs
     # score near +1 and far above both other categories; different-design
     # pairs score low.  The finer case3 > case1 ordering is reported above
-    # and discussed in EXPERIMENTS.md — at this corpus scale it holds for
-    # most but not all seeds, so it is not asserted.
+    # but not asserted: in the committed benchmarks/out/table2.txt case 3
+    # (+0.4427) sits below case 1 (+0.4809).  That same case 1 mean
+    # clears the mean1 < 0.5 ceiling by only 0.02.
     assert mean2 > 0.8
     assert mean2 > mean3 + 0.3
     assert mean2 > mean1 + 0.3

@@ -17,7 +17,7 @@ Three facade objects cover the paper's deployment workflow:
 """
 
 from repro.api.config import DetectorConfig
-from repro.api.facade import Corpus, Detector, Session
+from repro.api.facade import Corpus, Detector, QueryJob, Session
 from repro.index.ingest import IngestConfig, walk_sources
 from repro.api.types import (
     ORIGIN_CACHE,
@@ -31,7 +31,7 @@ from repro.api.types import (
 
 __all__ = [
     "DetectorConfig", "IngestConfig", "walk_sources",
-    "Detector", "Corpus", "Session",
+    "Detector", "Corpus", "Session", "QueryJob",
     "Comparison", "Fingerprint", "Match", "QueryResult",
     "ORIGIN_CACHE", "ORIGIN_EXTRACTED", "ORIGIN_INDEX",
 ]

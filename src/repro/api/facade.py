@@ -25,6 +25,7 @@ ending in ``.v``), or a string of Verilog source text.
 """
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,8 @@ from repro.api.types import (
 from repro.calib import ARTIFACT_NAME, Calibration
 from repro.core.gnn4ip import GNN4IP
 from repro.core.persist import load_model
-from repro.errors import IndexStoreError, ModelError
+from repro.errors import IndexStoreError, ModelError, ReproError
 from repro.index.cache import DFGCache
-from repro.index.engine import ZERO_VECTOR_MESSAGE
 from repro.index.ingest import ingest_corpus
 from repro.index.service import EmbeddingService
 from repro.index.shards import assign_partitions
@@ -52,6 +52,7 @@ from repro.index.store import (
     FORMAT_VERSION,
     FingerprintIndex,
     migrate_index,
+    refuse_zero_suspects,
 )
 from repro.ir.frontends import get_frontend
 from repro.ir.graphir import GraphIR
@@ -98,6 +99,28 @@ def _resolve_suspect(suspect, label=None, allow_paths=True):
         return None, suspect, label
     raise TypeError(f"suspect must be a GraphIR, a path, or Verilog "
                     f"source text, not {type(suspect).__name__}")
+
+
+@dataclass
+class QueryJob:
+    """One query request for :meth:`Session.query_jobs`.
+
+    A job carries ``suspects`` (GraphIRs, paths or Verilog source; see
+    the module docstring) or ``vectors`` (precomputed embeddings, one
+    per row), not both.  ``labels`` name the suspects in the results; a
+    missing label falls back to the suspect's own name (a graph's, a
+    path), then to ``suspect[i]``.  ``allow_paths=False`` takes every
+    string as source text (untrusted input; see :func:`_resolve_suspect`).
+    """
+
+    suspects: list = None
+    vectors: object = None
+    labels: list = None
+    k: int = 5
+    nprobe: int = None
+    exact: bool = False
+    top: str = None
+    allow_paths: bool = True
 
 
 class Detector:
@@ -239,9 +262,10 @@ class Detector:
 class Corpus:
     """A fingerprint index on disk, wrapped for facade consumers.
 
-    All constructors go through the v3 on-disk format checks: a v2 index
-    is refused with a migration message
+    All constructors go through the v4 on-disk format checks: a v2 or v3
+    index is refused with a migration message
     (:class:`~repro.errors.IndexStoreError`), use :meth:`migrate`.
+    Queries run through :meth:`Session.query`.
     """
 
     #: Sentinel: the calibration artifact has not been looked up yet
@@ -264,7 +288,7 @@ class Corpus:
                 partial queries to partition ``which`` of ``count``
                 balanced shard-file partitions (see
                 :func:`repro.index.shards.assign_partitions`).  Whole-
-                corpus queries (:meth:`query` etc.) are unaffected; the
+                corpus queries (:meth:`Session.query`) are unaffected; the
                 mmap'd shards are shared through the OS page cache, and
                 IVF queries add one resident copy of each partition's
                 rows (the engine's inverted lists), so N partitioned
@@ -490,53 +514,6 @@ class Corpus:
     def entry_for_key(self, key):
         """The stored ok-entry dict for a content key, or ``None``."""
         return self._index.entry_for_key(key)
-
-    def query(self, suspects, k=5, nprobe=None, exact=False, detector=None,
-              labels=None):
-        """Rank the corpus against suspect graphs, batched.
-
-        Args:
-            suspects: :class:`~repro.ir.graphir.GraphIR` list (embedded
-                in one batched pass with the corpus model, or
-                ``detector``'s when given).
-            detector: optional model override; its fingerprint must match
-                the index (:class:`~repro.errors.IndexStoreError`).
-
-        Returns:
-            One :class:`~repro.api.types.QueryResult` per suspect, in
-            input order.
-        """
-        detector = detector if detector is not None else self.detector()
-        hit_lists = self._index.query_graphs(list(suspects), detector.model,
-                                             k=k, nprobe=nprobe,
-                                             exact=exact)
-        return self._wrap_results(hit_lists, suspects, labels)
-
-    def query_vectors(self, vectors, k=5, delta=0.0, nprobe=None,
-                      exact=False, labels=None):
-        """Rank the corpus against precomputed embedding vectors.
-
-        Raises:
-            IndexStoreError: when a vector is all zero.
-        """
-        rows = np.asarray(vectors, dtype=np.float64)
-        if rows.size and not np.atleast_2d(rows).any(axis=-1).all():
-            raise IndexStoreError(ZERO_VECTOR_MESSAGE)
-        hit_lists = self._index.query_many(vectors, k=k, delta=delta,
-                                           nprobe=nprobe, exact=exact)
-        return self._wrap_results(hit_lists, vectors, labels)
-
-    def _wrap_results(self, hit_lists, suspects, labels):
-        if labels is None:
-            labels = [getattr(s, "name", None) or f"suspect[{i}]"
-                      for i, s in enumerate(suspects)]
-        results = [QueryResult(label=label, matches=hits)
-                   for label, hits in zip(labels, hit_lists)]
-        artifact = self.calibration()
-        if artifact is not None:
-            for result in results:
-                artifact.annotate_matches(result.matches)
-        return results
 
 
 class Session:
@@ -790,30 +767,188 @@ class Session:
         """Rank the corpus against a batch of suspects.
 
         Suspects may be GraphIRs, paths, source strings, or — for
-        callers that already hold embeddings (e.g. the HTTP server's
-        vector requests) — numeric vectors; forms cannot be mixed with
-        vectors in one call.  Graph suspects are embedded in **one**
+        callers that already hold embeddings — numeric vectors; forms
+        cannot be mixed with vectors in one call.  The batch is one
+        :meth:`query_jobs` job: graph suspects are embedded in **one**
         batched forward pass and scored in one engine call.
+        """
+        suspects = list(suspects)
+        vectors = [np.asarray(s, dtype=np.float64) for s in suspects
+                   if isinstance(s, (np.ndarray, list, tuple))]
+        if vectors and len(vectors) != len(suspects):
+            raise TypeError("cannot mix vector suspects with "
+                            "graph/source suspects in one query")
+        job = QueryJob(suspects=None if vectors else suspects,
+                       vectors=vectors or None, labels=labels, k=k,
+                       nprobe=nprobe, exact=exact, top=top,
+                       allow_paths=allow_paths)
+        (outcome,) = self.query_jobs([job])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def query_jobs(self, jobs, score=None):
+        """Serve a batch of query jobs with shared heavy passes.
+
+        The one suspect-query pipeline: :meth:`query` runs it for one
+        job, the HTTP server for each micro-batched gulp.  In order, it
+
+        1. extracts every job's suspects and decomposes them the way the
+           corpus is stored (parts, and structural scores on a signed
+           index);
+        2. embeds every part across the jobs in one batched pass;
+        3. refuses a suspect whose whole-design row embeds to zero;
+        4. validates vector jobs
+           (:meth:`~repro.index.engine.QueryEngine.check_vectors`);
+        5. scores each group of jobs with one ``score`` call;
+        6. labels the hit lists and annotates them with the corpus
+           calibration.
+
+        A group only holds jobs that would be routed the same way alone:
+        the same ``k``, ``nprobe`` and ``exact``, and all fused (ranked
+        with the structural channel) or none.  A job's hits therefore do
+        not depend on the other jobs in its batch.
+
+        Args:
+            jobs: :class:`QueryJob` list.
+            score: ``callable(vectors, offsets, regions, k=, delta=,
+                nprobe=, exact=, struct=)`` returning one hit list per
+                offsets group; defaults to
+                :meth:`~repro.index.store.FingerprintIndex.query_parts`
+                (the server passes its scatter-gather here).
+
+        Returns:
+            One entry per job, in order: its
+            :class:`~repro.api.types.QueryResult` list, or the exception
+            that failed that job alone.  Any exception from extracting a
+            job's suspects is that job's; a shared pass (embedding,
+            scoring) hands its :class:`~repro.errors.ReproError` to
+            every job it served and lets any other exception escape.
+
+        Raises:
+            ModelError: when the session has no corpus bound.
         """
         if self.corpus is None:
             raise ModelError("this session has no corpus bound; "
                              "open one with Session.open(index_dir)")
-        suspects = list(suspects)
-        vectors = [np.asarray(s, dtype=np.float64) for s in suspects
-                   if isinstance(s, (np.ndarray, list, tuple))]
-        if vectors:
-            if len(vectors) != len(suspects):
-                raise TypeError("cannot mix vector suspects with "
-                                "graph/source suspects in one query")
-            return self.corpus.query_vectors(vectors, k=k,
-                                             delta=self.default_delta,
-                                             nprobe=nprobe, exact=exact,
-                                             labels=labels)
-        if labels is None:
-            labels = [_resolve_suspect(s, allow_paths=allow_paths)[2]
-                      or f"suspect[{i}]"
-                      for i, s in enumerate(suspects)]
-        graphs = [self.extract(s, top=top, allow_paths=allow_paths)
-                  for s in suspects]
-        return self.corpus.query(graphs, k=k, nprobe=nprobe, exact=exact,
-                                 detector=self.detector, labels=labels)
+        index = self.corpus.index
+        if score is None:
+            score = index.query_parts
+        out = [None] * len(jobs)
+        # A stale artifact fails every job loudly: silently dropping
+        # probabilities would hide the problem.
+        try:
+            calibration = self.corpus.calibration()
+        except ReproError as exc:
+            return [exc] * len(jobs)
+        # ready[idx] = (part vectors, group prefix offsets with one group
+        # per suspect, per-part regions, per-suspect structural scores or
+        # None, labels).
+        ready = {}
+        extracted = {}
+        for idx, job in enumerate(jobs):
+            if job.vectors is not None:
+                continue
+            try:
+                extracted[idx] = self._decompose(job)
+            except Exception as exc:
+                # Typed errors become the job's 4xx at the server;
+                # anything else its 500, which names the type only.
+                out[idx] = exc
+        if extracted:
+            try:
+                service = index.service_for(self.detector.model)
+                embedded = service.embed_graphs(
+                    [part for parts, *_ in extracted.values()
+                     for part in parts])
+            except ReproError as exc:
+                for idx in extracted:
+                    out[idx] = exc
+            else:
+                cursor = 0
+                for idx, (parts, offsets, regions, struct, labels,
+                          names) in extracted.items():
+                    rows = embedded[cursor:cursor + len(parts)]
+                    cursor += len(parts)
+                    try:
+                        refuse_zero_suspects(rows, offsets, names)
+                    except ModelError as exc:
+                        out[idx] = exc
+                    else:
+                        ready[idx] = rows, offsets, regions, struct, labels
+        for idx, job in enumerate(jobs):
+            if job.vectors is None:
+                continue
+            # Each supplied vector is its own single-part group.
+            try:
+                rows = index.engine.check_vectors(job.vectors)
+            except ReproError as exc:
+                out[idx] = exc
+                continue
+            ready[idx] = (rows, list(range(len(rows) + 1)),
+                          [None] * len(rows), None,
+                          job.labels or [None] * len(rows))
+
+        groups = {}
+        for idx, entry in ready.items():
+            job = jobs[idx]
+            key = (job.k, job.nprobe, job.exact, entry[3] is not None)
+            groups.setdefault(key, []).append(idx)
+        # default_delta keeps verdicts call-order independent
+        # (model-less synthetic stores fall back to 0.0).
+        delta = self.default_delta
+        for (k, nprobe, exact, fused), members in groups.items():
+            offsets, regions, struct = [0], [], []
+            for idx in members:
+                _, job_offsets, job_regions, job_struct, _ = ready[idx]
+                base = offsets[-1]
+                offsets.extend(base + off for off in job_offsets[1:])
+                regions.extend(job_regions)
+                struct.extend(job_struct or ())
+            try:
+                hit_lists = score(
+                    np.concatenate([ready[idx][0] for idx in members]),
+                    offsets, regions, k=k, delta=delta, nprobe=nprobe,
+                    exact=exact, struct=struct if fused else None)
+            except ReproError as exc:
+                for idx in members:
+                    out[idx] = exc
+                continue
+            cursor = 0
+            for idx in members:
+                labels = ready[idx][4]
+                results = [
+                    QueryResult(label=label or f"suspect[{i}]",
+                                matches=hits)
+                    for i, (label, hits) in enumerate(zip(
+                        labels, hit_lists[cursor:cursor + len(labels)]))]
+                cursor += len(labels)
+                if calibration is not None:
+                    for result in results:
+                        calibration.annotate_matches(result.matches)
+                out[idx] = results
+        return out
+
+    def _decompose(self, job):
+        """A suspect job's graphs, decomposed the way the corpus is
+        stored: ``(parts, offsets, regions, struct, labels, names)``.
+
+        A label is the caller's, else the suspect's own name (a graph's,
+        a path), else ``None``; ``names`` name the suspects in errors
+        (the label, else the graph's name).
+        """
+        index = self.corpus.index
+        graphs, labels = [], []
+        for suspect, label in zip(job.suspects,
+                                  job.labels or [None] * len(job.suspects)):
+            graph, text, label = _resolve_suspect(
+                suspect, label, allow_paths=job.allow_paths)
+            if graph is None:
+                graph = self.extract(text, top=job.top, allow_paths=False)
+            graphs.append(graph)
+            labels.append(label)
+        parts, offsets, regions = index.suspect_parts(
+            graphs, self.detector.model.encoder)
+        return (parts, offsets, regions, index.suspect_struct(graphs),
+                labels, [label or graph.name
+                         for label, graph in zip(labels, graphs)])

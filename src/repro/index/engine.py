@@ -16,7 +16,7 @@ multi-worker serving agree bit for bit by construction.
 - **Batched scoring** — a whole batch of suspects is scored against each
   shard with one BLAS matmul per shard, instead of one pass per suspect.
   Single-row batches are padded to two rows before the matmul so BLAS
-  always takes the same gemm kernel: a lone ``query_vector`` call is
+  always takes the same gemm kernel: a lone query vector is
   **bit-identical** to the same vector inside any batch (OpenBLAS routes
   1-row gemms to a differently-rounded kernel otherwise).  A row's score
   never depends on which partition scored it.
@@ -90,9 +90,9 @@ import numpy as np
 from repro.errors import IndexStoreError
 from repro.index.match import Match
 
-#: Why an all-zero query vector is refused where client vectors enter
-#: (the server's request validation, ``Corpus.query_vectors``): it has no
-#: direction, so it scores 0.0 against every row and flags nothing.
+#: Why :meth:`QueryEngine.check_vectors` refuses an all-zero client
+#: vector: it has no direction, so it scores 0.0 against every row and
+#: flags nothing.
 ZERO_VECTOR_MESSAGE = ("query vectors must not be all zero (a zero vector "
                        "scores 0.0 against every row)")
 
@@ -235,14 +235,14 @@ class QueryEngine:
         return int(self._offsets[-1])
 
     # -- scoring -------------------------------------------------------------
-    def _as_queries(self, vectors):
-        """Unit float32 query batch, validated against the store width
-        and for finite values."""
+    def _checked(self, vectors):
+        """``(n, hidden)`` float64 query batch, validated against the
+        store width and for finite values."""
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.size == 0:
             # Any empty input (including a plain []) is an empty batch,
             # not a shape error.
-            return np.empty((0, self.hidden), dtype=np.float32)
+            return np.empty((0, self.hidden))
         if queries.ndim == 1:
             queries = queries[None]
         if queries.ndim != 2 or queries.shape[1] != self.hidden:
@@ -252,6 +252,26 @@ class QueryEngine:
         if not np.isfinite(queries).all():
             raise IndexStoreError(
                 "query vectors must be finite (no NaN or infinity)")
+        return queries
+
+    def check_vectors(self, vectors):
+        """Client-supplied query vectors as an ``(n, hidden)`` float64
+        batch.
+
+        Raises:
+            IndexStoreError: on a wrong width, a value that is not
+                finite, or an all-zero row (:data:`ZERO_VECTOR_MESSAGE`).
+                Embedded suspect parts skip the zero check: a chunk may
+                embed to zero where its whole design does not.
+        """
+        queries = self._checked(vectors)
+        if not queries.any(axis=1).all():
+            raise IndexStoreError(ZERO_VECTOR_MESSAGE)
+        return queries
+
+    def _as_queries(self, vectors):
+        """Unit float32 query batch (see :meth:`_checked`)."""
+        queries = self._checked(vectors)
         norms = np.linalg.norm(queries, axis=1, keepdims=True)
         unit = queries / np.maximum(norms, 1e-12)
         return np.ascontiguousarray(unit, dtype=np.float32)

@@ -34,9 +34,11 @@ chunk rows serves bit-identically to v3.
 
 Opening an index is ``stat`` + ``mmap`` — no decompression, no
 re-normalization (v2 paid both on every load).  Queries run through the
-batched :class:`~repro.index.engine.QueryEngine`; the embedding service
-and frontend are cached on the index object so a lookup service embeds
-each suspect once and never re-fingerprints the model per call.
+batched :class:`~repro.index.engine.QueryEngine` (the suspect pipeline
+that feeds it is :meth:`repro.api.facade.Session.query_jobs`); the
+embedding service and frontend are cached on the index object so a
+lookup service embeds each suspect once and never re-fingerprints the
+model per call.
 
 One writer builds and grows indexes: the streaming ingest
 (:func:`repro.index.ingest.ingest_corpus`).  ``index build`` is a fresh
@@ -541,29 +543,12 @@ class FingerprintIndex:
         or None when the content key is not indexed."""
         return self._key_maps()[1].get(key)
 
-    def query_vector(self, vector, k=5, delta=0.0, nprobe=None,
-                     exact=False):
-        """Top-k entries by cosine similarity to ``vector``.
-
-        Delegates to :meth:`query_many` with a batch of one, so single
-        and batched queries share one code path (and, in exact mode, are
-        bit-identical).
-        """
-        return self.query_many([vector], k=k, delta=delta, nprobe=nprobe,
-                               exact=exact)[0]
-
-    def query_many(self, vectors, k=5, delta=0.0, nprobe=None,
-                   exact=False):
-        """Top-k hit lists for a whole batch of query vectors."""
-        return self.engine.query_many(vectors, k=k, delta=delta,
-                                      nprobe=nprobe, exact=exact)
-
     def service_for(self, model, batch_size=64):
         """A fingerprint-checked :class:`EmbeddingService` for ``model``.
 
-        Cached on the index (keyed by model identity): repeated
-        ``query_graph`` calls stop re-hashing every model weight per
-        call, which used to dominate small-query latency.
+        Cached on the index (keyed by model identity): repeated queries
+        stop re-hashing every model weight per call, which used to
+        dominate small-query latency.
 
         Raises:
             IndexStoreError: when ``model`` is not the model the index
@@ -577,37 +562,6 @@ class FingerprintIndex:
                     "(rebuild the index or query with its own model)")
             self._service = service
         return self._service
-
-    def query_graph(self, graph, model, k=5, nprobe=None, exact=False):
-        """Embed a suspect graph and rank it against the index."""
-        return self.query_graphs([graph], model, k=k, nprobe=nprobe,
-                                 exact=exact)[0]
-
-    def query_graphs(self, graphs, model, k=5, nprobe=None, exact=False):
-        """Embed many suspects in one batched pass and rank each.
-
-        On a chunked index every suspect is decomposed like the corpus
-        (:meth:`suspect_parts`), all parts are embedded in the same
-        batched pass, and chunk-level scores are aggregated back to one
-        ranked design list per suspect.  When the index carries
-        structural signatures (``signatures.json``), ranking fuses the
-        embedding channel with WL reverse containment
-        (:mod:`repro.index.wlsig`) so a grafted fraction of a stored
-        design outranks incidental host overlap.
-
-        Raises:
-            IndexStoreError: when ``model`` is not the model the index was
-                built with (its embeddings would not be comparable).
-            ModelError: when a suspect embeds to the zero vector.
-        """
-        service = self.service_for(model)
-        struct = self.suspect_struct(graphs)
-        parts, offsets, regions = self.suspect_parts(graphs, model.encoder)
-        vectors = service.embed_graphs(parts)
-        refuse_zero_suspects(vectors, offsets, [g.name for g in graphs])
-        return self.query_parts(vectors, offsets, regions, k=k,
-                                delta=model.delta, nprobe=nprobe,
-                                exact=exact, struct=struct)
 
     def stats(self):
         """Summary dict for reports and the ``index stats`` command."""

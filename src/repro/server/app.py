@@ -5,8 +5,10 @@
 
 - ``POST /v1/fingerprint`` — embed one design.
 - ``POST /v1/query`` — rank the corpus against suspects (multi-suspect
-  per request; concurrent requests micro-batched into one embedding
-  pass + one BLAS matmul per parameter group).
+  per request; concurrent requests micro-batched through
+  :meth:`~repro.api.facade.Session.query_jobs`, the pipeline
+  ``Session.query`` runs: one embedding pass, one engine call per
+  routing group).
 - ``POST /v1/compare`` — pairwise piracy check.
 - ``GET /v1/healthz`` / ``GET /v1/stats`` — liveness and counters.
 
@@ -27,15 +29,13 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import __version__
-from repro.api.types import QueryResult, encode_json
-from repro.errors import IndexStoreError, ModelError, ReproError
-from repro.index.engine import ZERO_VECTOR_MESSAGE
-from repro.index.store import refuse_zero_suspects
+from repro.api.facade import QueryJob
+from repro.api.types import encode_json
+from repro.errors import IndexStoreError, ReproError
 from repro.server.batcher import BacklogFull, MicroBatcher
 from repro.server.http import HttpError, read_request, response_bytes
 from repro.server.metrics import (
@@ -72,19 +72,6 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass
-class _QueryJob:
-    """One ``/v1/query`` request queued for micro-batched processing."""
-
-    sources: list = None       # Verilog source strings (exclusive with
-    vectors: object = None     # a (n, hidden) float array)
-    labels: list = field(default_factory=list)
-    k: int = 5
-    nprobe: int = None
-    exact: bool = False
-    top: str = None
-
-
 def _parse_suspects(payload):
     """Split a request's suspect list into sources/vectors + labels."""
     suspects = payload.get("suspects")
@@ -100,7 +87,7 @@ def _parse_suspects(payload):
         label = suspect.get("label")
         if label is not None and not isinstance(label, str):
             raise HttpError(400, f"suspects[{i}].label must be a string")
-        labels.append(label or f"suspect[{i}]")
+        labels.append(label)
         if "vector" in suspect and "source" in suspect:
             raise HttpError(400, f"suspects[{i}] carries both a 'source' "
                                  f"and a 'vector'; send one")
@@ -115,6 +102,15 @@ def _parse_suspects(payload):
         raise HttpError(400, "cannot mix 'source' and 'vector' suspects "
                              "in one request")
     return sources or None, vectors or None, labels
+
+
+def query_reply(results, serving):
+    """The ``/v1/query`` reply body: ``json.dumps`` of ``{"results":
+    [QueryResult.as_dict()], "serving": serving}``, written straight
+    from the hits."""
+    return ('{"results": [%s], "serving": %s}' % (
+        ", ".join([result.as_json() for result in results]),
+        encode_json(serving))).encode()
 
 
 def _top_of(payload):
@@ -420,181 +416,38 @@ class ReproServer:
             except (TypeError, ValueError) as exc:
                 raise HttpError(400, f"malformed vector suspects: {exc}") \
                     from exc
-        job = _QueryJob(sources=sources, vectors=vectors, labels=labels,
-                        k=k, nprobe=nprobe, exact=exact, top=top)
+        job = QueryJob(suspects=sources, vectors=vectors, labels=labels,
+                       k=k, nprobe=nprobe, exact=exact, top=top,
+                       allow_paths=False)
         try:
             results = await self.batcher.submit(job)
         except BacklogFull as exc:
             raise HttpError(429, f"server is at capacity: {exc}") from exc
-        # The reply is json.dumps of {"results": [QueryResult.as_dict()],
-        # "serving": ...}, written straight from the hits.
-        serving = self.session.serving_description(nprobe=nprobe,
-                                                   exact=exact)
-        return ('{"results": [%s], "serving": %s}' % (
-            ", ".join([result.as_json() for result in results]),
-            encode_json(serving))).encode()
+        return query_reply(results, self.session.serving_description(
+            nprobe=nprobe, exact=exact))
 
     # -- the batch processor (runs in the executor) --------------------------
     def _process_query_jobs(self, jobs):
-        """Serve a gulp of query jobs with shared heavy passes.
-
-        All source suspects across the gulp are embedded in **one**
-        packed forward pass, and all suspects sharing (k, nprobe, exact)
-        are scored with **one** engine call — the micro-batching win.
-        Per-job failures (bad Verilog, wrong vector width, an untyped
-        exception in extraction) become that job's error without failing
-        the gulp.
-        """
-        session = self.session
-        corpus = session.corpus
+        """Serve a gulp of query jobs through :meth:`Session.query_jobs`
+        (the pipeline ``Session.query`` runs), scatter-gathered across
+        the worker pool when there is one."""
         self.batch_jobs.observe(len(jobs))
-        out = [None] * len(jobs)
-        # The corpus's calibration annotates merged results identically
-        # to in-process serving (annotation is a pure function of the
-        # final match list).  A stale artifact fails the gulp loudly —
-        # silently dropping probabilities would hide the problem.
-        try:
-            calibration = corpus.calibration()
-        except ReproError as exc:
-            return [exc] * len(jobs)
-        # ready[idx] = (flat part vectors, group prefix offsets with one
-        # group per suspect, per-part region descriptors).  On a chunk-less
-        # index every suspect is a single part and the engine call below
-        # takes the legacy (bit-identical) path.
-        ready = {}
-        struct_by_job = {}
+        score = self._scatter if self.pool is not None else None
+        return self.session.query_jobs(jobs, score=score)
 
-        # Phase 1: extract every source suspect (pure-python, per job so
-        # one broken design only fails its own request) and decompose it
-        # the same way the corpus is stored ...
-        parts_by_job = {}
-        detector = None
-        for idx, job in enumerate(jobs):
-            if job.sources is None:
-                continue
-            try:
-                detector = session.detector
-                graphs = [
-                    session.extract(src, top=job.top, allow_paths=False)
-                    for src in job.sources]
-                parts_by_job[idx] = corpus.index.suspect_parts(
-                    graphs, detector.model.encoder)
-                # Structural scores for rank fusion (None on an index
-                # without signatures); vector suspects never get them —
-                # there is no graph to fingerprint structurally.
-                struct_by_job[idx] = corpus.index.suspect_struct(graphs)
-            except Exception as exc:
-                # Typed errors become the job's 4xx; anything else its
-                # 500, which names the exception type only.
-                out[idx] = exc
-        # ... then embed all parts across the gulp in one batched pass.
-        if parts_by_job:
-            flat = [g for parts, _, _ in parts_by_job.values()
-                    for g in parts]
-            try:
-                service = corpus.index.service_for(detector.model)
-                embedded = service.embed_graphs(flat)
-            except ReproError as exc:
-                for idx in parts_by_job:
-                    out[idx] = exc
-            else:
-                cursor = 0
-                for idx, (parts, offsets, regions) in parts_by_job.items():
-                    rows = embedded[cursor:cursor + len(parts)]
-                    cursor += len(parts)
-                    try:
-                        refuse_zero_suspects(rows, offsets, jobs[idx].labels)
-                    except ModelError as exc:
-                        out[idx] = exc
-                        continue
-                    ready[idx] = rows, offsets, regions
-
-        # Phase 2: validate vector suspects against the store width, for
-        # finite values and for direction.
-        # Each supplied vector is its own single-part group.
-        hidden = corpus.index.engine.hidden
-        for idx, job in enumerate(jobs):
-            if job.vectors is None or out[idx] is not None:
-                continue
-            rows = np.atleast_2d(np.asarray(job.vectors, dtype=np.float64))
-            if rows.ndim != 2 or rows.shape[1] != hidden:
-                out[idx] = IndexStoreError(
-                    f"query vectors have shape {rows.shape}, expected "
-                    f"(n, {hidden})")
-                continue
-            if not np.isfinite(rows).all():
-                # JSON bodies may carry NaN/Infinity; their scores would
-                # make a reply no strict JSON parser accepts.
-                out[idx] = IndexStoreError(
-                    "query vectors must be finite (no NaN or infinity)")
-                continue
-            if not rows.any(axis=1).all():
-                # Checked here, not in the engine: one engine call serves
-                # the whole gulp, and a raise there would fail every job.
-                out[idx] = IndexStoreError(ZERO_VECTOR_MESSAGE)
-                continue
-            ready[idx] = (rows, list(range(len(rows) + 1)),
-                          [None] * len(rows))
-
-        # Phase 3: one engine pass per distinct parameter group, with
-        # every member job's part groups rebased into one offsets table.
-        # Session.default_delta keeps verdicts call-order independent
-        # (model-less synthetic stores fall back to 0.0).
-        delta = session.default_delta
-        groups = {}
-        for idx, job in enumerate(jobs):
-            if out[idx] is None:
-                groups.setdefault((job.k, job.nprobe, job.exact),
-                                  []).append(idx)
-        for (k, nprobe, exact), members in groups.items():
-            stacked = np.concatenate([ready[idx][0] for idx in members])
-            offsets, regions, struct = [0], [], []
-            for idx in members:
-                _, job_offsets, job_regions = ready[idx]
-                base = offsets[-1]
-                offsets.extend(base + off for off in job_offsets[1:])
-                regions.extend(job_regions)
-                struct.extend(struct_by_job.get(idx)
-                              or [None] * (len(job_offsets) - 1))
-            if all(s is None for s in struct):
-                struct = None
-            try:
-                if self.pool is not None:
-                    # Scatter-gather: workers score their shard
-                    # partitions and return mergeable partials; the
-                    # engine's block-maxima merge plus fusion-at-the-
-                    # front (workers never see struct scores — only
-                    # which groups *have* them) keeps the results
-                    # bit-identical to the in-process call below.
-                    fused = (None if struct is None
-                             else [s is not None for s in struct])
-                    scatter_start = time.perf_counter()
-                    partials = self.pool.scatter(
-                        stacked, offsets, regions, k=k, delta=delta,
-                        nprobe=nprobe, exact=exact, fused=fused)
-                    self.scatter_seconds.observe(
-                        time.perf_counter() - scatter_start)
-                    hit_lists = corpus.index.merge_parts(
-                        partials, offsets, regions, k=k, delta=delta,
-                        struct=struct)
-                else:
-                    hit_lists = corpus.index.query_parts(
-                        stacked, offsets, regions, k=k, delta=delta,
-                        nprobe=nprobe, exact=exact, struct=struct)
-            except ReproError as exc:
-                for idx in members:
-                    out[idx] = exc
-                continue
-            cursor = 0
-            for idx in members:
-                count = len(ready[idx][1]) - 1
-                per_suspect = hit_lists[cursor:cursor + count]
-                cursor += count
-                results = [QueryResult(label=label, matches=hits)
-                           for label, hits in zip(jobs[idx].labels,
-                                                  per_suspect)]
-                if calibration is not None:
-                    for result in results:
-                        calibration.annotate_matches(result.matches)
-                out[idx] = results
-        return out
+    def _scatter(self, vectors, offsets, regions, k, delta, nprobe, exact,
+                 struct):
+        """Score one group on the workers: each scores its shard
+        partition and returns mergeable partials.  The engine's
+        block-maxima merge plus fusion at the front (workers never see
+        struct scores, only which groups *have* them) keeps the hits
+        bit-identical to the in-process ``query_parts``."""
+        fused = None if struct is None else [s is not None for s in struct]
+        started = time.perf_counter()
+        partials = self.pool.scatter(vectors, offsets, regions, k=k,
+                                     delta=delta, nprobe=nprobe,
+                                     exact=exact, fused=fused)
+        self.scatter_seconds.observe(time.perf_counter() - started)
+        return self.session.corpus.merge_parts(partials, offsets, regions,
+                                               k=k, delta=delta,
+                                               struct=struct)

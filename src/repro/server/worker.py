@@ -295,7 +295,7 @@ class WorkerPool:
 
         The returned list feeds :meth:`Corpus.merge_parts`, whose
         block-maxima merge makes the final hits bit-identical to a
-        single-process :meth:`Corpus.query_parts` call.
+        single-process :meth:`FingerprintIndex.query_parts` call.
 
         Raises:
             ReproError: re-raised worker-side query errors (same type

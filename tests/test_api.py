@@ -162,7 +162,8 @@ class TestCorpus:
 
     def test_query_returns_ranked_matches(self, built, detector):
         graph = built.frontend().extract(ADDER)
-        (result,) = built.query([graph], k=2, detector=detector)
+        session = Session(detector=detector, corpus=built)
+        (result,) = session.query([graph], k=2)
         assert [match.rank for match in result] == [1, 2]
         assert result[0].design == "adder"
         assert result[0].score == pytest.approx(1.0, abs=1e-6)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Detector, Session
 from repro.cli import main
 from repro.core import GNN4IP, HW2VEC, GraphSlice
 from repro.designs.base import family_names
@@ -369,7 +370,8 @@ class TestV4Store:
         frontend = NetlistFrontend()
         ok = [e for e in index.entries if e["status"] == "ok"]
         graph = frontend.extract_file(ok[0]["path"])
-        hits = index.query_graphs([graph], model, k=2)[0]
+        (hits,) = Session(detector=Detector.from_model(model),
+                          corpus=Corpus(index)).query([graph], k=2)
         assert hits[0].design == ok[0]["design"]
         assert hits[0].coverage is not None
 
@@ -506,14 +508,17 @@ endmodule
     def test_migrate_v3_roundtrip_preserves_scores(self, built):
         index, model = built
         suspect = extract_rtl(self.SOURCES["adder.v"])
-        before = index.query_graph(suspect, model, k=2)
+        detector = Detector.from_model(model)
+        (before,) = Session(detector=detector,
+                            corpus=Corpus(index)).query([suspect], k=2)
         self._downgrade_to_v3(index)
         migrated = migrate_index(index.root)
         assert migrated.meta["version"] == 4
         assert len(migrated.rows) == len(migrated)
         assert all(r["kind"] == "design" for r in migrated.rows)
         assert migrated.meta["chunks"] is None
-        after = migrated.query_graph(suspect, model, k=2)
+        (after,) = Session(detector=detector,
+                           corpus=Corpus(migrated)).query([suspect], k=2)
         assert [(h.name, h.score) for h in after] == \
             [(h.name, h.score) for h in before]
         # And the migrated index reloads cleanly.

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Detector, Session
 from repro.core import GNN4IP
 from repro.errors import GraphIRError, IndexStoreError
 from repro.index import (
@@ -21,6 +22,13 @@ from repro.ir import serialize as ir_serialize
 from repro.ir.frontends import get_frontend
 
 RTL = get_frontend("rtl")
+
+
+def query_graph(index, graph, model, k=5):
+    """``graph``'s hit list from ``index`` through ``Session.query``."""
+    session = Session(detector=Detector.from_model(model),
+                      corpus=Corpus(index))
+    return session.query([graph], k=k)[0].matches
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -236,7 +244,7 @@ class TestFingerprintIndex:
         index, _, model = built
         for path in corpus_paths:
             suspect = RTL.extract_file(path)
-            hits = index.query_graph(suspect, model, k=len(index))
+            hits = query_graph(index, suspect, model, k=len(index))
             brute = []
             for other in corpus_paths:
                 graph = RTL.extract_file(other)
@@ -253,7 +261,7 @@ class TestFingerprintIndex:
     def test_query_rejects_foreign_model(self, built):
         index, _, _ = built
         with pytest.raises(IndexStoreError):
-            index.query_graph(RTL.extract(ADDER), GNN4IP(seed=7))
+            query_graph(index, RTL.extract(ADDER), GNN4IP(seed=7))
 
     def test_lookup_key(self, built, corpus_paths):
         index, _, model = built

@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Session
 from repro.cli import main
 from repro.core import GNN4IP, save_model
 from repro.errors import IndexStoreError, ModelError
@@ -95,8 +96,8 @@ def corpus(corpus_dir):
 
 
 def top_hits(index, source, k=4):
-    model = index.model()
-    hits = index.query_graph(extract_rtl(source), model, k=k)
+    (hits,) = Session(corpus=Corpus(index)).query([extract_rtl(source)],
+                                                  k=k)
     return [(h.name, h.score) for h in hits]
 
 

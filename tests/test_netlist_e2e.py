@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Detector, Session
 from repro.cli import main
 from repro.core import GNN4IP, Trainer, build_pair_dataset
 from repro.designs import materialize_corpus, netlist_ir_records
@@ -45,7 +46,8 @@ class TestNetlistIndex:
         index, _, model = built
         for path in corpus_paths:
             graph = index.frontend().extract_file(path)
-            hits = index.query_graph(graph, model, k=1)
+            (hits,) = Session(detector=Detector.from_model(model),
+                              corpus=Corpus(index)).query([graph], k=1)
             assert hits[0].design == graph.name
             # Stored rows are float32-normalized; a self-match is 1.0
             # within float32 epsilon, not float64.

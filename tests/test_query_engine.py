@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Detector, Session
 from repro.cli import main
 from repro.core import GNN4IP
 from repro.errors import IndexStoreError
@@ -28,6 +29,13 @@ from repro.index.shards import unit_rows_f32
 from repro.ir.frontends import get_frontend
 
 extract_rtl = get_frontend("rtl").extract
+
+
+def query_graph(index, graph, model, k=5):
+    """``graph``'s hit list from ``index`` through ``Session.query``."""
+    session = Session(detector=Detector.from_model(model),
+                      corpus=Corpus(index))
+    return session.query([graph], k=k)[0].matches
 
 ADDER = """
 module adder(input [3:0] a, input [3:0] b, output [4:0] s);
@@ -118,11 +126,11 @@ class TestV2Migration:
     def test_migrate_v2_preserves_scores(self, built):
         index, _, model = built
         suspect = extract_rtl(ADDER)
-        before = index.query_graph(suspect, model, k=3)
+        before = query_graph(index, suspect, model, k=3)
         _downgrade_to_v2(index)
         migrated = migrate_v2(index.root)
         assert not (index.root / "embeddings.npz").exists()
-        after = migrated.query_graph(suspect, model, k=3)
+        after = query_graph(migrated, suspect, model, k=3)
         assert [(h.name, h.score) for h in after] == \
             [(h.name, h.score) for h in before]
 
@@ -193,29 +201,32 @@ class TestShardIntegrity:
 class TestExactBatched:
     def test_query_many_matches_query_vector_bitwise(self, built):
         """Every batched exact result must be bit-identical to the same
-        vector served alone through query_vector."""
+        vector served alone."""
         index, _, model = built
+        session = Session(detector=Detector.from_model(model),
+                          corpus=Corpus(index))
         rng = np.random.default_rng(5)
         batch = np.concatenate([index.matrix,
                                 rng.standard_normal((61, 16))])
-        many = index.query_many(batch, k=len(index), exact=True)
+        many = session.query(list(batch), k=len(index), exact=True)
         for vector, hits in zip(batch, many):
-            single = index.query_vector(vector, k=len(index), exact=True)
+            (single,) = session.query([vector], k=len(index), exact=True)
             assert [(h.name, h.score) for h in single] == \
                 [(h.name, h.score) for h in hits]
 
     def test_empty_batch_and_k_edge_cases(self, built):
         index, _, _ = built
-        assert index.query_many(np.empty((0, 16))) == []
-        assert index.query_many([]) == []
-        assert index.query_vector(index.matrix[0], k=0) == []
-        hits = index.query_vector(index.matrix[0], k=99)
+        session = Session(corpus=Corpus(index))
+        assert session.query(np.empty((0, 16))) == []
+        assert session.query([]) == []
+        assert session.query([index.matrix[0]], k=0)[0].matches == []
+        (hits,) = session.query([index.matrix[0]], k=99)
         assert len(hits) == len(index)
 
     def test_wrong_width_rejected(self, built):
         index, _, _ = built
         with pytest.raises(IndexStoreError, match="shape"):
-            index.query_vector(np.ones(7))
+            Session(corpus=Corpus(index)).query([np.ones(7)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_vector_rejected(self, built, bad):
@@ -223,7 +234,8 @@ class TestExactBatched:
         vector = np.array(index.matrix[0], dtype=np.float64)
         vector[3] = bad
         with pytest.raises(IndexStoreError, match="finite"):
-            index.query_many([index.matrix[1], vector], exact=True)
+            Session(corpus=Corpus(index)).query([index.matrix[1], vector],
+                                                exact=True)
 
     def test_tied_survivors_ordered_by_row(self):
         """Among the selected top-k, equal scores order by lower row id.
@@ -330,7 +342,7 @@ class TestIVF:
         (root / index.meta["ivf"]["file"]).write_bytes(b"junk")
         degraded = FingerprintIndex.load(root)
         assert degraded.ivf is None
-        hits = degraded.query_graph(extract_rtl(ADDER), model, k=1)
+        hits = query_graph(degraded, extract_rtl(ADDER), model, k=1)
         assert hits[0].name == "adder"
         assert degraded.stats()["ivf_clusters"] == 0
         # Simulated crash between ivf.save and the meta write: quantizer
@@ -500,7 +512,7 @@ class TestIncrementalAdd:
         assert len(grown) == len(index) + 1
         assert first_shard.read_bytes() == before_bytes
         assert (index.root / "shards" / "shard-00001.f32").is_file()
-        hits = grown.query_graph(extract_rtl(XOR_CHAIN), model, k=1)
+        hits = query_graph(grown, extract_rtl(XOR_CHAIN), model, k=1)
         assert hits[0].name == "xchain"
         assert hits[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -567,9 +579,9 @@ class TestServingCaches:
         monkeypatch.setattr(service_mod, "model_fingerprint",
                             lambda m: calls.append(1) or real(m))
         suspect = extract_rtl(ADDER)
-        index.query_graph(suspect, model, k=1)
-        index.query_graph(suspect, model, k=1)
-        index.query_graph(suspect, model, k=1)
+        query_graph(index, suspect, model, k=1)
+        query_graph(index, suspect, model, k=1)
+        query_graph(index, suspect, model, k=1)
         assert len(calls) == 1
 
     def test_frontend_cached(self, built):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.api import Corpus, Detector, Session
 from repro.core import GNN4IP
 from repro.errors import IndexStoreError
 from repro.index import (
@@ -278,7 +279,8 @@ class TestIndexedSignatures:
         if len(members) < 10:
             members = set(range(len(victim) // 2))
         suspect = victim.subgraph(members)
-        hits = index.query_graphs([suspect], model, k=2)[0]
+        (hits,) = Session(detector=Detector.from_model(model),
+                          corpus=Corpus(index)).query([suspect], k=2)
         assert hits[0].design == ok[0]["design"]
 
     def test_chunkless_build_writes_no_signatures(self, tmp_path):
