@@ -14,15 +14,19 @@ vectors, mimicking design families) and enforced:
   suspect) must be >= 5x faster than 64 single-vector queries.
 - **IVF vs exact** — the coarse-quantized path (probe the best clusters,
   exactly re-rank the candidates) must be >= 3x faster than exact
-  scoring while keeping recall@10 >= 0.95.
+  scoring while keeping recall@10 >= 0.95.  Its hits must also be the
+  exact top-10 of the probed pool (a brute-force re-rank of every
+  probed row): the engine skips the clusters whose score bound cannot
+  reach a query's top-k, and that skip must never change a hit.
 - **Served micro-batching** — 64 concurrent single-suspect queries
   through the HTTP service (``repro.server``, continuous batching:
   requests that queue while one engine pass runs share the next) must
   be >= 3x faster than the same 64 calls issued sequentially; the
   served-vs-in-process overhead factor is recorded alongside.
 
-Exact-mode ``query_many`` must also match per-vector ``query_vector``
-bit-for-bit (single-row batches are padded so BLAS keeps one kernel).
+A batched exact ``query_many`` must also match single-row
+``query_many`` calls bit-for-bit (single-row batches are padded so BLAS
+keeps one kernel).
 
 Scale comes from ``REPRO_BENCH_QUERY_N`` (default 50000).  The recall
 floor holds at any size; the timing floors are asserted only at >= 20000
@@ -178,8 +182,24 @@ def bench_batched_vs_single_queries(corpus, entries):
             f"batched serving only {speedup:.2f}x faster than singles"
 
 
+def probed_pool_top(corpus, ivf, queries, nprobe, k=10):
+    """Each query's top-k names and scores by brute force: every row of
+    its probed clusters scored, ranked by ``(-score, row id)``."""
+    unit = unit_rows_f32(queries)
+    order, starts = ivf.inverted_lists()
+    out = []
+    for query, probed in zip(unit, ivf.probe(unit, nprobe)):
+        pool = np.concatenate([order[starts[c]:starts[c + 1]]
+                               for c in probed])
+        scores = np.einsum("ij,j->i", corpus[pool], query)
+        top = np.lexsort((pool, -scores))[:k]
+        out.append((pool[top], scores[top]))
+    return out
+
+
 def bench_ivf_vs_exact(corpus, entries):
-    """IVF pre-filter must be >= 3x faster at recall@10 >= 0.95."""
+    """IVF pre-filter must be >= 3x faster at recall@10 >= 0.95, with
+    hits equal to a brute-force re-rank of the probed pool."""
     n_clusters = max(64, min(1024, int(round(4 * N ** 0.5))))
     nprobe = 8
     fit_start = time.perf_counter()
@@ -200,6 +220,11 @@ def bench_ivf_vs_exact(corpus, entries):
     recalls = [len({h.name for h in ex} & {h.name for h in ap}) / len(ex)
                for ex, ap in zip(exact, approx)]
     recall = float(np.mean(recalls))
+    pool_exact = all(
+        [h.name for h in hits] == [entries[r]["name"] for r in rows]
+        and np.allclose([h.score for h in hits], scores, rtol=0, atol=1e-6)
+        for hits, (rows, scores) in zip(
+            approx, probed_pool_top(corpus, ivf, queries, nprobe)))
 
     speedup = exact_s / ivf_s
     lines = [f"corpus: {N} rows, {n_clusters} clusters, "
@@ -208,7 +233,8 @@ def bench_ivf_vs_exact(corpus, entries):
              f"exact batch:  {exact_s * 1000:8.1f} ms",
              f"ivf batch:    {ivf_s * 1000:8.1f} ms",
              f"speedup:      {speedup:8.2f}x (required: >= 3x)",
-             f"recall@10:    {recall:8.4f} (required: >= 0.95)"]
+             f"recall@10:    {recall:8.4f} (required: >= 0.95)",
+             f"top-10 of the probed pool: {pool_exact}"]
     report("query_ivf_vs_exact", "\n".join(lines))
     _merge_json({"ivf_clusters": n_clusters, "nprobe": nprobe,
                  "ivf_queries": IVF_QUERIES,
@@ -217,8 +243,10 @@ def bench_ivf_vs_exact(corpus, entries):
                  "ivf_query_seconds": ivf_s,
                  "ivf_speedup": speedup,
                  "recall_at_10": recall,
+                 "ivf_equals_probed_pool": pool_exact,
                  "timing_floors_enforced": _assert_floors()})
     assert recall >= 0.95, f"IVF recall@10 only {recall:.4f}"
+    assert pool_exact, "IVF hits differ from the probed pool's top-10"
     if _assert_floors():
         assert speedup >= 3.0, \
             f"IVF serving only {speedup:.2f}x faster than exact"

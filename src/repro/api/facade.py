@@ -68,6 +68,22 @@ def _names_file(text):
         return False
 
 
+def _job_labels(job, count):
+    """A job's labels, one per suspect (``None`` where the caller gave
+    none).
+
+    Raises:
+        ValueError: when the job names a different number of labels than
+            it has suspects.
+    """
+    if job.labels is None:
+        return [None] * count
+    if len(job.labels) != count:
+        raise ValueError(f"{len(job.labels)} labels for {count} suspects; "
+                         f"give one label per suspect")
+    return list(job.labels)
+
+
 def _resolve_suspect(suspect, label=None, allow_paths=True):
     """Normalize a suspect to ``(graph_or_None, text_or_None, label)``.
 
@@ -107,10 +123,12 @@ class QueryJob:
 
     A job carries ``suspects`` (GraphIRs, paths or Verilog source; see
     the module docstring) or ``vectors`` (precomputed embeddings, one
-    per row), not both.  ``labels`` name the suspects in the results; a
-    missing label falls back to the suspect's own name (a graph's, a
-    path), then to ``suspect[i]``.  ``allow_paths=False`` takes every
-    string as source text (untrusted input; see :func:`_resolve_suspect`).
+    per row), not both.  ``labels`` name the suspects in the results,
+    one per suspect (a job with another count fails with
+    ``ValueError``); a ``None`` label falls back to the suspect's own
+    name (a graph's, a path), then to ``suspect[i]``.
+    ``allow_paths=False`` takes every string as source text (untrusted
+    input; see :func:`_resolve_suspect`).
     """
 
     suspects: list = None
@@ -882,12 +900,12 @@ class Session:
             # Each supplied vector is its own single-part group.
             try:
                 rows = index.engine.check_vectors(job.vectors)
-            except ReproError as exc:
+                labels = _job_labels(job, len(rows))
+            except (ReproError, ValueError) as exc:
                 out[idx] = exc
                 continue
             ready[idx] = (rows, list(range(len(rows) + 1)),
-                          [None] * len(rows), None,
-                          job.labels or [None] * len(rows))
+                          [None] * len(rows), None, labels)
 
         groups = {}
         for idx, entry in ready.items():
@@ -916,13 +934,14 @@ class Session:
                 continue
             cursor = 0
             for idx in members:
-                labels = ready[idx][4]
+                _, job_offsets, _, _, labels = ready[idx]
+                count = len(job_offsets) - 1
                 results = [
                     QueryResult(label=label or f"suspect[{i}]",
                                 matches=hits)
                     for i, (label, hits) in enumerate(zip(
-                        labels, hit_lists[cursor:cursor + len(labels)]))]
-                cursor += len(labels)
+                        labels, hit_lists[cursor:cursor + count]))]
+                cursor += count
                 if calibration is not None:
                     for result in results:
                         calibration.annotate_matches(result.matches)
@@ -940,7 +959,7 @@ class Session:
         index = self.corpus.index
         graphs, labels = [], []
         for suspect, label in zip(job.suspects,
-                                  job.labels or [None] * len(job.suspects)):
+                                  _job_labels(job, len(job.suspects))):
             graph, text, label = _resolve_suspect(
                 suspect, label, allow_paths=job.allow_paths)
             if graph is None:

@@ -92,6 +92,9 @@ def _parse_suspects(payload):
             raise HttpError(400, f"suspects[{i}] carries both a 'source' "
                                  f"and a 'vector'; send one")
         if "vector" in suspect:
+            if not isinstance(suspect["vector"], list):
+                raise HttpError(400, f"suspects[{i}].vector must be a list "
+                                     f"of numbers")
             vectors.append(suspect["vector"])
         elif "source" in suspect:
             sources.append(suspect["source"])
@@ -412,10 +415,16 @@ class ReproServer:
             raise HttpError(400, "'nprobe' must be a positive integer")
         if vectors is not None:
             try:
-                vectors = np.asarray(vectors, dtype=np.float64)
+                stacked = np.asarray(vectors, dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise HttpError(400, f"malformed vector suspects: {exc}") \
                     from exc
+            if stacked.ndim != 2:
+                bad = next((i for i, v in enumerate(vectors)
+                            if np.ndim(v) != 1), 0)
+                raise HttpError(400, f"suspects[{bad}].vector must be a "
+                                     f"flat list of numbers")
+            vectors = stacked
         job = QueryJob(suspects=sources, vectors=vectors, labels=labels,
                        k=k, nprobe=nprobe, exact=exact, top=top,
                        allow_paths=False)

@@ -1,9 +1,11 @@
 """Query engine, shard store, IVF quantizer, and incremental adds.
 
 Covers the format-v4 serving contract: v2/v3 refusal with a migration
-message, partial/corrupt shard detection, the IVF recall floor,
-``query_many`` == per-vector ``query_vector`` bit-identity in exact
-mode, append-only ``index add``, and the cached embedding service.
+message, partial/corrupt shard detection, the IVF recall floor, IVF
+hits equal to a brute-force re-rank of the probed pool (the engine
+skips clusters that cannot reach the top-k), batched == single-vector
+bit-identity in exact mode, append-only ``index add``, and the cached
+embedding service.
 """
 
 import json
@@ -109,11 +111,33 @@ def clustered_vectors(n, hidden=16, families=20, seed=0, noise=0.15):
     return unit_rows_f32(rows)
 
 
-def synthetic_engine(matrix, ivf=None):
+def synthetic_engine(matrix, ivf=None, blocks=1):
     entries = [{"name": f"d{i}", "path": f"d{i}.v", "design": f"fam{i}",
                 "status": "ok", "key": f"{i:064d}"}
                for i in range(len(matrix))]
-    return QueryEngine([matrix], entries, ivf=ivf)
+    return QueryEngine(np.array_split(matrix, blocks), entries, ivf=ivf)
+
+
+def probed_rerank(matrix, ivf, queries, k, nprobe):
+    """Each query's top-k by brute force over its probed pool: every row
+    of the clusters ``ivf`` probes for it, scored as the engine scores
+    one row and ranked by ``(-score, row id)``, as ``(name, score)``
+    pairs."""
+    unit = unit_rows_f32(queries)
+    order, starts = ivf.inverted_lists()
+    out = []
+    for query, probed in zip(unit, ivf.probe(unit, nprobe)):
+        pool = np.concatenate([order[starts[c]:starts[c + 1]]
+                               for c in probed])
+        scores = np.einsum("ij,j->i", matrix[pool], query)
+        top = np.lexsort((pool, -scores))[:k]
+        out.append([(f"d{row}", score) for row, score in
+                    zip(pool[top].tolist(), scores[top].tolist())])
+    return out
+
+
+def ranked(hit_lists):
+    return [[(h.name, h.score) for h in hits] for hits in hit_lists]
 
 
 class TestV2Migration:
@@ -285,6 +309,88 @@ class TestIVF:
         full_probe = engine.query_many(queries, k=5, nprobe=16)
         for ex, ap in zip(exact, full_probe):
             assert [h.name for h in ex] == [h.name for h in ap]
+
+    def test_pruned_pool_equals_brute_force(self):
+        """Clusters whose score bound cannot reach a query's floor are
+        left out, and the hits stay the probed pool's exact top-k.
+        Small families spread a query's top-k over several clusters."""
+        matrix = clustered_vectors(2000, families=200, seed=1)
+        ivf = IVFIndex.fit(matrix, n_clusters=40, seed=0)
+        engine = synthetic_engine(matrix, ivf=ivf)
+        queries = unit_rows_f32(matrix[::50] + 0.05)
+        for k in (1, 10):
+            assert ranked(engine.query_many(queries, k=k, nprobe=8)) == \
+                probed_rerank(matrix, ivf, queries, k, 8)
+        probed = np.diff(engine.inverted_lists([0]).starts)[
+            ivf.probe(queries, 8)].sum()
+        scored = sum(len(rows) for rows, _ in
+                     engine._probed_pools(queries, 8, 10, [0]))
+        assert 0 < scored < probed
+
+    def test_tied_duplicates_across_clusters(self):
+        """Bit-equal copies of one row sit in two probed clusters and tie
+        at the k-th score: the lower row ids win whichever cluster holds
+        them, in one process and merged over two partitions."""
+        matrix = clustered_vectors(600, families=8, seed=11)
+        fitted = IVFIndex.fit(matrix, n_clusters=12, seed=0)
+        copies = [10, 50, 200, 300, 450]
+        matrix[copies] = matrix[copies[-1]]
+        query = matrix[copies[-1]][None]
+        home, other = fitted.probe(query, 2)[0]
+        assignments = fitted.assignments.copy()
+        assignments[copies] = [home, other, home, other, home]
+        ivf = IVFIndex(fitted.centroids, assignments)
+        engine = synthetic_engine(matrix, ivf=ivf, blocks=2)
+        for k in (2, 3, 4):
+            expected = probed_rerank(matrix, ivf, query, k, 4)
+            assert [n for n, _ in expected[0]] == \
+                [f"d{r}" for r in copies[:k]]
+            assert ranked(engine.query_many(query, k=k, nprobe=4)) == \
+                expected
+            partials = [engine.partial_many(query, k=k, nprobe=4,
+                                            shards=[s]) for s in (0, 1)]
+            assert ranked(engine.merge_many(partials, k=k)) == expected
+
+    def test_small_and_empty_first_clusters(self):
+        """The cluster a query reaches first holds fewer than k rows, or
+        none: no floor, so every probed row still competes."""
+        matrix = clustered_vectors(500, families=6, seed=12)
+        fitted = IVFIndex.fit(matrix, n_clusters=8, seed=0)
+        tiny, empty = matrix[7], unit_rows_f32(matrix[8:9] + 0.3)[0]
+        assignments = fitted.assignments.copy()
+        assignments[[7, 99]] = 8
+        ivf = IVFIndex(np.vstack([fitted.centroids, tiny, empty]),
+                       assignments)
+        engine = synthetic_engine(matrix, ivf=ivf)
+        lists = engine.inverted_lists([0])
+        assert np.diff(lists.starts)[8:].tolist() == [2, 0]
+        queries = np.stack([tiny, empty])
+        clusters = ivf.probe(queries, 3)
+        assert {8, 9} <= set(clusters.ravel().tolist())
+        # The 2-row cluster gives no floor at k=5: nothing is pruned.
+        (rows, _), _ = engine._probed_pools(queries, 3, 5, [0])
+        assert len(rows) == np.diff(lists.starts)[clusters[0]].sum()
+        for k in (1, 5, 30):
+            assert ranked(engine.query_many(queries, k=k, nprobe=3)) == \
+                probed_rerank(matrix, ivf, queries, k, 3)
+
+    def test_k_beyond_pool_and_full_probe(self):
+        """``k`` past the probed pool returns the whole pool; probing
+        every cluster ranks like exact search (whose one gemm may round
+        scores differently)."""
+        matrix = clustered_vectors(800, families=10, seed=13)
+        ivf = IVFIndex.fit(matrix, n_clusters=20, seed=0)
+        engine = synthetic_engine(matrix, ivf=ivf)
+        queries = unit_rows_f32(matrix[::100] - 0.05)
+        pooled = engine.query_many(queries, k=10 ** 4, nprobe=2)
+        assert ranked(pooled) == probed_rerank(matrix, ivf, queries,
+                                               10 ** 4, 2)
+        assert all(len(hits) < len(matrix) for hits in pooled)
+        full = ranked(engine.query_many(queries, k=7, nprobe=20))
+        assert full == probed_rerank(matrix, ivf, queries, 7, 20)
+        exact = engine.query_many(queries, k=7, exact=True)
+        assert [[n for n, _ in hits] for hits in full] == \
+            [[h.name for h in hits] for hits in exact]
 
     def test_fit_deterministic_and_persistent(self, tmp_path):
         matrix = clustered_vectors(600, seed=4)
@@ -472,6 +578,26 @@ class TestResidentLists:
         sizes = np.diff(lists.starts)[probed]
         assert (sizes == 0).any() and (sizes > 0).any()
         assert len(sharded.inverted_lists([1]).rows) == 0
+
+    @pytest.mark.parametrize("shard_sets", PARTITIONS)
+    def test_theta_bounds_every_row(self, layout, shard_sets):
+        """Each partition's theta is the largest angle between a
+        cluster's centroid and the rows of it the partition holds."""
+        _, sharded, _ = layout
+        centroids = sharded.ivf.centroids.astype(np.float64)
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        for shards in shard_sets:
+            lists = sharded.inverted_lists(shards)
+            sizes = np.diff(lists.starts)
+            cluster = np.repeat(np.arange(len(sizes)), sizes)
+            rows = lists.vectors.astype(np.float64)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            angles = np.arccos(np.clip(
+                (rows * centroids[cluster]).sum(axis=1), -1.0, 1.0))
+            assert (angles <= lists.theta[cluster] + 1e-12).all()
+            widest = np.zeros(len(sizes))
+            np.maximum.at(widest, cluster, angles)
+            np.testing.assert_allclose(widest, lists.theta, atol=1e-12)
 
     def test_resident_copy_is_partition_sized(self, layout):
         _, sharded, queries = layout

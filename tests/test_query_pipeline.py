@@ -155,3 +155,23 @@ def test_served_equals_alone(signed_session, monkeypatch, name):
     got = dict(zip(jobs, served))[name]
     assert isinstance(got, FAILING.get(name, list))
     assert outcome(got) == outcome(alone(session, jobs[name]))
+
+
+def test_label_count_mismatch_fails_one_job(signed_session):
+    """A job whose labels do not match its suspects, one per suspect,
+    fails with ``ValueError``; it neither drops suspects nor hands its
+    surplus hit lists to the next job."""
+    session, _ = signed_session
+    rows = np.asarray(session.corpus.index.matrix[:5], dtype=np.float64)
+    short = QueryJob(vectors=rows[:3], labels=["a"], k=3)
+    mate = QueryJob(vectors=rows[3:], labels=["x", "y"], k=3)
+    source = QueryJob(suspects=[ADDER, MUX], labels=["a"], allow_paths=False)
+    with pytest.raises(ValueError, match="1 labels for 3 suspects"):
+        session.query(list(rows[:3]), k=3, labels=["a"])
+    with pytest.raises(ValueError, match="1 labels for 2 suspects"):
+        session.query([ADDER, MUX], labels=["a"], allow_paths=False)
+    got_short, got_mate, got_source = session.query_jobs([short, mate, source])
+    assert isinstance(got_short, ValueError)
+    assert isinstance(got_source, ValueError)
+    assert [r.label for r in got_mate] == ["x", "y"]
+    assert outcome(got_mate) == outcome(alone(session, mate))

@@ -647,6 +647,44 @@ class TestErrorEnvelopes:
 
         serve(session, scenario)
 
+    def test_vector_that_is_not_a_flat_list_400(self, session):
+        """A ``"vector"`` is a list of numbers.  A scalar one is refused
+        by index: sixteen scalars on a 16-wide index must not stack into
+        one 16-wide vector that is served as a single suspect."""
+        vector = [float(v) for v in session.fingerprint(ADDER).vector]
+
+        async def scenario(server, client):
+            bodies = {
+                "suspects[2]": [{"vector": vector}, {"vector": vector},
+                                {"vector": 0.5}],
+                "suspects[0]": [{"vector": 0.5}] * len(vector),
+                "suspects[0].vector must be a flat": [
+                    {"vector": [[v] for v in vector]}] * 2,
+            }
+            for expected, suspects in bodies.items():
+                error = await expect_error(
+                    client.request("POST", "/v1/query",
+                                   {"suspects": suspects}),
+                    400, "HttpError")
+                assert expected in str(error)
+            out = await client.request(
+                "POST", "/v1/query",
+                {"suspects": [{"vector": vector}] * 3, "k": 1})
+            assert len(out["results"]) == 3
+
+        serve(session, scenario)
+
+    def test_empty_vectors_refused_not_dropped(self, session):
+        """Vectors of width 0 are a width error (409), not an empty
+        batch that answers 0 results for 2 suspects."""
+        async def scenario(server, client):
+            await expect_error(
+                client.request("POST", "/v1/query",
+                               {"suspects": [{"vector": []}] * 2}),
+                409, "IndexStoreError")
+
+        serve(session, scenario)
+
     def test_wrong_vector_width_409(self, session):
         async def scenario(server, client):
             await expect_error(
