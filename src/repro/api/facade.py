@@ -343,23 +343,6 @@ class Corpus:
             return self._index.shards.rows
         return sum(int(specs[s]["rows"]) for s in self._partition)
 
-    def partial_parts(self, vectors, offsets, regions=None, k=5,
-                      delta=0.0, nprobe=None, exact=False, fused=None):
-        """Partition-local mergeable partials for part-vector groups
-        (the worker half of scatter-gather serving; see
-        :meth:`repro.index.store.FingerprintIndex.partial_parts`)."""
-        return self._index.partial_parts(vectors, offsets, regions=regions,
-                                         k=k, delta=delta, nprobe=nprobe,
-                                         exact=exact, fused=fused,
-                                         shards=self._partition)
-
-    def merge_parts(self, partials, offsets, regions=None, k=5,
-                    delta=0.0, struct=None):
-        """Merge per-partition partials into final hit lists, applying
-        the structural channel here (fuse at the front)."""
-        return self._index.merge_parts(partials, offsets, regions=regions,
-                                       k=k, delta=delta, struct=struct)
-
     @classmethod
     def build(cls, root, paths, detector, config=None):
         """Build (or rebuild) an index: a fresh :meth:`ingest`.
@@ -481,13 +464,14 @@ class Corpus:
     def stats(self):
         return self._index.stats()
 
-    def serving_description(self, nprobe=None, exact=False):
+    def serving_description(self, nprobe=None, exact=False, sources=False):
         """How a query with these flags is served: ``"exact"`` or
-        ``"ivf:N probes"`` with the clamp the quantizer actually applies."""
-        if exact or self._index.ivf is None:
-            return "exact"
-        nprobe = self._index.ivf.effective_nprobe(nprobe)
-        return f"ivf:{nprobe} probes"
+        ``"ivf:N probes"`` with the clamp the quantizer actually applies
+        (:meth:`~repro.index.engine.QueryEngine.serving_description`).
+        ``sources`` marks a query by suspect source: on a signed index
+        it is fused with the structural channel, so it scores exactly."""
+        fused = sources and self._index.signature_scorer() is not None
+        return self._index.engine.serving_description(nprobe, exact, fused)
 
     def frontend(self):
         return self._index.frontend()
@@ -592,11 +576,6 @@ class Session:
     @property
     def delta(self):
         return self.detector.delta
-
-    def serving_description(self, nprobe=None, exact=False):
-        if self.corpus is None:
-            return "pairwise"
-        return self.corpus.serving_description(nprobe=nprobe, exact=exact)
 
     # -- extraction ----------------------------------------------------------
     def _frontend(self):
@@ -831,8 +810,8 @@ class Session:
             jobs: :class:`QueryJob` list.
             score: ``callable(vectors, offsets, regions, k=, delta=,
                 nprobe=, exact=, struct=)`` returning one hit list per
-                offsets group; defaults to
-                :meth:`~repro.index.store.FingerprintIndex.query_parts`
+                offsets group; defaults to the engine's
+                :meth:`~repro.index.engine.QueryEngine.query_groups`
                 (the server passes its scatter-gather here).
 
         Returns:
@@ -851,7 +830,7 @@ class Session:
                              "open one with Session.open(index_dir)")
         index = self.corpus.index
         if score is None:
-            score = index.query_parts
+            score = index.engine.query_groups
         out = [None] * len(jobs)
         # A stale artifact fails every job loudly: silently dropping
         # probabilities would hide the problem.

@@ -370,7 +370,7 @@ def _cmd_index_query(args):
     results = session.query(graphs, k=args.k, nprobe=args.nprobe,
                             exact=args.exact, labels=labels)
     serving = corpus.serving_description(nprobe=args.nprobe,
-                                         exact=args.exact)
+                                         exact=args.exact, sources=True)
     piracy = 0
     if args.json:
         piracy = sum(match.flagged

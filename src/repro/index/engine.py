@@ -1,17 +1,16 @@
 """Batched sublinear query serving over the memory-mapped shard store.
 
 One :class:`QueryEngine` turns the stored corpus into a lookup service
-with **one query path**: every query is scatter-gather.  The worker half
-(:meth:`~QueryEngine.partial_many` / :meth:`~QueryEngine.partial_groups`)
-scores a subset of the shard files and returns mergeable partials; the
-gather half (:meth:`~QueryEngine.merge_many` /
-:meth:`~QueryEngine.merge_groups`) reduces disjoint partials to ranked
+with **one query path**: every query is scatter-gather over groups of
+query parts.  The worker half (:meth:`~QueryEngine.partial`) scores a
+subset of the shard files and returns mergeable partials; the gather
+half (:meth:`~QueryEngine.merge`) reduces disjoint partials to ranked
 hits (:class:`~repro.index.match.Match` rows, built once with their
 ranks).  The in-process entry points are that pipeline over a single
-partition holding every shard — ``query_many(v)`` is
-``merge_many([partial_many(v)])`` and ``query_groups`` is
-``merge_groups([partial_groups(...)])`` — so single-process and
-multi-worker serving agree bit for bit by construction.
+partition holding every shard — ``query_groups`` is
+``merge([partial(...)])`` and ``query_many(v)`` is ``query_groups``
+over single-part groups — so single-process and multi-worker serving
+agree bit for bit by construction.
 
 - **Batched scoring** — a whole batch of suspects is scored against each
   shard with one BLAS matmul per shard, instead of one pass per suspect.
@@ -60,16 +59,20 @@ multi-worker serving agree bit for bit by construction.
   fraction of the parent's rows above ``delta``), then id.  Hits carry
   the matching evidence: which stored region matched (``region``),
   which suspect region matched it (``query_region``), and the coverage.
-  An index without chunk rows never enters this path — ``query_many``
-  on it is bit-identical to v3 serving.
-- **Two reductions, on purpose** — plain per-row top-k and per-parent
-  aggregation stay separate reductions even though a chunk-less row is
-  its own parent and aggregation would rank it identically: the parent
-  reduction pays ``np.unique`` plus scatter (``ufunc.at``) passes over
-  every candidate row and builds coverage evidence nobody reads.
-  Routed through it, a 32-vector, k=10 IVF pass over a 50k-row,
-  4-shard chunk-less index takes about 33 ms instead of 2.9 ms (one
-  Xeon core, BLAS on one thread).
+  Vector queries on an index without chunk rows never enter this
+  path — ``query_many`` on it is bit-identical to v3 serving.
+- **Two reductions, one routing predicate** — plain per-row top-k and
+  per-parent aggregation stay separate reductions even though a
+  chunk-less row is its own parent and aggregation would rank it
+  identically: the parent reduction pays ``np.unique`` plus scatter
+  (``ufunc.at``) passes over every candidate row and builds coverage
+  evidence nobody reads.  Routed through it, a 32-vector, k=10 IVF pass
+  over a 50k-row, 4-shard chunk-less index takes about 33 ms instead of
+  2.9 ms (one Xeon core, BLAS on one thread).  Both halves pick the
+  reduction with one private predicate (``_row_route``): per-row when the
+  engine holds no chunk rows, no fusion is asked for and every group
+  holds exactly one part; per-parent otherwise.  Nothing above the
+  engine routes a query.
 - **Structural rank fusion** — when the caller also supplies per-group
   structural scores (:mod:`repro.index.wlsig` reverse-containment, one
   score per parent design), parents are ranked by the *better of their
@@ -84,8 +87,8 @@ multi-worker serving agree bit for bit by construction.
   score exactly: the structural channel visits every stored design
   anyway, so the IVF shortcut buys nothing there.  The structural
   channel ranks every stored design globally, so it is never computed
-  in partials: ``struct`` goes to :meth:`~QueryEngine.merge_groups`
-  and fusion happens once, after the merge ("fuse at the front").
+  in partials: ``struct`` goes to :meth:`~QueryEngine.merge` and
+  fusion happens once, after the merge ("fuse at the front").
 
 Partitions are whole shard files
 (:func:`repro.index.shards.assign_partitions`).  Duplicate content keys
@@ -162,9 +165,10 @@ class InvertedLists(NamedTuple):
 class PartialTopK:
     """One query's partition-local top-k (mergeable).
 
-    Produced by :meth:`QueryEngine.partial_many`; disjoint partitions'
-    partials merge via :meth:`QueryEngine.merge_many` into the same hit
-    lists as the single-process query (itself a one-partition merge).
+    Produced by :meth:`QueryEngine.partial` on the per-row route;
+    disjoint partitions' partials merge via :meth:`QueryEngine.merge`
+    into the same hit lists as the single-process query (itself a
+    one-partition merge).
 
     Attributes:
         rows: global row ids, ranked under ``(-score, row id)``.
@@ -179,8 +183,8 @@ class PartialTopK:
 class PartialGroups:
     """One group's partition-local per-parent reduction (mergeable).
 
-    Produced by :meth:`QueryEngine.partial_groups`; merged by
-    :meth:`QueryEngine.merge_groups`.  All arrays align with
+    Produced by :meth:`QueryEngine.partial` on the per-parent route;
+    merged by :meth:`QueryEngine.merge`.  All arrays align with
     ``parents`` (candidate parent ids, ascending).  ``embed`` and
     ``design`` are only attached by fused partials; ``design`` is NaN
     unless this partition owns the parent's whole-design row.
@@ -270,7 +274,14 @@ class QueryEngine:
     # -- scoring -------------------------------------------------------------
     def _checked(self, vectors):
         """``(n, hidden)`` float64 query batch, validated against the
-        store width and for finite values."""
+        store width and for finite values.
+
+        Raises:
+            IndexStoreError: on an empty store, a wrong width, or a
+                value that is not finite.
+        """
+        if not len(self):
+            raise IndexStoreError("the fingerprint index is empty")
         queries = np.asarray(vectors, dtype=np.float64)
         if queries.size == 0 and (queries.ndim == 1 or not len(queries)):
             # No rows (including a plain []) is an empty batch, not a
@@ -292,8 +303,9 @@ class QueryEngine:
         batch.
 
         Raises:
-            IndexStoreError: on a wrong width, a value that is not
-                finite, or an all-zero row (:data:`ZERO_VECTOR_MESSAGE`).
+            IndexStoreError: on an empty store, a wrong width, a value
+                that is not finite, or an all-zero row
+                (:data:`ZERO_VECTOR_MESSAGE`).
                 Embedded suspect parts skip the zero check: a chunk may
                 embed to zero where its whole design does not.
         """
@@ -359,10 +371,8 @@ class QueryEngine:
     # -- queries -------------------------------------------------------------
     def query_many(self, vectors, k=5, delta=0.0, nprobe=None,
                    exact=False):
-        """Top-k hit lists for a batch of query vectors, in input order.
-
-        The merge of one partition holding every shard: identical to
-        any scatter-gather serving of the same batch by construction.
+        """Top-k hit lists for a batch of query vectors, in input order:
+        :meth:`query_groups` with each vector its own single-part group.
 
         Args:
             vectors: ``(n, hidden)`` array-like (or one 1-D vector).
@@ -372,16 +382,18 @@ class QueryEngine:
                 quantizer's default (:data:`repro.index.ann.DEFAULT_NPROBE`).
             exact: bypass the IVF pre-filter and score every stored row.
         """
-        partial = self.partial_many(vectors, k=k, delta=delta,
-                                    nprobe=nprobe, exact=exact)
-        return self.merge_many([partial], k=k, delta=delta)
+        queries = self._checked(vectors)
+        offsets = np.arange(len(queries) + 1, dtype=np.int64)
+        return self.query_groups(queries, offsets, k=k, delta=delta,
+                                 nprobe=nprobe, exact=exact)
 
     def query_groups(self, parts, offsets, regions=None, k=5, delta=0.0,
                      nprobe=None, exact=False, struct=None):
-        """Ranked parent designs for groups of query parts.
+        """Ranked hits for groups of query parts.
 
         The merge of one partition holding every shard, with the
-        structural channel fused at the merge.
+        structural channel fused at the merge: identical to any
+        scatter-gather serving of the same request by construction.
 
         Args:
             parts: ``(P, hidden)`` array-like of part vectors for all
@@ -391,7 +403,7 @@ class QueryEngine:
             offsets: ``len(groups) + 1`` prefix offsets into ``parts``.
             regions: per-part region descriptors aligned with ``parts``
                 (``None`` entries mean "the whole suspect").
-            k: parent designs per group.
+            k: hits per group.
             struct: optional per-group structural score vectors (one
                 float per parent design, see
                 :meth:`repro.index.wlsig.SignatureScorer.scores`) —
@@ -400,16 +412,52 @@ class QueryEngine:
                 channel rank (see the module docstring).
 
         Returns:
-            One :class:`Match` list per group — at most ``k`` parent
-            designs; without fusion, ranked by best part-vs-row score,
-            ties broken by higher coverage, then lower parent id.
+            One :class:`Match` list per group, at most ``k`` long.  On
+            the per-row route (see :meth:`_row_route`) the hits are
+            stored rows ranked by score, then row id; otherwise they are
+            parent designs ranked by best part-vs-row score, then higher
+            coverage, then lower parent id (without fusion), and carry
+            the parent evidence fields.
         """
         fused = None if struct is None else [s is not None for s in struct]
-        partial = self.partial_groups(parts, offsets, regions, k=k,
-                                      delta=delta, nprobe=nprobe,
-                                      exact=exact, fused=fused)
-        return self.merge_groups([partial], offsets, regions, k=k,
-                                 delta=delta, struct=struct)
+        partial = self.partial(parts, offsets, regions, k=k, delta=delta,
+                               nprobe=nprobe, exact=exact, fused=fused)
+        return self.merge([partial], offsets, regions, k=k, delta=delta,
+                          struct=struct)
+
+    # -- routing -------------------------------------------------------------
+    def _row_route(self, offsets, fusion):
+        """Whether a request takes the plain per-row top-k route.
+
+        True on a chunk-less engine, without the structural channel
+        (``fusion`` is the request's ``fused`` flags or its ``struct``
+        scores), when every group holds exactly one part; every other
+        request reduces per parent design.  :meth:`partial` and
+        :meth:`merge` both route through here, so a worker and the front
+        send any request down the same path.
+        """
+        return (fusion is None and not self.chunked
+                and bool(np.all(np.diff(offsets) == 1)))
+
+    def _exact(self, exact, fused):
+        """Whether a request scores every row of its partition.
+
+        Besides ``exact=True`` and a store without a quantizer, fused
+        queries score exactly (see the module docstring): the structural
+        channel ranks every parent, so pruning the embedding channel's
+        candidates would only desynchronize the two rank lists.  One
+        fused group moves its whole batch onto exact scoring.
+        """
+        return bool(exact) or self.ivf is None or any(fused or ())
+
+    def serving_description(self, nprobe=None, exact=False, fused=False):
+        """How a query is scored: ``"exact"``, or ``"ivf:N probes"``
+        with the clamp the quantizer actually applies.  ``fused`` says
+        whether it is ranked with the structural channel (a source
+        query on a signed index), which always scores exactly."""
+        if self._exact(exact, [fused]):
+            return "exact"
+        return f"ivf:{self.ivf.effective_nprobe(nprobe)} probes"
 
     # -- partials ------------------------------------------------------------
     def _shard_subset(self, shards):
@@ -540,62 +588,22 @@ class QueryEngine:
                                    np.einsum("ij,j->i", vectors[lo:hi],
                                              query))))
 
-    def partial_many(self, vectors, k=5, delta=0.0, nprobe=None,
-                     exact=False, shards=None):
-        """Partition-local partials for a batch of query vectors.
+    def partial(self, parts, offsets, regions=None, *, k, delta, nprobe,
+                exact, fused=None, shards=None):
+        """Partition-local partials for groups of query parts.
 
-        The worker half of scatter-gather serving: scores only the rows
-        in ``shards`` (ordinals into the engine's block list; ``None``
-        is every shard) and returns mergeable partials — one
-        :class:`PartialTopK` per query, or one :class:`PartialGroups`
-        per query on a chunked index (each vector is a single-part
-        group, aggregated back to parent designs).  Feed every
-        partition's partials to :meth:`merge_many`.
+        The worker half of scatter-gather serving: same request as
+        :meth:`query_groups`, but it scores only the rows in ``shards``
+        (ordinals into the engine's block list; ``None`` is every shard)
+        and returns one mergeable partial per group — a
+        :class:`PartialTopK` on the per-row route, a
+        :class:`PartialGroups` otherwise (see :meth:`_row_route`).  The
+        structural channel stays with the caller: ``fused`` only *flags*
+        which groups will be fused, so their scoring matches the fused
+        contract (exact, with the embed/design channels attached).  Feed
+        every partition's partials, and the structural scores, to
+        :meth:`merge` (fuse at the front).
         """
-        if not len(self):
-            raise IndexStoreError("the fingerprint index is empty")
-        queries = self._as_queries(vectors)
-        shards = self._shard_subset(shards)
-        if not len(queries):
-            return []
-        if self.chunked:
-            offsets = np.arange(len(queries) + 1, dtype=np.int64)
-            return self._partial_grouped(queries, offsets,
-                                         [None] * len(queries), k, delta,
-                                         nprobe, exact, None, shards)
-        k = int(k)
-        if not shards or k < 1:
-            return [PartialTopK(rows=np.empty(0, dtype=np.int64),
-                                scores=np.empty(0, dtype=np.float32))
-                    for _ in range(len(queries))]
-        if exact or self.ivf is None:
-            scores, rows = self._partition_scores(queries, shards)
-            out = []
-            for i in range(len(queries)):
-                sel = self._top_sel(scores[i], k, rows)
-                out.append(PartialTopK(rows=rows[sel],
-                                       scores=scores[i][sel]))
-            return out
-        out = []
-        for rows, scores in self._probed_pools(queries, nprobe, k, shards):
-            sel = self._top_sel(scores, k, rows)
-            out.append(PartialTopK(rows=rows[sel], scores=scores[sel]))
-        return out
-
-    def partial_groups(self, parts, offsets, regions=None, k=5,
-                       delta=0.0, nprobe=None, exact=False, fused=None,
-                       shards=None):
-        """Partition-local per-parent partials for groups of parts.
-
-        The grouped worker half of scatter-gather: same contract as
-        :meth:`query_groups`, except the structural channel stays with
-        the caller — ``fused`` only *flags* which groups will be fused,
-        so their scoring matches the fused contract (exact, with the
-        embed/design channels attached).  The structural scores
-        themselves go to :meth:`merge_groups` (fuse at the front).
-        """
-        if not len(self):
-            raise IndexStoreError("the fingerprint index is empty")
         queries = self._as_queries(parts)
         offsets = np.asarray(offsets, dtype=np.int64)
         if (len(offsets) < 1 or offsets[0] != 0
@@ -604,25 +612,52 @@ class QueryEngine:
             raise IndexStoreError(
                 f"part offsets {offsets.tolist()} do not partition "
                 f"{len(queries)} query parts")
-        if regions is None:
-            regions = [None] * len(queries)
         if fused is not None and len(fused) != len(offsets) - 1:
             # The flags stand for the front's structural score vectors.
             raise IndexStoreError(
                 f"{len(fused)} structural score vectors (fused flags) "
                 f"for {len(offsets) - 1} query groups")
+        shards = self._shard_subset(shards)
         if len(offsets) == 1:
             return []
-        return self._partial_grouped(queries, offsets, regions, k, delta,
-                                     nprobe, exact, fused,
-                                     self._shard_subset(shards))
-
-    def _partial_grouped(self, queries, offsets, regions, k, delta,
-                         nprobe, exact, fused, shards):
-        """Grouped partials (queries already validated unit float32)."""
-        groups = len(offsets) - 1
+        exact = self._exact(exact, fused)
+        if self._row_route(offsets, fused):
+            return self._partial_rows(queries, k, nprobe, exact, shards)
+        if regions is None:
+            regions = [None] * len(queries)
         if fused is None:
-            fused = [False] * groups
+            fused = [False] * (len(offsets) - 1)
+        return self._partial_grouped(queries, offsets, regions, delta,
+                                     nprobe, exact, fused, shards)
+
+    def _partial_rows(self, queries, k, nprobe, exact, shards):
+        """Per-row partials: each query's partition-local top-k rows."""
+        k = int(k)
+        if not shards or k < 1:
+            return [PartialTopK(rows=np.empty(0, dtype=np.int64),
+                                scores=np.empty(0, dtype=np.float32))
+                    for _ in range(len(queries))]
+        if exact:
+            scores, rows = self._partition_scores(queries, shards)
+            pools = ((rows, row_scores) for row_scores in scores)
+        else:
+            pools = self._probed_pools(queries, nprobe, k, shards)
+        out = []
+        for rows, scores in pools:
+            sel = self._top_sel(scores, k, rows)
+            out.append(PartialTopK(rows=rows[sel], scores=scores[sel]))
+        return out
+
+    def _partial_grouped(self, queries, offsets, regions, delta, nprobe,
+                         exact, fused, shards):
+        """Per-parent partials, one per group.
+
+        A group's candidate rows, with its ``(parts, rows)`` score
+        block, come either from one gemm per shard over the whole
+        partition (``exact``) or from the union of its parts' probed
+        clusters; then one reduction runs: :meth:`_fused_partial` for a
+        fused group, :meth:`_parent_partials` for any other.
+        """
 
         def empty_partial(is_fused):
             empty = np.empty(0, dtype=np.int64)
@@ -634,56 +669,42 @@ class QueryEngine:
 
         if not shards:
             return [empty_partial(bool(f)) for f in fused]
-        if any(fused) or exact or self.ivf is None:
-            # Fused queries score exactly (see the module docstring):
-            # the structural channel ranks every parent, so pruning the
-            # embedding channel's candidates would only desynchronize
-            # the two rank lists.  One fused group forces the whole
-            # batch onto exact scoring.
-            scores, rows = self._partition_scores(queries, shards)
-            out = []
-            for g in range(groups):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                if hi == lo:
-                    out.append(empty_partial(bool(fused[g])))
-                    continue
-                block = scores[lo:hi]
-                if fused[g]:
-                    out.append(self._fused_partial(block, regions[lo:hi],
-                                                   rows, delta))
-                    continue
+        if exact:
+            scores, partition_rows = self._partition_scores(queries, shards)
+        else:
+            lists = self.inverted_lists(shards)
+            probed = self.ivf.probe(queries, nprobe)
+        out = []
+        for g in range(len(offsets) - 1):
+            lo, hi = int(offsets[g]), int(offsets[g + 1])
+            if exact:
+                rows, block = partition_rows, scores[lo:hi]
+            else:
+                clusters = np.unique(probed[lo:hi])
+                pos = _spans(lists.starts[clusters],
+                             lists.starts[clusters + 1])
+                rows, first = np.unique(lists.rows[pos], return_index=True)
+                # einsum, not a BLAS gemm: BLAS picks differently-rounded
+                # kernels by matrix shape, so a gemm'd row score would
+                # depend on how many neighbours the probe (or the
+                # partition) put beside it.  einsum's per-cell reduction
+                # is shape-invariant, which partitioned grouped queries
+                # rely on.
+                block = np.einsum("ij,kj->ik",
+                                  np.take(lists.vectors, pos[first], axis=0),
+                                  queries[lo:hi]).T
+            if hi == lo or not len(rows):
+                out.append(empty_partial(bool(fused[g])))
+            elif fused[g]:
+                out.append(self._fused_partial(block, regions[lo:hi], rows,
+                                               delta))
+            else:
                 uniq, _, best, best_row, best_part, above = \
                     self._parent_partials(rows, block.max(axis=0),
                                           block.argmax(axis=0), delta)
                 out.append(PartialGroups(
                     parents=uniq, best=best, best_row=best_row,
                     best_part=best_part, above=above))
-            return out
-        lists = self.inverted_lists(shards)
-        probed = self.ivf.probe(queries, nprobe)
-        out = []
-        for g in range(groups):
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            clusters = np.unique(probed[lo:hi])
-            pos = _spans(lists.starts[clusters], lists.starts[clusters + 1])
-            rows, first = np.unique(lists.rows[pos], return_index=True)
-            if not len(rows):
-                out.append(empty_partial(False))
-                continue
-            # einsum, not a BLAS gemm: BLAS picks differently-rounded
-            # kernels by matrix shape, so a gemm'd row score would
-            # depend on how many neighbours the probe (or the partition)
-            # put beside it.  einsum's per-cell reduction is
-            # shape-invariant, which partitioned grouped queries rely on.
-            block = np.einsum("ij,kj->ik",
-                              np.take(lists.vectors, pos[first], axis=0),
-                              queries[lo:hi])
-            uniq, _, best, best_row, best_part, above = \
-                self._parent_partials(rows, block.max(axis=1),
-                                      block.argmax(axis=1), delta)
-            out.append(PartialGroups(parents=uniq, best=best,
-                                     best_row=best_row,
-                                     best_part=best_part, above=above))
         return out
 
     def _parent_arrays(self):
@@ -773,56 +794,24 @@ class QueryEngine:
                              embed=embed, design=design)
 
     # -- merges --------------------------------------------------------------
-    def merge_many(self, partials, k=5, delta=0.0):
-        """Hit lists from per-partition ``partial_many`` results.
+    def merge(self, partials, offsets, regions=None, *, k, delta,
+              struct=None):
+        """Hit lists from per-partition :meth:`partial` results.
 
-        A single partition's partials are already ranked top-k lists
-        under the merge's own total order, so they become hits without a
-        second selection.
+        The gather half: merges each group's partials across disjoint
+        partitions, then ranks them, on the route :meth:`partial` took.
+        Structural fusion happens *here* — the structural channel ranks
+        every stored design globally, so it cannot be computed per
+        partition; ``struct`` follows the :meth:`query_groups` contract
+        (fuse at the front).
 
         Args:
-            partials: one ``partial_many`` result per partition, all
-                for the same query batch over disjoint shard subsets.
+            partials: one :meth:`partial` result per partition, all for
+                the same request over disjoint shard subsets.
 
         Raises:
             IndexStoreError: when the partitions' partials disagree on
-                the query count.
-        """
-        if not partials:
-            return []
-        n = len(partials[0])
-        if any(len(p) != n for p in partials):
-            raise IndexStoreError(
-                "partition partials disagree on the query count")
-        if self.chunked:
-            offsets = np.arange(n + 1, dtype=np.int64)
-            return self.merge_groups(partials, offsets, [None] * n,
-                                     k=k, delta=delta)
-        if len(partials) == 1:
-            top = max(int(k), 0)
-            return [self._hits(p.rows[:top], p.scores[:top], delta)
-                    for p in partials[0]]
-        results = []
-        for per_query in zip(*partials):
-            rows = np.concatenate([p.rows for p in per_query])
-            scores = np.concatenate([p.scores for p in per_query])
-            sel = self._top_sel(scores, k, rows)
-            results.append(self._hits(rows[sel], scores[sel], delta))
-        return results
-
-    def merge_groups(self, partials, offsets, regions=None, k=5,
-                     delta=0.0, struct=None):
-        """Hit lists from per-partition ``partial_groups`` results.
-
-        The gather half: merges each group's per-parent partials across
-        disjoint partitions, then ranks them.  Structural fusion happens
-        *here* — the structural channel ranks every stored design
-        globally, so it cannot be computed per partition; ``struct``
-        follows the :meth:`query_groups` contract (fuse at the front).
-
-        Args:
-            partials: one ``partial_groups`` result per partition, all
-                for the same groups over disjoint shard subsets.
+                the group count, or ``struct`` does.
         """
         if not partials:
             return []
@@ -830,13 +819,15 @@ class QueryEngine:
         if any(len(p) != groups for p in partials):
             raise IndexStoreError(
                 "partition partials disagree on the query group count")
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if regions is None:
-            regions = [None] * int(offsets[-1])
         if struct is not None and len(struct) != groups:
             raise IndexStoreError(
                 f"{len(struct)} structural score vectors for "
                 f"{groups} query groups")
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if self._row_route(offsets, struct):
+            return self._merge_rows(partials, k, delta)
+        if regions is None:
+            regions = [None] * int(offsets[-1])
         results = []
         for g in range(groups):
             per_part = [p[g] for p in partials]
@@ -847,6 +838,25 @@ class QueryEngine:
             else:
                 results.append(self._rank_parents(per_part, group_regions,
                                                   k, delta))
+        return results
+
+    def _merge_rows(self, partials, k, delta):
+        """Per-row hits: top-k of each query's concatenated partials.
+
+        A single partition's partials are already ranked top-k lists
+        under the merge's own total order, so they become hits without a
+        second selection.
+        """
+        if len(partials) == 1:
+            top = max(int(k), 0)
+            return [self._hits(p.rows[:top], p.scores[:top], delta)
+                    for p in partials[0]]
+        results = []
+        for per_query in zip(*partials):
+            rows = np.concatenate([p.rows for p in per_query])
+            scores = np.concatenate([p.scores for p in per_query])
+            sel = self._top_sel(scores, k, rows)
+            results.append(self._hits(rows[sel], scores[sel], delta))
         return results
 
     @staticmethod

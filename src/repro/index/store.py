@@ -49,7 +49,6 @@ durable JSON writer, and the v2/v3 migration.
 import json
 import os
 import zipfile
-from dataclasses import dataclass  # noqa: F401 - re-export for back-compat
 from pathlib import Path
 
 import numpy as np
@@ -454,68 +453,6 @@ class FingerprintIndex:
             return None
         return [scorer.scores(wl_colors(graph, scorer.radius))
                 for graph in graphs]
-
-    def _per_row(self, offsets, fusion):
-        """Whether a request takes the plain per-row top-k path.
-
-        True for single-part groups on a chunk-less index without the
-        structural channel (``fusion`` is the request's ``struct`` or
-        ``fused``); everything else aggregates per parent design.  The
-        query, partial and merge halves share this one predicate, so a
-        worker and a single process route any request the same way.
-        """
-        return (fusion is None and not self.engine.chunked
-                and len(offsets) > 0
-                and int(offsets[-1]) == len(offsets) - 1)
-
-    def query_parts(self, vectors, offsets, regions=None, k=5, delta=0.0,
-                    nprobe=None, exact=False, struct=None):
-        """Ranked parent designs for part-vector groups (one group per
-        suspect; see :meth:`suspect_parts`).  ``struct`` carries the
-        optional per-suspect structural scores (:meth:`suspect_struct`)
-        for rank fusion.  Single-part groups on a chunk-less index with
-        no structural scores take the legacy (bit-identical) path."""
-        if self._per_row(offsets, struct):
-            return self.engine.query_many(vectors, k=k, delta=delta,
-                                          nprobe=nprobe, exact=exact)
-        return self.engine.query_groups(vectors, offsets, regions, k=k,
-                                        delta=delta, nprobe=nprobe,
-                                        exact=exact, struct=struct)
-
-    def partial_parts(self, vectors, offsets, regions=None, k=5,
-                      delta=0.0, nprobe=None, exact=False, fused=None,
-                      shards=None):
-        """Worker half of :meth:`query_parts` for scatter-gather serving.
-
-        Scores only the shard files in ``shards`` and returns mergeable
-        partials (:meth:`~repro.index.engine.QueryEngine.partial_many` /
-        ``partial_groups``).  ``fused`` flags which groups the front
-        will fuse — the structural scores themselves never reach the
-        workers (fuse at the front).  ``fused is None`` stands in for
-        ``struct is None`` in the shared routing predicate.
-        """
-        if self._per_row(offsets, fused):
-            return self.engine.partial_many(vectors, k=k, delta=delta,
-                                            nprobe=nprobe, exact=exact,
-                                            shards=shards)
-        return self.engine.partial_groups(vectors, offsets, regions, k=k,
-                                          delta=delta, nprobe=nprobe,
-                                          exact=exact, fused=fused,
-                                          shards=shards)
-
-    def merge_parts(self, partials, offsets, regions=None, k=5,
-                    delta=0.0, struct=None):
-        """Gather half of :meth:`query_parts`: merge partition partials.
-
-        ``partials`` holds one :meth:`partial_parts` result per
-        partition (disjoint shard subsets, same request).  Returns hit
-        lists bit-identical to :meth:`query_parts` on the full index;
-        ``struct`` is applied here, after the merge.
-        """
-        if self._per_row(offsets, struct):
-            return self.engine.merge_many(partials, k=k, delta=delta)
-        return self.engine.merge_groups(partials, offsets, regions, k=k,
-                                        delta=delta, struct=struct)
 
     def _key_maps(self):
         """``(row_by_key, entry_by_key)``, built on first use: a lookup

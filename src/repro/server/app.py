@@ -432,8 +432,9 @@ class ReproServer:
             results = await self.batcher.submit(job)
         except BacklogFull as exc:
             raise HttpError(429, f"server is at capacity: {exc}") from exc
-        return query_reply(results, self.session.serving_description(
-            nprobe=nprobe, exact=exact))
+        serving = self.session.corpus.serving_description(
+            nprobe=nprobe, exact=exact, sources=sources is not None)
+        return query_reply(results, serving)
 
     # -- the batch processor (runs in the executor) --------------------------
     def _process_query_jobs(self, jobs):
@@ -450,13 +451,12 @@ class ReproServer:
         partition and returns mergeable partials.  The engine's
         block-maxima merge plus fusion at the front (workers never see
         struct scores, only which groups *have* them) keeps the hits
-        bit-identical to the in-process ``query_parts``."""
+        bit-identical to the in-process ``QueryEngine.query_groups``."""
         fused = None if struct is None else [s is not None for s in struct]
         started = time.perf_counter()
         partials = self.pool.scatter(vectors, offsets, regions, k=k,
                                      delta=delta, nprobe=nprobe,
                                      exact=exact, fused=fused)
         self.scatter_seconds.observe(time.perf_counter() - started)
-        return self.session.corpus.merge_parts(partials, offsets, regions,
-                                               k=k, delta=delta,
-                                               struct=struct)
+        return self.session.corpus.index.engine.merge(
+            partials, offsets, regions, k=k, delta=delta, struct=struct)

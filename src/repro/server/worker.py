@@ -5,13 +5,13 @@ context.  Each worker opens the index scoped to a disjoint partition
 of the shard *files* (:func:`repro.index.shards.assign_partitions`)
 as read-only mmaps — the OS page cache shares the bytes, so N workers
 cost no extra index memory — and answers
-:meth:`~repro.api.facade.Corpus.partial_parts` requests over a
-unix-domain socket in a ``0700`` temp directory (see
+:meth:`~repro.index.engine.QueryEngine.partial` requests for its
+partition over a unix-domain socket in a ``0700`` temp directory (see
 :mod:`repro.server.protocol` for framing and the trust argument).
 
 The front scatters every embedded batch to all workers and merges the
 per-partition partials with the engine's block-maxima merge
-(:meth:`~repro.api.facade.Corpus.merge_parts`), which keeps results
+(:meth:`~repro.index.engine.QueryEngine.merge`), which keeps results
 bit-identical to single-process serving.  Workers never see the
 structural channel: WL-signature scores join at the front, after the
 per-partition embed/struct rank candidates are merged (fuse at the
@@ -100,10 +100,11 @@ def worker_main(socket_path, which, count, index_dir):
             if crash_next:
                 os._exit(1)
             try:
-                partial = corpus.partial_parts(
+                partial = corpus.index.engine.partial(
                     msg["vectors"], msg["offsets"], msg["regions"],
                     k=msg["k"], delta=msg["delta"], nprobe=msg["nprobe"],
-                    exact=msg["exact"], fused=msg["fused"])
+                    exact=msg["exact"], fused=msg["fused"],
+                    shards=corpus.partition)
                 reply = {"op": "result", "id": msg["id"], "partials": partial}
             except Exception as exc:
                 reply = {"op": "error", "id": msg["id"],
@@ -293,9 +294,10 @@ class WorkerPool:
                 nprobe=None, exact=False, fused=None):
         """Fan one batch out to every worker; partials in partition order.
 
-        The returned list feeds :meth:`Corpus.merge_parts`, whose
-        block-maxima merge makes the final hits bit-identical to a
-        single-process :meth:`FingerprintIndex.query_parts` call.
+        The returned list feeds
+        :meth:`~repro.index.engine.QueryEngine.merge`, whose block-maxima
+        merge makes the final hits bit-identical to a single-process
+        :meth:`~repro.index.engine.QueryEngine.query_groups` call.
 
         Raises:
             ReproError: re-raised worker-side query errors (same type

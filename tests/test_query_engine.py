@@ -140,6 +140,13 @@ def ranked(hit_lists):
     return [[(h.name, h.score) for h in hits] for hits in hit_lists]
 
 
+def partials_of(engine, queries, offsets, shard_sets, k, nprobe=None):
+    """One IVF-probed ``engine.partial`` result per shard subset."""
+    return [engine.partial(queries, offsets, k=k, delta=0.0, nprobe=nprobe,
+                           exact=False, shards=shards)
+            for shards in shard_sets]
+
+
 class TestV2Migration:
     def test_v2_load_refused_with_migrate_message(self, built):
         index, _, _ = built
@@ -347,9 +354,11 @@ class TestIVF:
                 [f"d{r}" for r in copies[:k]]
             assert ranked(engine.query_many(query, k=k, nprobe=4)) == \
                 expected
-            partials = [engine.partial_many(query, k=k, nprobe=4,
-                                            shards=[s]) for s in (0, 1)]
-            assert ranked(engine.merge_many(partials, k=k)) == expected
+            partials = [engine.partial(query, [0, 1], k=k, delta=0.0,
+                                       nprobe=4, exact=False, shards=[s])
+                        for s in (0, 1)]
+            assert ranked(engine.merge(partials, [0, 1], k=k,
+                                       delta=0.0)) == expected
 
     def test_small_and_empty_first_clusters(self):
         """The cluster a query reaches first holds fewer than k rows, or
@@ -473,6 +482,11 @@ class TestIVF:
         assert refitted.meta["ivf"]["file"] != index.meta["ivf"]["file"]
 
 
+#: Group offsets for the nine queries of :class:`TestResidentLists`,
+#: each its own single-part group.
+SINGLES = np.arange(10)
+
+
 class TestResidentLists:
     """The IVF branch scores probed clusters from each partition's
     cluster-ordered resident copy of its rows.  The layout must not show
@@ -527,35 +541,51 @@ class TestResidentLists:
     def test_partials_merge_bitident(self, layout, nprobe, shard_sets):
         single, sharded, queries = layout
         for k in (5, self.K_BEYOND_POOL):
-            partials = [sharded.partial_many(queries, k=k, nprobe=nprobe,
-                                             shards=s) for s in shard_sets]
-            assert sharded.merge_many(partials, k=k) == \
+            partials = partials_of(sharded, queries, SINGLES, shard_sets,
+                                   k=k, nprobe=nprobe)
+            assert sharded.merge(partials, SINGLES, k=k, delta=0.0) == \
                 single.query_many(queries, k=k, nprobe=nprobe)
         offsets = [0, 3, 9]
-        grouped = [sharded.partial_groups(queries, offsets, k=6,
-                                          nprobe=nprobe, shards=s)
-                   for s in shard_sets]
-        assert sharded.merge_groups(grouped, offsets, k=6) == \
+        grouped = partials_of(sharded, queries, offsets, shard_sets, k=6,
+                              nprobe=nprobe)
+        assert sharded.merge(grouped, offsets, k=6, delta=0.0) == \
             single.query_groups(queries, offsets, k=6, nprobe=nprobe)
+
+    def test_zero_part_group_takes_the_parent_route(self, layout):
+        """A group with no parts gets no hits, and a batch holding one
+        reduces per parent even when its part count equals its group
+        count, in one process and merged over two partitions."""
+        single, sharded, queries = layout
+        offsets = [0, 0, 2]
+        empty, pair = single.query_groups(queries[:2], offsets, k=3)
+        assert empty == []
+        assert pair == single.query_groups(queries[:2], [0, 2], k=3)[0]
+        assert pair[0].coverage is not None
+        partials = partials_of(sharded, queries[:2], offsets,
+                               [[0, 1], [2, 3]], k=3)
+        assert sharded.merge(partials, offsets, k=3, delta=0.0) == \
+            [empty, pair]
 
     def test_merge_refuses_partials_of_other_batches(self, layout):
         """Partials that disagree on the query count come from
         different batches; merging them must not drop queries."""
         _, sharded, queries = layout
-        whole = sharded.partial_many(queries, k=5, shards=[0, 1])
-        short = sharded.partial_many(queries[:4], k=5, shards=[2, 3])
+        (whole,) = partials_of(sharded, queries, SINGLES, [[0, 1]], k=5)
+        (short,) = partials_of(sharded, queries[:4], SINGLES[:5], [[2, 3]],
+                               k=5)
         with pytest.raises(IndexStoreError, match="disagree on the query"):
-            sharded.merge_many([whole, short], k=5)
+            sharded.merge([whole, short], SINGLES, k=5, delta=0.0)
         with pytest.raises(IndexStoreError, match="disagree on the query"):
-            sharded.merge_many([short, whole], k=5)
+            sharded.merge([short, whole], SINGLES[:5], k=5, delta=0.0)
 
     def test_one_partition_merge_is_its_ranking(self, layout):
         """A lone partial is already ranked, so its merge keeps its
         first k hits, for any k."""
         single, _, queries = layout
-        partial = single.partial_many(queries, k=10, nprobe=8)
+        partials = partials_of(single, queries, SINGLES, [None], k=10,
+                               nprobe=8)
         for k in (-1, 0, 4, 10, 20):
-            assert single.merge_many([partial], k=k) == \
+            assert single.merge(partials, SINGLES, k=k, delta=0.0) == \
                 single.query_many(queries, k=min(max(k, 0), 10), nprobe=8)
 
     def test_hits_are_ranked_matches(self, layout):
@@ -603,7 +633,7 @@ class TestResidentLists:
         _, sharded, queries = layout
         offsets = np.concatenate(([0], np.cumsum(self.SIZES)))
         for shards in self.PARTITIONS[0]:
-            sharded.partial_many(queries, k=3, shards=shards)
+            partials_of(sharded, queries, SINGLES, [shards], k=3)
             lists = sharded.inverted_lists(shards)
             rows = sum(self.SIZES[s] for s in shards)
             assert lists.vectors.size == rows * sharded.hidden

@@ -7,8 +7,8 @@ thousand rows in four uneven shards, an IVF at the default cluster
 count, and duplicated rows, so exact score ties occur inside the lists
 and at their top-k boundaries.  The calls cover ``query_many`` with
 batches of 1 and 32 queries at several probe counts and ``k`` both
-inside and beyond the probed pool, and ``partial_many``/``merge_many``
-over two shard partitions.  Any change to scoring, selection or hit
+inside and beyond the probed pool, and ``partial``/``merge`` over two
+shard partitions.  Any change to scoring, selection or hit
 construction that moves a hit, reorders a tie or changes a score bit
 shows up as a digest mismatch naming the call.
 
@@ -93,10 +93,12 @@ def current_digests():
                 (hits,) = engine.query_many(queries[i], k=k, delta=DELTA,
                                             nprobe=nprobe)
                 digests[f"{name}/batch1/q{i:02d}"] = hits_digest(hits)
-            partials = [engine.partial_many(queries, k=k, delta=DELTA,
-                                            nprobe=nprobe, shards=shards)
+            offsets = np.arange(len(queries) + 1)
+            partials = [engine.partial(queries, offsets, k=k, delta=DELTA,
+                                       nprobe=nprobe, exact=False,
+                                       shards=shards)
                         for shards in PARTITIONS]
-            merged = engine.merge_many(partials, k=k, delta=DELTA)
+            merged = engine.merge(partials, offsets, k=k, delta=DELTA)
             for i, hits in enumerate(merged):
                 digests[f"{name}/merged/q{i:02d}"] = hits_digest(hits)
     return digests

@@ -11,12 +11,14 @@ The corpus is a small chunked, WL-signed RTL index with a hand-fitted
 exact scoring) with IVF-probed vector jobs.
 """
 
+import asyncio
 import json
 
 import numpy as np
 import pytest
 
 from repro.api import Corpus, Detector, IngestConfig, QueryJob, Session
+from repro.client import AsyncClient
 from repro.core import GNN4IP
 from repro.designs.corpus import canonical_variant
 from repro.errors import IndexStoreError, ModelError, ParseError
@@ -106,13 +108,37 @@ def test_gulp_mate_keeps_vector_job_on_ivf(signed_session):
     (served_alone,) = server._process_query_jobs([vector_job()])
     served_with_mate, mate = server._process_query_jobs([vector_job(), source_job])
     assert not isinstance(mate, Exception)
-    serving = session.serving_description(nprobe=1)
+    serving = session.corpus.serving_description(nprobe=1)
     assert serving == "ivf:1 probes"
     assert query_reply(served_with_mate, serving) == query_reply(served_alone, serving)
     assert outcome(served_alone) == outcome(alone(session, vector_job()))
     # The probe prunes: exact scoring would rank other designs.
     exact = session.query([vector], k=10, exact=True)
     assert outcome(served_alone) != outcome(exact)
+
+
+def test_served_serving_label_follows_the_route(signed_session):
+    """The reply's ``serving`` names how the job was scored: a source
+    job on the signed index is fused, so exact; a vector job probes."""
+    session, vector = signed_session
+
+    async def run():
+        server = ReproServer(session, port=0)
+        await server.start()
+        try:
+            async with AsyncClient(port=server.port) as client:
+                source = await client.query(sources=[ADDER], k=10, nprobe=1)
+                vectors = await client.query(vectors=[vector], k=10, nprobe=1)
+                return source, vectors
+        finally:
+            await server.stop()
+
+    source, vectors = asyncio.run(run())
+    assert source["serving"] == "exact"
+    assert vectors["serving"] == "ivf:1 probes"
+    # The fused source job's hits are those of exact scoring.
+    (alone_exact,) = session.query([ADDER], k=10, exact=True, allow_paths=False)
+    assert source["results"][0]["matches"] == alone_exact.as_dict()["matches"]
 
 
 def gulp_jobs(vector):

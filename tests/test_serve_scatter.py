@@ -2,9 +2,9 @@
 
 Three layers, matching the serving stack:
 
-- engine: ``partial_many``/``partial_groups`` per shard partition,
-  merged with ``merge_many``/``merge_groups``, must equal the
-  single-process ``query_many``/``query_groups`` result *exactly* —
+- engine: ``partial`` per shard partition, merged with ``merge``, must
+  equal the single-process ``query_many``/``query_groups`` result
+  *exactly* —
   dataclass equality, every float bit included.  Duplicate stored rows
   force real score ties across partition boundaries, so these tests
   also pin the deterministic tie orders.
@@ -179,6 +179,20 @@ def _plain_entries(n):
 PARTITIONS = ([[0, 2], [1]], [[0], [1], [2]], [[0, 1, 2], []])
 
 
+def _singles(queries):
+    """Group offsets with every query row its own single-part group."""
+    return np.arange(len(queries) + 1)
+
+
+def _partials(engine, queries, offsets, shard_sets, regions=None, k=5,
+              nprobe=None, exact=False, fused=None):
+    """One ``engine.partial`` result per shard subset."""
+    return [engine.partial(queries, offsets, regions, k=k, delta=0.0,
+                           nprobe=nprobe, exact=exact, fused=fused,
+                           shards=shards)
+            for shards in shard_sets]
+
+
 class TestEnginePartials:
     @pytest.fixture(scope="class")
     def engine(self):
@@ -193,21 +207,24 @@ class TestEnginePartials:
     def test_plain_merge_bitident(self, engine, queries, kwargs,
                                   shard_sets):
         direct = engine.query_many(queries, k=5, **kwargs)
-        partials = [engine.partial_many(queries, k=5, shards=s, **kwargs)
-                    for s in shard_sets]
-        assert engine.merge_many(partials, k=5) == direct
+        offsets = _singles(queries)
+        partials = _partials(engine, queries, offsets, shard_sets, **kwargs)
+        assert engine.merge(partials, offsets, k=5, delta=0.0) == direct
 
     def test_single_query_padding_path(self, engine, queries):
         direct = engine.query_many(queries[:1], k=5, exact=True)
-        partials = [engine.partial_many(queries[:1], k=5, exact=True,
-                                        shards=s) for s in [[0, 1], [2]]]
-        assert engine.merge_many(partials, k=5) == direct
+        offsets = _singles(queries[:1])
+        partials = _partials(engine, queries[:1], offsets, [[0, 1], [2]],
+                             exact=True)
+        assert engine.merge(partials, offsets, k=5, delta=0.0) == direct
 
     def test_k_exceeds_rows(self, engine, queries):
         direct = engine.query_many(queries[:2], k=N + 10, exact=True)
-        partials = [engine.partial_many(queries[:2], k=N + 10, exact=True,
-                                        shards=s) for s in [[0], [1, 2]]]
-        assert engine.merge_many(partials, k=N + 10) == direct
+        offsets = _singles(queries[:2])
+        partials = _partials(engine, queries[:2], offsets, [[0], [1, 2]],
+                             k=N + 10, exact=True)
+        assert engine.merge(partials, offsets, k=N + 10, delta=0.0) == \
+            direct
 
     @pytest.mark.parametrize("kwargs", [{"exact": True}, {"nprobe": 4}])
     def test_grouped_multipart_bitident(self, engine, queries, kwargs):
@@ -218,11 +235,10 @@ class TestEnginePartials:
                    {"kind": "region"}, {"kind": "cone"}]
         direct = engine.query_groups(queries, offsets, regions, k=4,
                                      **kwargs)
-        partials = [engine.partial_groups(queries, offsets, regions, k=4,
-                                          shards=s, **kwargs)
-                    for s in [[1], [0, 2]]]
-        assert engine.merge_groups(partials, offsets, regions, k=4) == \
-            direct
+        partials = _partials(engine, queries, offsets, [[1], [0, 2]],
+                             regions, k=4, **kwargs)
+        assert engine.merge(partials, offsets, regions, k=4,
+                            delta=0.0) == direct
 
     def test_fused_struct_joins_at_merge(self, engine, queries):
         """Workers never see struct scores; merge applies them — and the
@@ -234,22 +250,21 @@ class TestEnginePartials:
         fused = [s is not None for s in struct]
         direct = engine.query_groups(queries[:5], offsets, regions, k=4,
                                      struct=struct)
-        partials = [engine.partial_groups(queries[:5], offsets, regions,
-                                          k=4, fused=fused, shards=s)
-                    for s in [[0, 2], [1]]]
-        assert engine.merge_groups(partials, offsets, regions, k=4,
-                                   struct=struct) == direct
+        partials = _partials(engine, queries[:5], offsets, [[0, 2], [1]],
+                             regions, k=4, fused=fused)
+        assert engine.merge(partials, offsets, regions, k=4, delta=0.0,
+                            struct=struct) == direct
 
     def test_empty_partition_is_noop(self, engine, queries):
         direct = engine.query_many(queries, k=3, exact=True)
-        partials = [engine.partial_many(queries, k=3, exact=True,
-                                        shards=s)
-                    for s in [[0, 1, 2], []]]
-        assert engine.merge_many(partials, k=3) == direct
+        offsets = _singles(queries)
+        partials = _partials(engine, queries, offsets, [[0, 1, 2], []],
+                             k=3, exact=True)
+        assert engine.merge(partials, offsets, k=3, delta=0.0) == direct
 
     def test_bad_shard_subset_raises(self, engine, queries):
         with pytest.raises(IndexStoreError):
-            engine.partial_many(queries, shards=[7])
+            _partials(engine, queries, _singles(queries), [[7]])
 
 
 class TestBlockedTopK:
@@ -289,12 +304,13 @@ class TestBlockedTopK:
     def test_merge_bitident_across_prefilter_switch(
             self, engine, block_queries, k, shard_sets):
         direct = engine.query_many(block_queries, k=k, exact=True)
-        partials = [engine.partial_many(block_queries, k=k, exact=True,
-                                        shards=s) for s in shard_sets]
+        offsets = _singles(block_queries)
+        partials = _partials(engine, block_queries, offsets, shard_sets,
+                             k=k, exact=True)
         assert all(len(p.rows) == min(k, sum(len(engine._blocks[o])
                                              for o in s))
                    for s, part in zip(shard_sets, partials) for p in part)
-        assert engine.merge_many(partials, k=k) == direct
+        assert engine.merge(partials, offsets, k=k, delta=0.0) == direct
         singles = [engine.query_many(q, k=k, exact=True)[0]
                    for q in block_queries]
         assert singles == direct
@@ -360,9 +376,10 @@ class TestChunkedEnginePartials:
     def test_chunked_query_many_bitident(self, engine, chunk_queries,
                                          kwargs, shard_sets):
         direct = engine.query_many(chunk_queries, k=4, **kwargs)
-        partials = [engine.partial_many(chunk_queries, k=4, shards=s,
-                                        **kwargs) for s in shard_sets]
-        assert engine.merge_many(partials, k=4) == direct
+        offsets = _singles(chunk_queries)
+        partials = _partials(engine, chunk_queries, offsets, shard_sets,
+                             k=4, **kwargs)
+        assert engine.merge(partials, offsets, k=4, delta=0.0) == direct
 
     def test_chunked_fused_groups_bitident(self, engine, chunk_queries):
         offsets = [0, 3, 5]
@@ -372,12 +389,11 @@ class TestChunkedEnginePartials:
         struct = [rng.random(engine.n_parents), None]
         direct = engine.query_groups(chunk_queries, offsets, regions, k=4,
                                      struct=struct)
-        partials = [engine.partial_groups(chunk_queries, offsets, regions,
-                                          k=4,
-                                          fused=[True, False], shards=s)
-                    for s in [[0], [1], [2]]]
-        assert engine.merge_groups(partials, offsets, regions, k=4,
-                                   struct=struct) == direct
+        partials = _partials(engine, chunk_queries, offsets,
+                             [[0], [1], [2]], regions, k=4,
+                             fused=[True, False])
+        assert engine.merge(partials, offsets, regions, k=4, delta=0.0,
+                            struct=struct) == direct
 
 
 # -- facade partition plumbing ----------------------------------------------
@@ -398,15 +414,16 @@ class TestCorpusPartition:
     def test_scoped_partials_merge_to_full_answer(self, disk_index,
                                                   queries):
         root, _ = disk_index
-        whole = Corpus.open(root)
+        engine = Corpus.open(root).index.engine
         offsets = list(range(len(queries) + 1))
-        direct = whole.index.query_parts(queries, offsets, None, k=5,
-                                         exact=True)
-        partials = [
-            Corpus.open(root, partition=(i, 2)).partial_parts(
-                queries, offsets, None, k=5, exact=True)
-            for i in range(2)]
-        assert whole.merge_parts(partials, offsets, None, k=5) == direct
+        direct = engine.query_groups(queries, offsets, k=5, exact=True)
+        partials = []
+        for i in range(2):
+            scoped = Corpus.open(root, partition=(i, 2))
+            partials.append(scoped.index.engine.partial(
+                queries, offsets, k=5, delta=0.0, nprobe=None, exact=True,
+                shards=scoped.partition))
+        assert engine.merge(partials, offsets, k=5, delta=0.0) == direct
 
     def test_partition_holds_one_copy_of_its_rows(self, disk_index,
                                                   queries):
@@ -415,9 +432,10 @@ class TestCorpusPartition:
         root, _ = disk_index
         for i in range(2):
             corpus = Corpus.open(root, partition=(i, 2))
-            corpus.partial_parts(queries, list(range(len(queries) + 1)),
-                                 None, k=5)
             engine = corpus.index.engine
+            engine.partial(queries, _singles(queries), k=5, delta=0.0,
+                           nprobe=None, exact=False,
+                           shards=corpus.partition)
             assert sum(lists.vectors.size
                        for lists in engine._lists.values()) == \
                 corpus.partition_rows * HIDDEN
@@ -437,14 +455,11 @@ class TestWorkerPool:
     def test_scatter_merge_bitident(self, pool, disk_index, queries,
                                     kwargs):
         root, _ = disk_index
-        corpus = Corpus.open(root)
+        engine = Corpus.open(root).index.engine
         offsets = list(range(len(queries) + 1))
-        direct = corpus.index.query_parts(queries, offsets, None, k=5,
-                                          nprobe=kwargs.get("nprobe"),
-                                          exact=kwargs.get("exact",
-                                                           False))
+        direct = engine.query_groups(queries, offsets, k=5, **kwargs)
         partials = self._scatter(pool, queries, **kwargs)
-        assert corpus.merge_parts(partials, offsets, None, k=5) == direct
+        assert engine.merge(partials, offsets, k=5, delta=0.0) == direct
 
     def test_hello_reports_partition(self, pool):
         stats = pool.stats()
@@ -454,14 +469,13 @@ class TestWorkerPool:
 
     def test_more_workers_than_shards(self, disk_index, queries):
         root, _ = disk_index
-        corpus = Corpus.open(root)
+        engine = Corpus.open(root).index.engine
         offsets = list(range(len(queries) + 1))
-        direct = corpus.index.query_parts(queries, offsets, None, k=5,
-                                          exact=True)
+        direct = engine.query_groups(queries, offsets, k=5, exact=True)
         with WorkerPool(root, SHARDS + 1) as wide:
             assert any(w["rows"] == 0 for w in wide.stats())
             partials = self._scatter(wide, queries, exact=True)
-        assert corpus.merge_parts(partials, offsets, None, k=5) == direct
+        assert engine.merge(partials, offsets, k=5, delta=0.0) == direct
 
     def test_idle_kill_heals_transparently(self, pool, queries):
         os.kill(pool.members[0].pid, signal.SIGKILL)
