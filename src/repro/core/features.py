@@ -22,13 +22,9 @@ import hashlib
 
 import numpy as np
 
-from repro.dataflow.analyzer import (
-    BINARY_OP_LABELS,
-    GATE_LABELS,
-    UNARY_OP_LABELS,
-)
 from repro.errors import ModelError
 from repro.ir.graphir import LEVEL_NETLIST, LEVEL_RTL
+from repro.ir.oplabels import BINARY_OP_LABELS, GATE_LABELS, UNARY_OP_LABELS
 from repro.netlist.cells import CELLS, DFF
 
 #: Bump when the meaning of existing labels changes (not needed for pure

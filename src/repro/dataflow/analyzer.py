@@ -16,33 +16,10 @@ from repro.ir.graphir import (
     LEVEL_RTL,
     GraphIR,
 )
+from repro.ir.oplabels import BINARY_OP_LABELS, GATE_LABELS, UNARY_OP_LABELS
 from repro.verilog import ast_nodes as ast
 
 _MAX_LOOP_ITERATIONS = 4096
-
-#: Verilog operator -> vocabulary label (binary position).
-BINARY_OP_LABELS = {
-    "+": "plus", "-": "minus", "*": "times", "/": "divide", "%": "mod",
-    "**": "power",
-    "<<": "sll", ">>": "srl", "<<<": "sla", ">>>": "sra",
-    "<": "lt", ">": "gt", "<=": "le", ">=": "ge",
-    "==": "eq", "!=": "neq", "===": "eqcase", "!==": "neqcase",
-    "&": "and", "|": "or", "^": "xor", "~^": "xnor", "^~": "xnor",
-    "&&": "land", "||": "lor",
-}
-
-#: Verilog operator -> vocabulary label (unary position).
-UNARY_OP_LABELS = {
-    "+": "uplus", "-": "uminus", "!": "lnot", "~": "unot",
-    "&": "uand", "|": "uor", "^": "uxor",
-    "~&": "unand", "~|": "unor", "~^": "uxnor",
-}
-
-#: Gate primitive -> vocabulary label.
-GATE_LABELS = {
-    "and": "and", "or": "or", "xor": "xor", "xnor": "xnor",
-    "nand": "nand", "nor": "nor", "not": "unot", "buf": "buf",
-}
 
 
 class DataflowAnalyzer:

@@ -51,14 +51,15 @@ agree bit for bit by construction.
   23,000 rows instead of 58,800.  ``exact=True`` is the escape hatch
   that bypasses the quantizer entirely.
 - **Chunk aggregation** — a v4 index stores extra rows for subgraph
-  chunks (:mod:`repro.index.chunks`), each carrying a parent-design
-  back-pointer.  ``query_groups`` scores a *group* of query parts (the
-  whole suspect plus its own chunks) against every stored row, reduces
-  to one score per parent design (block maximum over the part x row
-  score matrix), and ranks parents by best score, then coverage (the
-  fraction of the parent's rows above ``delta``), then id.  Hits carry
-  the matching evidence: which stored region matched (``region``),
-  which suspect region matched it (``query_region``), and the coverage.
+  chunks (:mod:`repro.index.chunks`); a :class:`RowMap` says which
+  design each row belongs to.  ``query_groups`` scores a *group* of
+  query parts (the whole suspect plus its own chunks) against every
+  stored row, reduces to one score per parent design (block maximum over
+  the part x row score matrix), and ranks parents by best score, then
+  coverage (the fraction of the parent's rows above ``delta``), then
+  id.  Hits carry the matching evidence: which stored region matched
+  (``region``), which suspect region matched it (``query_region``), and
+  the coverage.
   Vector queries on an index without chunk rows never enter this
   path — ``query_many`` on it is bit-identical to v3 serving.
 - **Two reductions, one routing predicate** — plain per-row top-k and
@@ -161,6 +162,27 @@ class InvertedLists(NamedTuple):
     theta: np.ndarray
 
 
+class RowMap(NamedTuple):
+    """Which stored design each row belongs to.
+
+    Built by the index's one reader of its v4 row table
+    (:func:`repro.index.store._scan_tables`).  A design's ordinal is its
+    position in the engine's entries, one per design.
+
+    Attributes:
+        parent: per row, the ordinal of its design (int64).
+        chunk: per row, whether it is a subgraph chunk (bool).
+        regions: per row, the chunk's region descriptor (``None`` for a
+            whole-design row).
+        design_row: per design, its whole-design row (int64).
+    """
+
+    parent: np.ndarray
+    chunk: np.ndarray
+    regions: list
+    design_row: np.ndarray
+
+
 @dataclass
 class PartialTopK:
     """One query's partition-local top-k (mergeable).
@@ -219,9 +241,12 @@ class QueryEngine:
             tests and benchmarks feed in-memory arrays while production
             feeds memmaps — and therefore keeps its own row-offset table
             rather than depending on :class:`ShardStore`.
-        entries: the ok index entries, one per stored row, in row order.
+        entries: the ok index entries, one per stored design; a hit
+            reads its ``name``, ``path`` and ``design``.
         ivf: optional fitted :class:`~repro.index.ann.IVFIndex` over the
             same rows.
+        row_map: the :class:`RowMap` from rows to ``entries``; ``None``
+            means one whole-design row per entry, in entry order.
 
     Raises:
         IndexStoreError: when ``ivf`` was fitted over a different number
@@ -229,7 +254,7 @@ class QueryEngine:
             rows).
     """
 
-    def __init__(self, blocks, entries, ivf=None):
+    def __init__(self, blocks, entries, ivf=None, row_map=None):
         self._blocks = list(blocks)
         self._entries = entries
         self.ivf = ivf
@@ -250,23 +275,17 @@ class QueryEngine:
         self._rows = np.arange(self._offsets[-1], dtype=np.int64)
         self.hidden = (int(self._blocks[0].shape[1]) if self._blocks
                        else 0)
-        self._is_chunk = np.array([e.get("kind") == "chunk"
-                                   for e in entries], dtype=bool)
+        if row_map is None:
+            row_map = RowMap(self._rows, np.zeros(len(self), dtype=bool),
+                             [None] * len(self), self._rows)
+        self._parent_of, self._is_chunk, self._regions, self._parent_row = \
+            row_map
+        self.n_parents = len(entries)
+        self._parent_counts = np.bincount(self._parent_of,
+                                          minlength=self.n_parents)
         #: True when any stored row is a subgraph chunk; plain designs
         #: keep the legacy (bit-identical) scoring paths.
         self.chunked = bool(self._is_chunk.any())
-        if self.chunked:
-            parent_of = np.array([int(e["parent_id"]) for e in entries],
-                                 dtype=np.int64)
-            self._parent_of = parent_of
-            self.n_parents = int(parent_of.max()) + 1 if len(parent_of) \
-                else 0
-            self._parent_row = np.full(self.n_parents, -1, dtype=np.int64)
-            for row, entry in enumerate(entries):
-                if entry.get("kind") != "chunk":
-                    self._parent_row[int(entry["parent_id"])] = row
-            self._parent_counts = np.bincount(parent_of,
-                                              minlength=self.n_parents)
 
     def __len__(self):
         return int(self._offsets[-1])
@@ -707,14 +726,6 @@ class QueryEngine:
                     best_part=best_part, above=above))
         return out
 
-    def _parent_arrays(self):
-        """(parent_of, parent_row, parent_counts) — on a chunk-less
-        engine every row is its own parent, so grouped queries degrade
-        to plain per-row ranking."""
-        if self.chunked:
-            return self._parent_of, self._parent_row, self._parent_counts
-        return self._rows, self._rows, np.ones(len(self), dtype=np.int64)
-
     def _parent_partials(self, rows, row_best, row_part, delta):
         """Per-parent reduction of per-row best scores (sparse).
 
@@ -733,8 +744,7 @@ class QueryEngine:
             candidate parent ids (ascending), the rows->uniq inverse
             map, and aligned per-parent arrays.
         """
-        parent_of = self._parent_arrays()[0]
-        uniq, inverse = np.unique(parent_of[rows], return_inverse=True)
+        uniq, inverse = np.unique(self._parent_of[rows], return_inverse=True)
         best = np.full(len(uniq), -np.inf, dtype=np.float64)
         np.maximum.at(best, inverse, row_best)
         # Lowest candidate position attaining each parent's maximum:
@@ -782,8 +792,7 @@ class QueryEngine:
             embed_rows = block[0]
         embed = np.full(len(uniq), -np.inf)
         np.maximum.at(embed, inverse, embed_rows)
-        parent_row = self._parent_arrays()[1]
-        drow = parent_row[uniq]
+        drow = self._parent_row[uniq]
         pos = np.searchsorted(rows, drow)
         have = pos < len(rows)
         have &= rows[np.minimum(pos, len(rows) - 1)] == drow
@@ -887,7 +896,7 @@ class QueryEngine:
         total order ``(-best, -coverage, parent id)``."""
         uniq, best, best_row, best_part, above = \
             self._merge_parent_partials(partials)
-        coverage = above / np.maximum(self._parent_arrays()[2][uniq], 1)
+        coverage = above / np.maximum(self._parent_counts[uniq], 1)
         sel = self._top_sel(best, k, uniq, -coverage)
         return self._parent_hits(uniq[sel], best_row[sel], best_part[sel],
                                  best[sel], coverage[sel], group_regions,
@@ -922,8 +931,7 @@ class QueryEngine:
         """
         if not any(len(p.parents) for p in partials):
             return []
-        parent_counts = self._parent_arrays()[2]
-        n_parents = len(parent_counts)
+        parent_counts, n_parents = self._parent_counts, self.n_parents
         struct = np.asarray(struct, dtype=np.float64)
         if struct.shape != (n_parents,):
             raise IndexStoreError(
@@ -960,9 +968,9 @@ class QueryEngine:
         (rank-aligned) scores."""
         entries, delta = self._entries, float(delta)
         hits = []
-        for rank, (row, score) in enumerate(zip(rows.tolist(),
-                                                scores.tolist()), 1):
-            entry = entries[row]
+        for rank, (parent, score) in enumerate(
+                zip(self._parent_of[rows].tolist(), scores.tolist()), 1):
+            entry = entries[parent]
             hits.append(Match(rank, entry["name"], entry["path"],
                               entry["design"], score, score > delta))
         return hits
@@ -972,19 +980,17 @@ class QueryEngine:
         """Ranked :class:`Match` rows for ranked parents; every other
         array is rank-aligned evidence (best row, best query part,
         score, coverage, and the structural score under fusion)."""
-        parent_row = self._parent_arrays()[1]
         hits = []
-        for rank, parent in enumerate(parents.tolist()):
-            row_entry = self._entries[int(rows[rank])]
-            parent_entry = self._entries[int(parent_row[parent])]
+        for rank, (parent, row) in enumerate(zip(parents.tolist(),
+                                                 rows.tolist())):
+            entry = self._entries[parent]
             score = float(scores[rank])
             hits.append(Match(
-                rank=rank + 1, name=parent_entry["name"],
-                path=parent_entry["path"], design=parent_entry["design"],
-                score=score, is_piracy=bool(score > delta),
-                via=("chunk" if row_entry.get("kind") == "chunk"
-                     else "design"),
-                region=row_entry.get("region"),
+                rank=rank + 1, name=entry["name"], path=entry["path"],
+                design=entry["design"], score=score,
+                is_piracy=bool(score > delta),
+                via="chunk" if self._is_chunk[row] else "design",
+                region=self._regions[row],
                 query_region=group_regions[int(parts[rank])],
                 coverage=float(coverage[rank]),
                 struct=None if struct is None else float(struct[rank])))

@@ -83,6 +83,7 @@ from repro.index.store import (
     _read_meta,
     _save_ivf,
     _write_json_durable,
+    row_specs,
 )
 from repro.index.wlsig import (
     SIG_NAME,
@@ -495,37 +496,33 @@ class _StoredRows:
     """
 
     def __init__(self, index, signed):
-        self.shards = index.shards
-        self.names = {}
-        for entry in index.entries:
-            if entry["status"] == "ok":
-                self.names.setdefault(entry["key"], entry["name"])
-        # name -> [design row, chunk rows...]; every writer stores a
-        # design's row before its chunk rows.
-        self.rows, self.regions = {}, {}
-        for row, spec in enumerate(index.rows):
-            if spec.get("kind") == "chunk":
-                self.rows[spec["parent"]].append(row)
-                self.regions.setdefault(spec["parent"], []).append(
-                    spec.get("region"))
-            else:
-                self.rows[spec["name"]] = [row]
+        self.index = index
+        #: Design ordinal -> its chunk rows, ascending.
+        self.chunks = {}
+        chunk_ids = np.flatnonzero(index.row_map.chunk)
+        for row, parent in zip(chunk_ids.tolist(),
+                               index.row_map.parent[chunk_ids].tolist()):
+            self.chunks.setdefault(parent, []).append(row)
         stored = load_signatures(index.root) if signed else None
         self.colors = ({} if stored is None or stored[1] != SIG_RADIUS
                        else stored[0])
 
     def keys(self):
         """``{content key: colors stored}`` for the worker initializer."""
-        return {key: name in self.colors
-                for key, name in self.names.items()}
+        return {key: self.index.entry_for_key(key)["name"] in self.colors
+                for key in self.index._key_ordinals()}
 
     def fill(self, payload):
-        """Complete a worker's ``reuse`` payload from the stored index."""
-        name = self.names[payload["key"]]
-        rows = self.rows[name]
+        """Complete a worker's ``reuse`` payload from the stored index:
+        the key's design row, then its chunk rows with their regions."""
+        ordinal = self.index._key_ordinals()[payload["key"]]
+        chunks = self.chunks.get(ordinal, [])
+        rows = [int(self.index.row_map.design_row[ordinal])] + chunks
         payload.update(
-            rows=np.stack([self.shards.row(r) for r in rows]).tobytes(),
-            n_rows=len(rows), regions=self.regions.get(name, []))
+            rows=np.stack([self.index.shards.row(r) for r in rows]).tobytes(),
+            n_rows=len(rows),
+            regions=[self.index.row_map.regions[r] for r in chunks])
+        name = self.index.entry_for_key(payload["key"])["name"]
         if name in self.colors:
             payload["colors"] = _hex_colors(self.colors[name])
 
@@ -564,10 +561,7 @@ def _entry_from_payload(state, payload):
         return entry, []
     entry.update(design=payload["design"], nodes=payload["nodes"],
                  edges=payload["edges"], cached=payload["cached"])
-    specs = [{"kind": "design", "name": name}]
-    specs.extend({"kind": "chunk", "parent": name, "region": region}
-                 for region in payload["regions"])
-    return entry, specs
+    return entry, row_specs(name, payload["regions"])
 
 
 class _FlushBuffer:
@@ -710,15 +704,13 @@ def _finalize(state, model, service, config, report):
     # (an unsigned base index stays unsigned — a partially-signed corpus
     # could never serve the structural channel).
     sidecar = _read_sidecar(root / SIG_SIDECAR_NAME)
-    has_chunk_rows = any(spec.get("kind") == "chunk"
-                         for spec in meta.get("rows") or [])
     if state.mode == "append":
         stored = load_signatures(root)
         if stored is not None:
             colors, radius = stored
             colors.update(sidecar)
             write_signatures(root, colors, radius=radius)
-    elif has_chunk_rows:
+    elif report["chunk_rows"]:
         write_signatures(root, sidecar, radius=SIG_RADIUS)
     else:
         (root / SIG_NAME).unlink(missing_ok=True)
@@ -923,8 +915,8 @@ def ingest_corpus(root, paths, model=None, config=None, resume=True,
         compacted = _compact_shards(state)
 
     ok_entries = [e for e in state.entries if e["status"] == "ok"]
-    chunk_rows = sum(1 for spec in state.rows
-                     if spec.get("kind") == "chunk")
+    # Each embedded entry stores one design row; the rest are chunks.
+    chunk_rows = len(state.rows) - len(ok_entries)
     cached = sum(1 for e in ok_entries if e.get("cached"))
     # Only what ingest measures: cache outcomes of the embedded entries
     # (a worker's cache counters never reach the parent).

@@ -32,6 +32,12 @@ so a stolen *fraction* of a design still matches its victim head-on.
 Designs too small to chunk store exactly one row, and an index with no
 chunk rows serves bit-identically to v3.
 
+This module is the row table's one writer and one reader:
+:func:`row_specs` builds the specs of one design, and opening an index
+validates the table once and maps every row to its design
+(:class:`~repro.index.engine.RowMap`).  The engine, the content-key
+lookups and ingest's embedding reuse all read that map, never the specs.
+
 Opening an index is ``stat`` + ``mmap`` — no decompression, no
 re-normalization (v2 paid both on every load).  Queries run through the
 batched :class:`~repro.index.engine.QueryEngine` (the suspect pipeline
@@ -49,6 +55,7 @@ durable JSON writer, and the v2/v3 migration.
 import json
 import os
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +65,7 @@ from repro.errors import IndexStoreError, ModelError
 from repro.index.ann import IVF_NAME, IVFIndex, ivf_filename, ivf_plan
 from repro.index.cache import DFGCache
 from repro.index.chunks import ChunkConfig, chunk_parts, extract_chunks
-from repro.index.engine import QueryEngine
+from repro.index.engine import QueryEngine, RowMap
 from repro.index.service import EmbeddingService
 from repro.index.shards import (
     ShardStore,
@@ -137,13 +144,29 @@ def _read_meta(root):
     return meta
 
 
-def _scan_tables(meta):
-    """Validate ``meta``'s entry and row tables in one pass over each.
+def row_specs(name, regions=()):
+    """The row-table specs of one embedded entry, in stored order: its
+    whole-design row, then one chunk row per region."""
+    return ([{"kind": "design", "name": name}]
+            + [{"kind": "chunk", "parent": name, "region": region}
+               for region in regions])
 
-    Returns ``(ok_entries, rows, chunk_rows)``.  Raises
-    :class:`IndexStoreError` when a table has the wrong shape, when the
-    design rows and embedded entries disagree in number, or when an
-    embedded entry has no design row.
+
+def _scan_tables(meta):
+    """Validate ``meta``'s entry and row tables and map rows to designs.
+
+    The one reader of the v4 row table.  Returns ``(ok_entries, rows,
+    row_map)``: the embedded entries, the row specs, and the
+    :class:`~repro.index.engine.RowMap` from every row to its entry's
+    ordinal among ``ok_entries``.  Design rows in entry order (as every
+    writer stores them) are recognised with one list comparison; any
+    other order is mapped by name.
+
+    Raises:
+        IndexStoreError: when a table has the wrong shape, an embedded
+            entry lacks a key a hit reads, the design rows and embedded
+            entries disagree in number, an embedded entry has no design
+            row, or a chunk row names no embedded entry.
     """
     entries = meta.get("entries")
     if not isinstance(entries, list):
@@ -157,6 +180,14 @@ def _scan_tables(meta):
         bad = next(i for i, e in enumerate(entries)
                    if not isinstance(e, dict) or "status" not in e)
         raise _corrupt(f"entry {bad} has no 'status'") from None
+    # The keys a query hit reads.
+    names = [e["name"] for e in ok_entries
+             if "name" in e and "path" in e and "design" in e]
+    if len(names) != len(ok_entries):
+        bad, key = next((i, key) for i, e in enumerate(entries)
+                        if e["status"] == "ok"
+                        for key in ("name", "path", "design") if key not in e)
+        raise _corrupt(f"entry {bad} has no {key!r}")
     try:
         design_names = [spec["name"] for spec in rows
                         if spec.get("kind") != "chunk"]
@@ -171,14 +202,40 @@ def _scan_tables(meta):
             f"row table lists {len(design_names)} design rows but the "
             f"metadata lists {len(ok_entries)} embedded entries "
             f"(partial write? rebuild the index)")
-    designs = set(design_names)
-    for entry in ok_entries:
-        if entry.get("name") not in designs:
+    chunk = np.zeros(len(rows), dtype=bool)
+    if len(design_names) < len(rows):
+        chunk[:] = [spec.get("kind") == "chunk" for spec in rows]
+    design_row = design_ids = np.flatnonzero(~chunk)
+    if design_names != names:
+        # Out of entry order: pair the k-th design row of a name with
+        # the k-th entry of that name (stable sorts by name).
+        missing = Counter(names) - Counter(design_names)
+        if missing:
             raise IndexStoreError(
-                f"embedded entry {entry.get('name')!r} has no design row "
-                f"in the row table (corrupt metadata? rebuild the "
-                f"index)")
-    return ok_entries, rows, len(rows) - len(design_names)
+                f"embedded entry {next(n for n in names if n in missing)!r} "
+                f"has no design row in the row table (corrupt metadata? "
+                f"rebuild the index)")
+        design_row = np.empty(len(names), dtype=np.int64)
+        design_row[sorted(range(len(names)), key=names.__getitem__)] = \
+            design_ids[sorted(range(len(names)),
+                              key=design_names.__getitem__)]
+    parent = np.empty(len(rows), dtype=np.int64)
+    parent[design_row] = np.arange(len(names))
+    regions = [None] * len(rows)
+    chunk_ids = np.flatnonzero(chunk).tolist()
+    if chunk_ids:
+        ordinal = dict(zip(names, range(len(names))))
+        for row in chunk_ids:
+            spec = rows[row]
+            if "parent" not in spec:
+                raise _corrupt(f"chunk row {row} has no 'parent'")
+            if spec["parent"] not in ordinal:
+                raise _corrupt(f"chunk row {row} names "
+                               f"{spec['parent']!r}, which is no "
+                               f"embedded entry")
+            parent[row] = ordinal[spec["parent"]]
+            regions[row] = spec.get("region")
+    return ok_entries, rows, RowMap(parent, chunk, regions, design_row)
 
 
 def refuse_zero_suspects(vectors, offsets, names):
@@ -200,14 +257,13 @@ class FingerprintIndex:
         self.shards = shards
         self.ivf = ivf
         #: ``rows`` is the row table: one spec per stored shard row, in
-        #: global row order ({"kind": "design", "name": ...} or
-        #: {"kind": "chunk", "parent": ..., "region": {...}}).
-        self._ok_entries, self.rows, self._chunk_rows = _scan_tables(meta)
+        #: global row order (see :func:`row_specs`); ``row_map`` is the
+        #: :class:`RowMap` read from it.
+        self._ok_entries, self.rows, self.row_map = _scan_tables(meta)
+        #: Stored rows that are subgraph chunks.
+        self.chunk_row_count = len(self.rows) - len(self._ok_entries)
         self.entries = meta["entries"]
-        #: Content key -> design row / ok entry (the first entry with a
-        #: key wins), built on the first key lookup.
-        self._row_by_key = None
-        self._entry_by_key = None
+        self._by_key = None
         self._matrix = None
         self._engine = None
         self._frontend = None
@@ -346,43 +402,9 @@ class FingerprintIndex:
         """The batched :class:`QueryEngine` over the mapped shards."""
         if self._engine is None:
             self._engine = QueryEngine(self.shards.blocks(),
-                                       self._row_entries(), ivf=self.ivf)
+                                       self._ok_entries, ivf=self.ivf,
+                                       row_map=self.row_map)
         return self._engine
-
-    def _row_entries(self):
-        """Per-shard-row entry dicts for the engine.
-
-        Without chunk rows this is exactly the ok entries (the engine
-        then serves bit-identically to v3).  With chunks, every row —
-        design or chunk — gets a dict carrying the parent design's
-        ``parent_id`` (ordinal among ok entries) so the engine can
-        aggregate chunk hits back to designs.
-        """
-        if not self._chunk_rows:
-            return self._ok_entries
-        by_name = {e["name"]: (ordinal, e)
-                   for ordinal, e in enumerate(self._ok_entries)}
-        entries = []
-        counters = {}
-        for spec in self.rows:
-            if spec.get("kind") == "chunk":
-                parent = spec["parent"]
-                ordinal, entry = by_name[parent]
-                nth = counters.get(parent, 0)
-                counters[parent] = nth + 1
-                entries.append({
-                    "kind": "chunk",
-                    "name": f"{parent}#chunk{nth}",
-                    "path": entry["path"],
-                    "design": entry["design"],
-                    "parent": parent,
-                    "parent_id": ordinal,
-                    "region": spec.get("region"),
-                })
-            else:
-                ordinal, entry = by_name[spec["name"]]
-                entries.append(dict(entry, parent_id=ordinal))
-        return entries
 
     # -- chunking ------------------------------------------------------------
     @property
@@ -390,11 +412,7 @@ class FingerprintIndex:
         """True when any stored row is a subgraph chunk.  A chunking-
         enabled build over designs too small to chunk stores none, and
         then behaves exactly like a single-granularity index."""
-        return self._chunk_rows > 0
-
-    @property
-    def chunk_row_count(self):
-        return self._chunk_rows
+        return self.chunk_row_count > 0
 
     def chunk_config(self):
         """The :class:`~repro.index.chunks.ChunkConfig` the index was
@@ -454,31 +472,28 @@ class FingerprintIndex:
         return [scorer.scores(wl_colors(graph, scorer.radius))
                 for graph in graphs]
 
-    def _key_maps(self):
-        """``(row_by_key, entry_by_key)``, built on first use: a lookup
-        service needs them, a vector-serving process never does."""
-        if self._row_by_key is None:
-            design_row = {spec["name"]: row
-                          for row, spec in enumerate(self.rows)
-                          if spec.get("kind") != "chunk"}
-            row_by_key, entry_by_key = {}, {}
-            for entry in self._ok_entries:
-                row_by_key.setdefault(entry["key"],
-                                      design_row[entry["name"]])
-                entry_by_key.setdefault(entry["key"], entry)
-            self._entry_by_key = entry_by_key
-            self._row_by_key = row_by_key
-        return self._row_by_key, self._entry_by_key
+    def _key_ordinals(self):
+        """Content key -> ordinal of the first ok entry with that key,
+        built on first use: a lookup service needs it, a vector-serving
+        process never does."""
+        if self._by_key is None:
+            keys = [entry["key"] for entry in self._ok_entries]
+            # Reversed, so that the first entry with a key wins.
+            self._by_key = dict(zip(keys[::-1],
+                                    range(len(keys) - 1, -1, -1)))
+        return self._by_key
 
     def lookup_key(self, key):
         """Stored (unit float32) embedding for a content key, or None."""
-        row = self._key_maps()[0].get(key)
-        return None if row is None else self.shards.row(row)
+        ordinal = self._key_ordinals().get(key)
+        return (None if ordinal is None
+                else self.shards.row(int(self.row_map.design_row[ordinal])))
 
     def entry_for_key(self, key):
         """The ok-entry dict whose embedding ``lookup_key`` would return,
         or None when the content key is not indexed."""
-        return self._key_maps()[1].get(key)
+        ordinal = self._key_ordinals().get(key)
+        return None if ordinal is None else self._ok_entries[ordinal]
 
     def service_for(self, model, batch_size=64):
         """A fingerprint-checked :class:`EmbeddingService` for ``model``.
@@ -502,13 +517,7 @@ class FingerprintIndex:
 
     def stats(self):
         """Summary dict for reports and the ``index stats`` command."""
-        designs = {}
-        failures = 0
-        for entry in self.entries:
-            if entry["status"] == "ok":
-                designs[entry["design"]] = designs.get(entry["design"], 0) + 1
-            else:
-                failures += 1
+        designs = {entry["design"] for entry in self._ok_entries}
         # Probe the cache only when its directory exists: stats on a
         # --no-cache index must not conjure an empty cache/ directory.
         cache_entries = cache_bytes = 0
@@ -520,10 +529,10 @@ class FingerprintIndex:
             "level": self.level,
             "entries": len(self.entries),
             "embedded": len(self),
-            "failures": failures,
+            "failures": len(self.entries) - len(self),
             "designs": len(designs),
             "design_rows": len(self),
-            "chunk_rows": self._chunk_rows,
+            "chunk_rows": self.chunk_row_count,
             "signed_entries": (len(self._ok_entries)
                                if self.signature_scorer() is not None
                                else 0),
@@ -584,13 +593,6 @@ def _clean_stale_files(root, meta):
             path.unlink(missing_ok=True)
 
 
-def _design_row_specs(meta):
-    """v4 row table for a chunk-less index: one design row per ok entry,
-    in entry order (exactly how v2/v3 laid out their shard rows)."""
-    return [{"kind": "design", "name": entry["name"]}
-            for entry in meta["entries"] if entry["status"] == "ok"]
-
-
 def migrate_index(root):
     """Convert a v2 or v3 index to v4 in place, without re-embedding.
 
@@ -613,49 +615,48 @@ def migrate_index(root):
     version = meta.get("version")
     if version == FORMAT_VERSION:
         return FingerprintIndex.load(root)
-    if version == 3:
-        meta["version"] = FORMAT_VERSION
-        meta["rows"] = _design_row_specs(meta)
-        meta["chunks"] = None
-        _write_json_durable(root / META_NAME, meta)
-        return FingerprintIndex.load(root)
-    if version != 2:
+    if version not in (2, 3):
         raise IndexStoreError(
             f"cannot migrate index version {version!r} "
             f"(only v2 and v3); rebuild the index")
-    try:
-        with np.load(root / LEGACY_EMBEDDINGS_NAME,
-                     allow_pickle=False) as data:
-            matrix = data["matrix"]
-            keys = [str(k) for k in data["keys"]]
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise IndexStoreError(f"corrupt embedding store: {exc}") from exc
-    ok_keys = [e["key"] for e in meta["entries"] if e["status"] == "ok"]
-    if keys != ok_keys or matrix.shape[0] != len(ok_keys):
-        raise IndexStoreError(
-            "embedding store does not match index metadata "
-            "(partial write? rebuild the index)")
-    unit_matrix = unit_rows_f32(matrix)
-    hidden = int(matrix.shape[1]) if matrix.ndim == 2 else 0
+    if version == 2:
+        try:
+            with np.load(root / LEGACY_EMBEDDINGS_NAME,
+                         allow_pickle=False) as data:
+                matrix = data["matrix"]
+                keys = [str(k) for k in data["keys"]]
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise IndexStoreError(
+                f"corrupt embedding store: {exc}") from exc
+        ok_keys = [e["key"] for e in meta["entries"] if e["status"] == "ok"]
+        if keys != ok_keys or matrix.shape[0] != len(ok_keys):
+            raise IndexStoreError(
+                "embedding store does not match index metadata "
+                "(partial write? rebuild the index)")
+        unit_matrix = unit_rows_f32(matrix)
+        meta["options"].setdefault("use_cache", True)
+        meta["store"] = {
+            "dtype": "float32",
+            "hidden": int(matrix.shape[1]) if matrix.ndim == 2 else 0,
+            "shards": ([write_shard(root, next_shard_ordinal(root),
+                                    unit_matrix)]
+                       if len(unit_matrix) else []),
+        }
+        meta["ivf"] = (_save_ivf(root, IVFIndex.fit(unit_matrix),
+                                 len(unit_matrix))
+                       if ivf_plan(len(unit_matrix)) == "fit" else None)
+    # v2 and v3 laid out one shard row per ok entry, in entry order.
     meta["version"] = FORMAT_VERSION
-    meta["options"].setdefault("use_cache", True)
-    meta["store"] = {
-        "dtype": "float32",
-        "hidden": hidden,
-        "shards": ([write_shard(root, next_shard_ordinal(root),
-                                unit_matrix)]
-                   if len(unit_matrix) else []),
-    }
-    meta["rows"] = _design_row_specs(meta)
+    meta["rows"] = [spec for entry in meta["entries"]
+                    if entry["status"] == "ok"
+                    for spec in row_specs(entry["name"])]
     meta["chunks"] = None
-    meta["ivf"] = (_save_ivf(root, IVFIndex.fit(unit_matrix),
-                             len(unit_matrix))
-                   if ivf_plan(len(unit_matrix)) == "fit" else None)
-    # v4 meta lands atomically first; only then is the legacy store
+    # v4 meta lands atomically first; only then is a v2 legacy store
     # removed, so a crash mid-migration never strands a half-converted
     # index (either version's meta always matches its files).
     _write_json_durable(root / META_NAME, meta)
-    _clean_stale_files(root, meta)
+    if version == 2:
+        _clean_stale_files(root, meta)
     return FingerprintIndex.load(root)
 
 

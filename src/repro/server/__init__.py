@@ -29,6 +29,17 @@ def _announce(message):
     print(message, flush=True)
 
 
+def _routes(corpus):
+    """How the corpus scores queries by default: one description, or
+    one per query kind where vector and source queries differ (a signed
+    index fuses source queries and scores them exactly)."""
+    vectors = corpus.serving_description()
+    sources = corpus.serving_description(sources=True)
+    if vectors == sources:
+        return vectors
+    return f"vectors {vectors}, sources {sources}"
+
+
 def run(session, host="127.0.0.1", port=8000, max_batch=256, workers=0,
         max_pending=None, log_json=False, drain_timeout_s=30.0,
         announce=_announce):
@@ -52,7 +63,7 @@ def run(session, host="127.0.0.1", port=8000, max_batch=256, workers=0,
         corpus = session.corpus
         if corpus is not None:
             announce(f"index: {len(corpus)} designs at level "
-                     f"{corpus.level} ({corpus.serving_description()})")
+                     f"{corpus.level} ({_routes(corpus)})")
         if server.pool is not None:
             rows = [w.get("rows", 0) for w in server.pool.stats()]
             announce(f"workers: {server.workers} partitions "

@@ -31,6 +31,7 @@ from repro.index import (
     FingerprintIndex,
     IngestConfig,
     QueryEngine,
+    RowMap,
     extract_chunks,
     ingest_corpus,
     migrate_index,
@@ -238,15 +239,18 @@ class TestChunkSlices:
 
 
 # -- chunk-level aggregation (synthetic engine) -------------------------------
-def _entry(name, parent_id, kind=None, region=None):
-    entry = {"name": name, "path": f"{name.split('#')[0]}.v",
-             "design": name.split("#")[0], "status": "ok",
-             "key": f"{parent_id:064d}", "parent_id": parent_id}
-    if kind:
-        entry["kind"] = kind
-        entry["parent"] = name.split("#")[0]
-        entry["region"] = region
-    return entry
+def _entry(name, ordinal):
+    return {"name": name, "path": f"{name}.v", "design": name,
+            "status": "ok", "key": f"{ordinal:064d}"}
+
+
+def _row_map(parents, regions):
+    """Rows owned by ``parents`` (entry ordinals); a row with a region
+    is a chunk, the rest are whole-design rows."""
+    parent = np.array(parents, dtype=np.int64)
+    chunk = np.array([region is not None for region in regions])
+    design_row = np.flatnonzero(~chunk)[np.argsort(parent[~chunk])]
+    return RowMap(parent, chunk, list(regions), design_row)
 
 
 @pytest.fixture
@@ -254,15 +258,13 @@ def chunked_engine():
     """Two designs, three chunk rows, easily separable vectors."""
     rng = np.random.default_rng(7)
     matrix = unit_rows_f32(rng.standard_normal((5, 12)))
-    entries = [
-        _entry("alpha", 0),
-        _entry("beta", 1),
-        _entry("alpha#cone0", 0, "chunk", {"kind": "cone", "label": "s"}),
-        _entry("alpha#window1", 0, "chunk",
-               {"kind": "window", "label": "topo[0:8]", "span": [0, 8]}),
-        _entry("beta#cone0", 1, "chunk", {"kind": "cone", "label": "q"}),
-    ]
-    return QueryEngine([matrix], entries), matrix
+    entries = [_entry("alpha", 0), _entry("beta", 1)]
+    row_map = _row_map(
+        [0, 1, 0, 0, 1],
+        [None, None, {"kind": "cone", "label": "s"},
+         {"kind": "window", "label": "topo[0:8]", "span": [0, 8]},
+         {"kind": "cone", "label": "q"}])
+    return QueryEngine([matrix], entries, row_map=row_map), matrix
 
 
 class TestChunkedAggregation:

@@ -347,8 +347,19 @@ class TestFingerprintIndex:
          "'store' must be an object, not list"),
         (lambda meta: dict(meta, store=dict(meta["store"], shards=[{}])),
          "bad shard specs in 'store': KeyError('rows')"),
+        (lambda meta: dict(meta, rows=meta["rows"] + [
+            {"kind": "chunk", "parent": "zz", "region": None}]),
+         "chunk row 4 names 'zz', which is no embedded entry"),
+        (lambda meta: dict(meta, rows=meta["rows"] + [{"kind": "chunk"}]),
+         "chunk row 4 has no 'parent'"),
+        (lambda meta: dict(meta, entries=[
+            {k: v for k, v in e.items() if k != "design"}
+            for e in meta["entries"]]),
+         "entry 0 has no 'design'"),
     ], ids=["top-level-list", "no-entries", "entry-without-status",
-            "rows-not-a-list", "store-not-an-object", "shard-without-rows"])
+            "rows-not-a-list", "store-not-an-object", "shard-without-rows",
+            "chunk-of-no-entry", "chunk-without-parent",
+            "entry-without-design"])
     def test_load_refuses_malformed_meta(self, built, tmp_path, corrupt,
                                          message):
         root = tmp_path / "idx"
@@ -370,6 +381,23 @@ class TestFingerprintIndex:
                    if spec.get("name") == first["name"])
         np.testing.assert_array_equal(index.lookup_key(first["key"]),
                                       index.matrix[row])
+
+    def test_rows_out_of_entry_order_map_by_name(self, built, tmp_path):
+        """The engine and the key lookups read one row map, which maps
+        each design row to its entry by name, not by position."""
+        root = tmp_path / "idx"
+        meta = json.loads((root / "meta.json").read_text())
+        meta["entries"][:2] = meta["entries"][1::-1]
+        (root / "meta.json").write_text(json.dumps(meta))
+        index = FingerprintIndex.load(root)
+        for row, spec in enumerate(meta["rows"]):
+            entry = next(e for e in meta["entries"]
+                         if e["name"] == spec["name"])
+            (hits,) = index.engine.query_many(index.matrix[row], k=1)
+            assert (hits[0].name, hits[0].path) == (entry["name"],
+                                                    entry["path"])
+            np.testing.assert_array_equal(index.lookup_key(entry["key"]),
+                                          index.matrix[row])
 
     def test_warm_rebuild_hits_cache(self, built, tmp_path, corpus_paths):
         _, report, model = built

@@ -13,10 +13,16 @@ exact scoring) with IVF-probed vector jobs.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Corpus, Detector, IngestConfig, QueryJob, Session
 from repro.client import AsyncClient
 from repro.core import GNN4IP
@@ -139,6 +145,44 @@ def test_served_serving_label_follows_the_route(signed_session):
     # The fused source job's hits are those of exact scoring.
     (alone_exact,) = session.query([ADDER], k=10, exact=True, allow_paths=False)
     assert source["results"][0]["matches"] == alone_exact.as_dict()["matches"]
+
+
+def test_serve_announces_both_routes(signed_session):
+    """``gnn4ip serve``'s start-up line names each route where they
+    differ: the signed index probes vector queries and scores every
+    source query exactly, fused."""
+    session, _ = signed_session
+    corpus = session.corpus
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", str(corpus.index.root)]
+        + ["--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    # A server that never announces is killed, ending the read loop.
+    deadline = threading.Timer(120, server.kill)
+    deadline.start()
+    lines = []
+    try:
+        for line in server.stdout:
+            lines.append(line.rstrip("\n"))
+            if line.startswith("serving on"):
+                break
+    finally:
+        deadline.cancel()
+        server.terminate()
+        server.communicate(timeout=60)
+    vectors = corpus.serving_description()
+    assert vectors == "ivf:2 probes"
+    expected = f"(vectors {vectors}, sources exact)"
+    assert f"index: {len(corpus)} designs at level rtl {expected}" in lines
 
 
 def gulp_jobs(vector):

@@ -31,7 +31,7 @@ from repro.client import AsyncClient, ServerError
 from repro.core import GNN4IP
 from repro.errors import IndexStoreError
 from repro.index.ann import IVFIndex, ivf_filename
-from repro.index.engine import QueryEngine
+from repro.index.engine import QueryEngine, RowMap
 from repro.index.shards import assign_partitions, unit_rows_f32, write_shard
 from repro.index.store import FORMAT_VERSION
 from repro.server import ReproServer
@@ -340,27 +340,30 @@ class TestChunkedEnginePartials:
     def engine(self):
         rng = np.random.default_rng(SEED + 4)
         parents = 30
-        entries, vecs = [], []
+        entries, vecs, owner, chunk, regions = [], [], [], [], []
         for p in range(parents):
             base = rng.standard_normal(HIDDEN)
             entries.append({"name": f"p{p:03d}", "path": f"p{p:03d}.v",
-                            "design": f"fam{p}", "status": "ok",
-                            "parent_id": p})
+                            "design": f"fam{p}", "status": "ok"})
             vecs.append(base)
+            owner.append(p)
+            chunk.append(False)
+            regions.append(None)
             for c in range(p % 4):  # 0-3 chunks per design
-                entries.append({"kind": "chunk",
-                                "name": f"p{p:03d}#chunk{c}",
-                                "path": f"p{p:03d}.v",
-                                "design": f"fam{p}", "parent": f"p{p:03d}",
-                                "parent_id": p,
-                                "region": {"kind": "cone", "n": c}})
                 vecs.append(base + 0.3 * rng.standard_normal(HIDDEN))
+                owner.append(p)
+                chunk.append(True)
+                regions.append({"kind": "cone", "n": c})
         rows = unit_rows_f32(np.array(vecs))
         # Duplicate a chunk row across shard boundary for ties.
         rows[1] = rows[len(rows) - 2]
+        chunk = np.array(chunk)
+        row_map = RowMap(np.array(owner, dtype=np.int64), chunk, regions,
+                         np.flatnonzero(~chunk))
         return QueryEngine(_blocks(rows), entries,
                            ivf=IVFIndex.fit(rows, n_clusters=8,
-                                            seed=SEED))
+                                            seed=SEED),
+                           row_map=row_map)
 
     @pytest.fixture(scope="class")
     def chunk_queries(self, engine):

@@ -1,10 +1,12 @@
 """Start-up budget: what a fresh process imports before its first answer.
 
 Importing scipy is most of a cold start, and only embedding a graph
-needs it.  Each test runs a fresh interpreter and reads its
-``sys.modules``: the CLI, the server and its scatter-gather workers
-must start, open an index and serve a vector query without scipy; the
-first source query loads it and ranks exactly as an in-process query.
+needs it; only a source query needs the Verilog frontend.  Each test
+runs a fresh interpreter and reads its ``sys.modules``: the CLI, the
+server and its scatter-gather workers must start, open an index and
+serve a vector query without scipy, ``repro.verilog`` or
+``repro.dataflow``; the first source query loads scipy and ranks exactly
+as an in-process query.
 """
 
 import json
@@ -45,6 +47,8 @@ import json, sys
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in
                         ("scipy", "repro"))))
 """
+
+RTL_FRONTEND = ("repro.verilog", "repro.dataflow")
 
 
 def fresh(code, *args):
@@ -110,6 +114,21 @@ def test_vector_query_leaves_out_scipy(index_dir):
     loaded = fresh(code + LOADED, str(index_dir), json.dumps(vector))
     assert "repro.index.engine" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_cli_and_vector_query_leave_out_the_rtl_frontend(index_dir):
+    vector = FingerprintIndex.load(index_dir).matrix[0].tolist()
+    code = (
+        "import json, sys\n"
+        "import repro.cli, repro.server, repro.server.worker\n"
+        "from repro.api import Session\n"
+        "session = Session.open(sys.argv[1])\n"
+        "matches = session.query([json.loads(sys.argv[2])], k=2)[0].matches\n"
+        "assert matches[0].score > 0.999\n"
+    )
+    loaded = fresh(code + LOADED, str(index_dir), json.dumps(vector))
+    assert "repro.core.features" in loaded
+    assert not [m for m in loaded if m.startswith(RTL_FRONTEND)]
 
 
 def test_first_source_query_loads_scipy_and_ranks_as_in_process(index_dir):

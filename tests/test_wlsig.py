@@ -25,6 +25,7 @@ from repro.index import (
     FingerprintIndex,
     IngestConfig,
     QueryEngine,
+    RowMap,
     SignatureScorer,
     ingest_corpus,
     wl_colors,
@@ -168,15 +169,18 @@ class TestScorer:
 
 
 # -- engine rank fusion over synthetic vectors --------------------------------
-def _entry(name, parent_id, kind=None, region=None):
-    entry = {"name": name, "path": f"{name.split('#')[0]}.v",
-             "design": name.split("#")[0], "status": "ok",
-             "key": f"{parent_id:064d}", "parent_id": parent_id}
-    if kind:
-        entry["kind"] = kind
-        entry["parent"] = name.split("#")[0]
-        entry["region"] = region
-    return entry
+def _entry(name, ordinal):
+    return {"name": name, "path": f"{name}.v", "design": name,
+            "status": "ok", "key": f"{ordinal:064d}"}
+
+
+def _row_map(parents, regions):
+    """Rows owned by ``parents`` (entry ordinals); a row with a region
+    is a chunk, the rest are whole-design rows."""
+    parent = np.array(parents, dtype=np.int64)
+    chunk = np.array([region is not None for region in regions])
+    design_row = np.flatnonzero(~chunk)[np.argsort(parent[~chunk])]
+    return RowMap(parent, chunk, list(regions), design_row)
 
 
 @pytest.fixture
@@ -184,13 +188,12 @@ def fusion_engine():
     """Three designs, one chunk row each, separable vectors."""
     rng = np.random.default_rng(3)
     matrix = unit_rows_f32(rng.standard_normal((6, 16)))
-    entries = [
-        _entry("alpha", 0), _entry("beta", 1), _entry("gamma", 2),
-        _entry("alpha#cone0", 0, "chunk", {"kind": "cone", "label": "a"}),
-        _entry("beta#cone0", 1, "chunk", {"kind": "cone", "label": "b"}),
-        _entry("gamma#cone0", 2, "chunk", {"kind": "cone", "label": "g"}),
-    ]
-    return QueryEngine([matrix], entries), matrix
+    entries = [_entry("alpha", 0), _entry("beta", 1), _entry("gamma", 2)]
+    row_map = _row_map(
+        [0, 1, 2, 0, 1, 2],
+        [None, None, None, {"kind": "cone", "label": "a"},
+         {"kind": "cone", "label": "b"}, {"kind": "cone", "label": "g"}])
+    return QueryEngine([matrix], entries, row_map=row_map), matrix
 
 
 class TestRankFusion:
